@@ -3,17 +3,34 @@
 The genome is one green duration per link, in seconds, clamped to the
 config's [min_green_s, max_green_s]. Variation operators repair bounds, so
 every individual is feasible. A run is fully deterministic given its seed.
+
+Fronts come from a sort-and-sweep over (f1, f2) (Jensen 2003, IEEE TEC
+7(5)) that ranks by bisection in O(n log n), not from pairwise comparison;
+genomes are scored from a per-link residual table
+(``objectives.genome_evaluator``); the non-dominated archive is a sorted
+(f1, f2) staircase updated by bisection. Ranks, the order of members within
+each front, and every random draw are those of the textbook O(n^2) sort and
+archive rescan (Deb et al. 2002), so fronts and artifacts are byte-identical
+to that version.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import random
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import objectives
-from .core import IntersectionConfig, ObjectiveVector, QueueState, SignalPlan
+from .core import (
+    ConfigError,
+    IntersectionConfig,
+    ObjectiveVector,
+    QueueState,
+    SignalPlan,
+)
 
 Genome = tuple[int, ...]
 
@@ -47,26 +64,51 @@ class OptimizerParams:
 
     def __post_init__(self) -> None:
         if self.population_size < 4 or self.population_size % 2 != 0:
-            raise ValueError("population_size must be an even integer >= 4")
+            raise ConfigError("population_size must be an even integer >= 4")
         if self.generations < 1:
-            raise ValueError("generations must be >= 1")
+            raise ConfigError("generations must be >= 1")
         if not (0.0 <= self.crossover_prob <= 1.0):
-            raise ValueError("crossover_prob must be in [0, 1]")
+            raise ConfigError("crossover_prob must be in [0, 1]")
         if self.mutation_prob is not None and not (0.0 <= self.mutation_prob <= 1.0):
-            raise ValueError("mutation_prob must be in [0, 1]")
+            raise ConfigError("mutation_prob must be in [0, 1]")
         if self.tournament_size < 2:
-            raise ValueError("tournament_size must be >= 2")
+            raise ConfigError("tournament_size must be >= 2")
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerParams":
+        """Build from a JSON object; a mistyped value raises ``ConfigError``.
+
+        Integer fields take integral numbers (``40`` or ``40.0``), the
+        probabilities take numbers, and ``mutation_prob`` may be null
+        (1/L). Bools and strings are rejected, not coerced.
+        """
+        if not isinstance(d, dict):
+            raise ConfigError(f"optimizer must be a JSON object, got {d!r}")
+        mutation_prob = d.get("mutation_prob")
+        if mutation_prob is not None:
+            mutation_prob = _number(d, "mutation_prob")
         return cls(
-            population_size=int(d.get("population_size", 60)),
-            generations=int(d.get("generations", 100)),
-            crossover_prob=float(d.get("crossover_prob", 0.9)),
-            mutation_prob=d.get("mutation_prob"),
-            tournament_size=int(d.get("tournament_size", 2)),
-            rng_seed=int(d.get("rng_seed", 0)),
+            population_size=_integer(d, "population_size", 60),
+            generations=_integer(d, "generations", 100),
+            crossover_prob=float(_number(d, "crossover_prob", 0.9)),
+            mutation_prob=mutation_prob,
+            tournament_size=_integer(d, "tournament_size", 2),
+            rng_seed=_integer(d, "rng_seed", 0),
         )
+
+
+def _number(d: dict, key: str, default=None):
+    value = d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return value
+
+
+def _integer(d: dict, key: str, default: int) -> int:
+    value = _number(d, key, default)
+    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -75,37 +117,54 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
 
 
 def fast_non_dominated_sort(pop: Sequence[Individual]) -> list[list[int]]:
-    """Partition the population into Pareto fronts; updates rank in place."""
+    """Partition the population into Pareto fronts; updates rank in place.
+
+    Front 0 lists its members in index order. A member of front k+1 is
+    placed by the front-k position of the last front-k member dominating
+    it, then by index: the order in which the O(n^2) count-and-release sort
+    of Deb et al. (2002) emits it, on which crowding ties, survivor
+    truncation and tournament indices depend.
+    """
     n = len(pop)
     objs = [(ind.objectives.f1, ind.objectives.f2) for ind in pop]
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts: list[list[int]] = [[]]
-    for p in range(n):
-        a1, a2 = objs[p]
-        for q in range(n):
-            if p == q:
-                continue
-            b1, b2 = objs[q]
-            if a1 <= b1 and a2 <= b2 and (a1 < b1 or a2 < b2):
-                dominated_by[p].append(q)
-            elif b1 <= a1 and b2 <= a2 and (b1 < a1 or b2 < a2):
-                domination_count[p] += 1
-        if domination_count[p] == 0:
-            pop[p].rank = 0
-            fronts[0].append(p)
-    k = 0
-    while fronts[k]:
-        nxt: list[int] = []
-        for p in fronts[k]:
-            for q in dominated_by[p]:
-                domination_count[q] -= 1
-                if domination_count[q] == 0:
-                    pop[q].rank = k + 1
-                    nxt.append(q)
-        fronts.append(nxt)
-        k += 1
-    fronts.pop()
+    # Sweep in (f1, f2) order. Every point seen so far has f1 no greater,
+    # so front k dominates a new point iff front k's lowest f2 is <= its f2;
+    # those lowest f2 never fall with k, so the rank is a bisection. A
+    # repeated point is not dominated by its twin and takes the twin's rank.
+    stairs: list[list[int]] = []  # each front's members in (f1, f2) order
+    lowest_f2: list = []
+    prev = None
+    rank = -1
+    for i in sorted(range(n), key=objs.__getitem__):
+        p = objs[i]
+        if p != prev:
+            prev = p
+            rank = bisect_right(lowest_f2, p[1])
+            if rank == len(lowest_f2):
+                lowest_f2.append(p[1])
+                stairs.append([])
+            else:
+                lowest_f2[rank] = p[1]
+        stairs[rank].append(i)
+        pop[i].rank = rank
+
+    fronts = [sorted(stairs[0])] if n else []
+    position = [0] * n
+    for k in range(1, len(stairs)):
+        above = stairs[k - 1]
+        for j, i in enumerate(fronts[k - 1]):
+            position[i] = j
+        # Along ``above`` f1 rises and f2 falls, so the members dominating
+        # (a, b) are the slice with f2 <= b and f1 <= a.
+        at = [position[i] for i in above]
+        f1s = [objs[i][0] for i in above]
+        neg_f2s = [-objs[i][1] for i in above]
+
+        def emitted(i: int) -> tuple[int, int]:
+            a, b = objs[i]
+            return max(at[bisect_left(neg_f2s, -b):bisect_right(f1s, a)]), i
+
+        fronts.append(sorted(stairs[k], key=emitted))
     return fronts
 
 
@@ -194,19 +253,41 @@ def plan_from_genome(
     )
 
 
-def _update_archive(archive: dict[Genome, Individual], front: Iterable[Individual]):
+@dataclass
+class _Archive:
+    """Non-dominated archive as a staircase.
+
+    ``points`` holds the distinct (f1, f2) vectors, sorted, so f1 rises and
+    f2 falls along it; ``members[j]`` maps each genome reaching
+    ``points[j]`` to its individual, in insertion order.
+    """
+
+    points: list[tuple] = field(default_factory=list)
+    members: list[dict[Genome, Individual]] = field(default_factory=list)
+
+    def individuals(self) -> list[Individual]:
+        return [ind for group in self.members for ind in group.values()]
+
+
+def _update_archive(archive: _Archive, front: Iterable[Individual]) -> None:
+    """Insert each individual unless an archived vector dominates it, and
+    drop the archived vectors it dominates."""
+    points, members = archive.points, archive.members
     for ind in front:
-        if ind.genome in archive:
+        p = (ind.objectives.f1, ind.objectives.f2)
+        j = bisect_left(points, p)
+        if j < len(points) and points[j] == p:
+            if ind.genome not in members[j]:
+                members[j][ind.genome] = Individual(ind.genome, ind.objectives)
             continue
-        dominated = False
-        for existing in list(archive.values()):
-            if dominates(existing.objectives, ind.objectives):
-                dominated = True
-                break
-            if dominates(ind.objectives, existing.objectives):
-                del archive[existing.genome]
-        if not dominated:
-            archive[ind.genome] = Individual(ind.genome, ind.objectives)
+        # points[j-1] has f1 <= p's and the lowest f2 of all such points.
+        if j and points[j - 1][1] <= p[1]:
+            continue
+        end = j
+        while end < len(points) and points[end][1] >= p[1]:
+            end += 1
+        points[j:end] = [p]
+        members[j:end] = [{ind.genome: Individual(ind.genome, ind.objectives)}]
 
 
 def run(
@@ -224,10 +305,9 @@ def run(
     ``on_generation`` is invoked with (generation, archive front so far)
     after each generation, mainly for instrumentation in tests.
     """
-    if queue.num_links != cfg.num_links:
-        raise ValueError(
-            f"queue has {queue.num_links} links, config expects {cfg.num_links}"
-        )
+    evaluate = objectives.genome_evaluator(
+        queue, cfg, guidance_pad_s, queue_weighted_f2=queue_weighted_f2
+    )
     rng = random.Random(params.rng_seed)
     L = cfg.num_links
     mut_prob = params.mutation_prob if params.mutation_prob is not None else 1.0 / L
@@ -238,11 +318,7 @@ def run(
     def eval_genome(g: Genome) -> Individual:
         obj = cache.get(g)
         if obj is None:
-            obj = objectives.evaluate(
-                plan_from_genome(g, cfg, guidance_pad_s), queue, cfg,
-                queue_weighted_f2=queue_weighted_f2,
-            )
-            cache[g] = obj
+            obj = cache[g] = evaluate(g)
         return Individual(genome=g, objectives=obj)
 
     pop = [
@@ -251,7 +327,7 @@ def run(
         )
         for _ in range(params.population_size)
     ]
-    archive: dict[Genome, Individual] = {}
+    archive = _Archive()
     fronts = fast_non_dominated_sort(pop)
     for f in fronts:
         crowding_distance([pop[i] for i in f])
@@ -283,10 +359,10 @@ def run(
                 break
         pop = survivors
         if on_generation is not None:
-            on_generation(gen, list(archive.values()))
+            on_generation(gen, archive.individuals())
 
     front = sorted(
-        archive.values(),
+        archive.individuals(),
         key=lambda ind: (ind.objectives.f1, ind.objectives.f2, ind.genome),
     )
     for ind in front:

@@ -8,6 +8,8 @@ Both are minimized by the optimizer. All functions here are pure.
 from __future__ import annotations
 
 import math
+from operator import mul
+from typing import Callable, Sequence
 
 from .core import IntersectionConfig, ObjectiveVector, QueueState, SignalPlan
 
@@ -92,3 +94,51 @@ def evaluate(
     else:
         total_red = f2(plan, include_inter_green=include_inter_green)
     return ObjectiveVector(f1=f1(residual), f2=total_red)
+
+
+def genome_evaluator(
+    queue: QueueState,
+    cfg: IntersectionConfig,
+    guidance_pad_s: int = 0,
+    queue_weighted_f2: bool = False,
+) -> Callable[[Sequence[int]], ObjectiveVector]:
+    """Return a function of a genome (one green per link, in link order).
+
+    It gives the same ``ObjectiveVector`` as ``evaluate`` on the plan that
+    serves the links in order with those greens, ``guidance_pad_s`` and the
+    config's inter-green, for any greens in [0, cfg.max_green_s]. f1 is read
+    from a table of per-link residuals built once, and f2 is affine in the
+    greens: with link weights w (queue lengths, or 1 for plain red time) and
+    W = sum(w), it is sum((W - w_i) * g_i) + W * (L * inter_green +
+    2 * pad * (L - 1)).
+    """
+    if queue.num_links != cfg.num_links:
+        raise ValueError(
+            f"queue has {queue.num_links} links, config expects {cfg.num_links}"
+        )
+    L = cfg.num_links
+    # JSON configs may give the green bounds as integral floats (60.0).
+    greens = range(int(cfg.max_green_s) + 1)
+    residual = [
+        [
+            max(0, m - math.floor(cfg.sat_flow_motorized * g))
+            + max(0, n - math.floor(cfg.sat_flow_non_motorized * g))
+            for g in greens
+        ]
+        for m, n in zip(queue.motorized, queue.non_motorized)
+    ]
+    if queue_weighted_f2:
+        weights = [m + n for m, n in zip(queue.motorized, queue.non_motorized)]
+    else:
+        weights = [1] * L
+    total = sum(weights)
+    coef = [total - w for w in weights]
+    const = total * (L * cfg.inter_green_s + 2 * guidance_pad_s * (L - 1))
+
+    def evaluate_genome(genome: Sequence[int]) -> ObjectiveVector:
+        return ObjectiveVector(
+            f1=sum(map(list.__getitem__, residual, genome)),
+            f2=sum(map(mul, coef, genome)) + const,
+        )
+
+    return evaluate_genome

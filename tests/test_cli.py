@@ -1,10 +1,16 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from greenlight.cli import main
-from greenlight.core import IntersectionConfig, SignalPlan, validate_plan
+from greenlight.core import (
+    IntersectionConfig,
+    SignalPlan,
+    canonical_json,
+    validate_plan,
+)
 
 
 def read_json(path: Path):
@@ -49,6 +55,84 @@ class TestOptimizeCommand:
         for name in ("pareto_front.json", "selected_plan.json"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name).read_bytes()
+
+    def optimize_with(self, assets_dir, tmp_path, optimizer, policy=None):
+        raw = {"intersection": read_json(assets_dir / "palashi5.json"),
+               "optimizer": optimizer}
+        if policy is not None:
+            raw["policy"] = policy
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        return main([
+            "optimize", "--config", str(config),
+            "--queue", str(assets_dir / "queue_sample.json"),
+            "--out", str(tmp_path / "o"),
+        ])
+
+    @pytest.mark.parametrize("optimizer, message", [
+        ({"mutation_prob": "0.1"}, "mutation_prob must be a number"),
+        ({"population_size": 10.7}, "population_size must be an integer"),
+    ])
+    def test_mistyped_optimizer_exits_1(self, assets_dir, tmp_path, capsys,
+                                        optimizer, message):
+        assert self.optimize_with(assets_dir, tmp_path, optimizer) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("optimizer, policy, digest", [
+        ({"population_size": 20.0, "generations": 5, "crossover_prob": 1,
+          "mutation_prob": 1, "tournament_size": 3, "rng_seed": 4}, "min_f1",
+         "53c9fd59c1a06eb0d03f8ec0516dfe687890668b70842420359c68bf8782a12c"),
+        ({"population_size": 8, "generations": 3, "crossover_prob": 0.5,
+          "mutation_prob": None}, None,
+         "adde157bf8eed5396fe0ee1f2ac020587965805faf3e1117f379f3bd10b14beb"),
+    ])
+    def test_valid_optimizer_manifest_unchanged(self, assets_dir, tmp_path,
+                                                optimizer, policy, digest):
+        # Digests of the manifest without its timestamps, recorded with the
+        # lenient int()/float() parser that strict parsing replaced.
+        assert self.optimize_with(assets_dir, tmp_path, optimizer, policy) == 0
+        manifest = read_json(tmp_path / "o" / "manifest.json")
+        del manifest["started_at"], manifest["finished_at"]
+        assert sha256(canonical_json(manifest).encode()) == digest
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenArtifacts:
+    """Artifact digests recorded with the O(n^2) sort, per-plan evaluation
+    and archive rescan that the sweep sort, residual table and staircase
+    archive replaced; the optimizer must reproduce them byte for byte."""
+
+    @pytest.mark.parametrize("extra, front, plan", [
+        (["--seed", "0"],
+         "1cf7009ff20737b222de4b7615ce50ceaa8fde2b6bd549011c3b0b109865b449",
+         "540b8af725e2a14f9f56f0c9ae7ffa85d72e9c96aa2621019c80214b87923bd7"),
+        (["--seed", "7"],
+         "ad8e6b04426ee8ab6a079785a1aff67b9b5bf70dffb445af5dfda9bdb36498c6",
+         "3b05112345b4ec535493d53aac24ba7b2773e7ad33a46d498883c25df64d5ae4"),
+        (["--seed", "0", "--pad", "2"],
+         "35424e2ee6fbb86e818ad77a3a1087cf8a14318d7dce0b72b6b93fea28847411",
+         "6e9f18baee703edec20d397db669f3cf1913b6e67fc476bb44900c6a36da3cb2"),
+    ])
+    def test_optimize(self, assets_dir, tmp_path, extra, front, plan):
+        out = tmp_path / "o"
+        assert main(["optimize",
+                     "--config", str(assets_dir / "palashi5.json"),
+                     "--queue", str(assets_dir / "queue_sample.json"),
+                     "--out", str(out), *extra]) == 0
+        assert sha256((out / "pareto_front.json").read_bytes()) == front
+        assert sha256((out / "selected_plan.json").read_bytes()) == plan
+
+    def test_simulate_compare(self, assets_dir, tmp_path):
+        out = tmp_path / "cmp"
+        assert main(["simulate",
+                     "--scenario", str(assets_dir / "scenario_asymmetric.json"),
+                     "--compare", "--seed", "1", "--out", str(out)]) == 0
+        assert sha256((out / "comparison.json").read_bytes()) == (
+            "c923f064da5c4580504bc9224f35baf2279268c00129052e9c6ab0a8343f21d5")
 
 
 @pytest.fixture

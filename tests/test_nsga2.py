@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenlight import nsga2, objectives
-from greenlight.core import IntersectionConfig, ObjectiveVector, QueueState, validate_plan
+from greenlight.core import (
+    ConfigError,
+    IntersectionConfig,
+    ObjectiveVector,
+    QueueState,
+    validate_plan,
+)
 from greenlight.nsga2 import (
     INF,
     Individual,
@@ -24,6 +30,71 @@ from greenlight.nsga2 import (
 
 def ind(f1, f2, genome=(0,)):
     return Individual(genome=tuple(genome), objectives=ObjectiveVector(f1=f1, f2=f2))
+
+
+def reference_sort(pop):
+    """The O(n^2) count-and-release sort of Deb et al. (2002), verbatim as
+    nsga2.fast_non_dominated_sort was before the sort-and-sweep; its front
+    order is the contract the sweep must reproduce."""
+    n = len(pop)
+    objs = [(ind.objectives.f1, ind.objectives.f2) for ind in pop]
+    dominated_by = [[] for _ in range(n)]
+    domination_count = [0] * n
+    fronts = [[]]
+    for p in range(n):
+        a1, a2 = objs[p]
+        for q in range(n):
+            if p == q:
+                continue
+            b1, b2 = objs[q]
+            if a1 <= b1 and a2 <= b2 and (a1 < b1 or a2 < b2):
+                dominated_by[p].append(q)
+            elif b1 <= a1 and b2 <= a2 and (b1 < a1 or b2 < a2):
+                domination_count[p] += 1
+        if domination_count[p] == 0:
+            pop[p].rank = 0
+            fronts[0].append(p)
+    k = 0
+    while fronts[k]:
+        nxt = []
+        for p in fronts[k]:
+            for q in dominated_by[p]:
+                domination_count[q] -= 1
+                if domination_count[q] == 0:
+                    pop[q].rank = k + 1
+                    nxt.append(q)
+        fronts.append(nxt)
+        k += 1
+    fronts.pop()
+    return fronts
+
+
+def reference_update_archive(archive, front):
+    """The O(|archive| * |front|) archive rescan, verbatim as
+    nsga2._update_archive was before the staircase."""
+    for ind in front:
+        if ind.genome in archive:
+            continue
+        dominated = False
+        for existing in list(archive.values()):
+            if dominates(existing.objectives, ind.objectives):
+                dominated = True
+                break
+            if dominates(ind.objectives, existing.objectives):
+                del archive[existing.genome]
+        if not dominated:
+            archive[ind.genome] = Individual(ind.genome, ind.objectives)
+
+
+def random_points(rng, n):
+    """n objective points with heavy ties, duplicates or a constant axis."""
+    spans = (0, 1, 3, 10, 1000)
+    s1, s2 = rng.choice(spans), rng.choice(spans)
+    points = [(rng.randint(0, s1), rng.randint(0, s2)) for _ in range(n)]
+    if rng.random() < 0.3:  # many exact duplicates
+        pool = points[: max(1, n // 4)]
+        points = [rng.choice(pool) for _ in range(n)]
+    return points
 
 
 def brute_force_front(queue, cfg):
@@ -93,6 +164,18 @@ class TestFastNonDominatedSort:
             for k, front in enumerate(fronts):
                 for i in front:
                     assert expected_rank[i] == k
+
+    def test_same_fronts_in_same_order_as_reference(self):
+        rng = random.Random(2003)
+        for trial in range(1200):
+            points = random_points(rng, rng.randint(1, 128))
+            pop = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
+            ref = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
+            assert fast_non_dominated_sort(pop) == reference_sort(ref), trial
+            assert [p.rank for p in pop] == [p.rank for p in ref], trial
+
+    def test_empty_population(self):
+        assert fast_non_dominated_sort([]) == []
 
 
 class TestCrowdingDistance:
@@ -192,6 +275,52 @@ class TestOptimizerParams:
     def test_invalid_params_rejected(self, kw):
         with pytest.raises(ValueError):
             OptimizerParams(**kw)
+
+    @pytest.mark.parametrize("d", [
+        {"mutation_prob": "0.1"},
+        {"crossover_prob": "0.9"},
+        {"crossover_prob": None},
+        {"population_size": 10.7},
+        {"population_size": "40"},
+        {"population_size": True},
+        {"generations": float("inf")},
+        {"tournament_size": float("nan")},
+        {"rng_seed": [1]},
+        {"mutation_prob": False},
+        {"mutation_prob": 1.5},
+    ])
+    def test_mistyped_dict_rejected(self, d):
+        with pytest.raises(ConfigError):
+            OptimizerParams.from_dict(d)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ConfigError):
+            OptimizerParams.from_dict([60, 100])
+
+    def test_integral_numbers_accepted(self):
+        p = OptimizerParams.from_dict(
+            {"population_size": 40.0, "crossover_prob": 1, "mutation_prob": 1})
+        assert p.population_size == 40 and type(p.population_size) is int
+        assert p.crossover_prob == 1.0 and type(p.crossover_prob) is float
+        assert p.mutation_prob == 1
+
+
+class TestArchive:
+    def test_same_members_as_reference_rescan(self):
+        rng = random.Random(77)
+        for trial in range(300):
+            points = random_points(rng, rng.randint(1, 60))
+            inds = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
+            archive, ref = nsga2._Archive(), {}
+            for _ in range(rng.randint(1, 12)):
+                batch = rng.sample(inds, rng.randint(1, len(inds)))
+                nsga2._update_archive(archive, batch)
+                reference_update_archive(ref, batch)
+                got = archive.individuals()
+                assert len(got) == len(ref), trial
+                assert {(i.genome, i.objectives) for i in got} == {
+                    (i.genome, i.objectives) for i in ref.values()
+                }, trial
 
 
 class TestRun:

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from greenlight import objectives
 from greenlight.core import IntersectionConfig, QueueState, SignalPlan
+from greenlight.nsga2 import plan_from_genome
 
 
 def make_cfg(**kw):
@@ -203,3 +206,43 @@ def test_evaluate_deterministic(data):
     q, greens, cfg = data
     plan = plan_of(greens, inter_green=cfg.inter_green_s)
     assert objectives.evaluate(plan, q, cfg) == objectives.evaluate(plan, q, cfg)
+
+
+def test_genome_evaluator_matches_evaluate():
+    rng = random.Random(31)
+    for trial in range(400):
+        L = rng.randint(2, 6)
+        lo = rng.randint(1, 20)
+        as_given = rng.choice([int, float])  # JSON may give 60.0 for 60
+        cfg = IntersectionConfig(
+            num_links=L, min_green_s=lo,
+            max_green_s=as_given(lo + rng.randint(0, 50)),
+            inter_green_s=as_given(rng.randint(0, 5)),
+            sat_flow_motorized=rng.choice([0.5, 0.37, 1.0, 1.3, 2.75]),
+            sat_flow_non_motorized=rng.choice([0.25, 0.1, 0.61, 1.0]),
+        )
+        q = QueueState(
+            motorized=tuple(rng.randint(0, 90) for _ in range(L)),
+            non_motorized=tuple(rng.randint(0, 30) for _ in range(L)),
+        )
+        pad = rng.choice([0, 1, 2, 5])
+        weighted = rng.random() < 0.5
+        evaluate = objectives.genome_evaluator(
+            q, cfg, pad, queue_weighted_f2=weighted)
+        for _ in range(10):
+            genome = tuple(rng.randint(0, int(cfg.max_green_s)) for _ in range(L))
+            want = objectives.evaluate(
+                plan_from_genome(genome, cfg, pad), q, cfg,
+                queue_weighted_f2=weighted,
+            )
+            got = evaluate(genome)
+            assert got == want, (trial, genome)
+            assert type(got.f1) is type(want.f1), trial
+            assert type(got.f2) is type(want.f2), trial
+
+
+def test_genome_evaluator_rejects_dimension_mismatch():
+    cfg = make_cfg(num_links=3)
+    q = QueueState(motorized=(1, 1), non_motorized=(0, 0))
+    with pytest.raises(ValueError, match="links"):
+        objectives.genome_evaluator(q, cfg)
