@@ -145,6 +145,8 @@ def _build_controller(spec: dict, cfg: IntersectionConfig,
     kind = spec.get("type")
     pad = options.guidance_pad_s
     if kind == "fixed":
+        if not isinstance(spec.get("greens"), list):
+            raise ConfigError("fixed controller needs 'greens', one per link")
         return simulator.FixedTimeController(
             spec["greens"], cfg, guidance_pad_s=pad, order=spec.get("order")
         )

@@ -12,6 +12,15 @@ genomes are scored from a per-link residual table
 each front, and every random draw are those of the textbook O(n^2) sort and
 archive rescan (Deb et al. 2002), so fronts and artifacts are byte-identical
 to that version.
+
+No random draw depends on the queue: the initial genomes, tournament
+candidates, crossover swap masks and mutation redraws are a function of the
+optimizer setting alone. ``_draw_script`` makes them once per setting, on
+first use, from ``random.Random(rng_seed)`` in the order a run drawing as it
+goes would, and keeps the last few settings; ``run`` replays the script, and
+``tournament_select``, ``crossover`` and ``mutate`` apply draws they are
+given. The adaptive controller, which reruns one setting before every cycle,
+pays for its draws once.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ import math
 import numbers
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import objectives
@@ -80,10 +90,14 @@ class OptimizerParams:
 
         Integer fields take integral numbers (``40`` or ``40.0``), the
         probabilities take numbers, and ``mutation_prob`` may be null
-        (1/L). Bools and strings are rejected, not coerced.
+        (1/L). Bools and strings are rejected, not coerced, and so is a
+        key that names no field.
         """
         if not isinstance(d, dict):
             raise ConfigError(f"optimizer must be a JSON object, got {d!r}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown optimizer key {unknown[0]!r}")
         mutation_prob = d.get("mutation_prob")
         if mutation_prob is not None:
             mutation_prob = _number(d, "mutation_prob")
@@ -175,19 +189,21 @@ def crowding_distance(front: Sequence[Individual]) -> list[float]:
         dists = [INF] * n
     else:
         dists = [0.0] * n
-        for key in (lambda ind: ind.objectives.f1, lambda ind: ind.objectives.f2):
-            order = sorted(range(n), key=lambda i: key(front[i]))
-            lo, hi = key(front[order[0]]), key(front[order[-1]])
+        for vals in (
+            [ind.objectives.f1 for ind in front],
+            [ind.objectives.f2 for ind in front],
+        ):
+            order = sorted(range(n), key=vals.__getitem__)
+            lo, hi = vals[order[0]], vals[order[-1]]
             dists[order[0]] = INF
             dists[order[-1]] = INF
             span = hi - lo
             if span == 0:
                 continue
-            for j in range(1, n - 1):
-                if dists[order[j]] == INF:
+            for before, i, after in zip(order, order[1:], order[2:]):
+                if dists[i] == INF:
                     continue
-                gap = key(front[order[j + 1]]) - key(front[order[j - 1]])
-                dists[order[j]] += gap / span
+                dists[i] += (vals[after] - vals[before]) / span
     for ind, d in zip(front, dists):
         ind.crowding = d
     return dists
@@ -204,42 +220,108 @@ def _better(pop: Sequence[Individual], i: int, j: int) -> int:
 
 
 def tournament_select(
-    pop: Sequence[Individual], k: int, rng: random.Random
+    pop: Sequence[Individual], candidates: Sequence[int]
 ) -> Individual:
-    candidates = rng.sample(range(len(pop)), min(k, len(pop)))
+    """Crowded-comparison winner among the drawn population indices."""
     best = candidates[0]
     for other in candidates[1:]:
         best = _better(pop, best, other)
     return pop[best]
 
 
-def crossover(
-    a: Genome, b: Genome, rng: random.Random, crossover_prob: float = 0.9
-) -> tuple[Genome, Genome]:
-    """Uniform per-gene exchange; applied to the pair with crossover_prob."""
+def crossover(a: Genome, b: Genome, swap: int) -> tuple[Genome, Genome]:
+    """Uniform exchange of the genes whose bit is set in ``swap``."""
     if len(a) != len(b):
         raise ValueError("genomes must have equal length")
-    if rng.random() >= crossover_prob:
+    if not swap:
         return a, b
     c1, c2 = list(a), list(b)
     for i in range(len(a)):
-        if rng.random() < 0.5:
-            c1[i], c2[i] = c2[i], c1[i]
+        if swap >> i & 1:
+            c1[i], c2[i] = b[i], a[i]
     return tuple(c1), tuple(c2)
 
 
-def mutate(
-    g: Genome,
-    rng: random.Random,
-    cfg: IntersectionConfig,
-    mutation_prob: float,
-) -> Genome:
-    """Per-gene uniform re-draw within the green bounds."""
+def mutate(g: Genome, redraws: Sequence[tuple[int, int]]) -> Genome:
+    """Set each (position, green) pair of ``redraws`` into ``g``."""
+    if not redraws:
+        return g
     out = list(g)
-    for i in range(len(out)):
-        if rng.random() < mutation_prob:
-            out[i] = rng.randint(cfg.min_green_s, cfg.max_green_s)
+    for i, v in redraws:
+        out[i] = v
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class _DrawScript:
+    """Every random draw of one run, in the order the run consumes them.
+
+    ``initial`` holds the starting genomes. ``generations[gen]`` is a flat
+    tuple of five entries per offspring pair: both parents' tournament
+    candidates, the crossover swap mask (0 when the pair is not crossed)
+    and each child's mutation redraws (``()`` when none). Equal candidate
+    and redraw tuples are stored once.
+    """
+
+    initial: tuple[Genome, ...]
+    generations: tuple[tuple, ...]
+
+
+@lru_cache(maxsize=8)
+def _draw_script(
+    rng_seed: int,
+    population_size: int,
+    generations: int,
+    tournament_size: int,
+    crossover_prob: float,
+    mutation_prob: float,
+    num_links: int,
+    min_green_s: int,
+    max_green_s: int,
+) -> _DrawScript:
+    """Make a run's draws from ``random.Random(rng_seed)``.
+
+    No draw depends on the queue or on the population's objectives, so
+    every run with the same setting replays one script. The draw order is
+    that of drawing inside the generation loop: per pair, two tournament
+    samples, the crossover coin and per-gene swap coins, then each child's
+    per-gene mutation coin, each followed by its redraw when it fires.
+    """
+    rng = random.Random(rng_seed)
+    P, L = population_size, num_links
+    shared: dict = {}
+
+    def redraws() -> tuple:
+        drawn = []
+        for i in range(L):
+            if rng.random() < mutation_prob:
+                pair = (i, rng.randint(min_green_s, max_green_s))
+                drawn.append(shared.setdefault(pair, pair))
+        drawn = tuple(drawn)
+        return shared.setdefault(drawn, drawn)
+
+    initial = tuple(
+        tuple(rng.randint(min_green_s, max_green_s) for _ in range(L))
+        for _ in range(P)
+    )
+    k = min(tournament_size, P)
+    script = []
+    for _ in range(generations):
+        steps: list = []
+        for _ in range(P // 2):
+            for _ in range(2):
+                candidates = tuple(rng.sample(range(P), k))
+                steps.append(shared.setdefault(candidates, candidates))
+            swap = 0
+            if rng.random() < crossover_prob:
+                for i in range(L):
+                    if rng.random() < 0.5:
+                        swap |= 1 << i
+            steps.append(swap)
+            steps.append(redraws())
+            steps.append(redraws())
+        script.append(tuple(steps))
+    return _DrawScript(initial, tuple(script))
 
 
 def plan_from_genome(
@@ -308,9 +390,18 @@ def run(
     evaluate = objectives.genome_evaluator(
         queue, cfg, guidance_pad_s, queue_weighted_f2=queue_weighted_f2
     )
-    rng = random.Random(params.rng_seed)
     L = cfg.num_links
-    mut_prob = params.mutation_prob if params.mutation_prob is not None else 1.0 / L
+    script = _draw_script(
+        params.rng_seed,
+        params.population_size,
+        params.generations,
+        params.tournament_size,
+        params.crossover_prob,
+        params.mutation_prob if params.mutation_prob is not None else 1.0 / L,
+        L,
+        cfg.min_green_s,
+        cfg.max_green_s,
+    )
 
     # The genome space is small relative to the evaluation count; memoize.
     cache: dict[Genome, ObjectiveVector] = {}
@@ -321,26 +412,24 @@ def run(
             obj = cache[g] = evaluate(g)
         return Individual(genome=g, objectives=obj)
 
-    pop = [
-        eval_genome(
-            tuple(rng.randint(cfg.min_green_s, cfg.max_green_s) for _ in range(L))
-        )
-        for _ in range(params.population_size)
-    ]
+    pop = [eval_genome(g) for g in script.initial]
     archive = _Archive()
     fronts = fast_non_dominated_sort(pop)
     for f in fronts:
         crowding_distance([pop[i] for i in f])
     _update_archive(archive, (pop[i] for i in fronts[0]))
 
-    for gen in range(params.generations):
+    for gen, steps in enumerate(script.generations):
         offspring: list[Individual] = []
-        while len(offspring) < params.population_size:
-            p1 = tournament_select(pop, params.tournament_size, rng)
-            p2 = tournament_select(pop, params.tournament_size, rng)
-            c1, c2 = crossover(p1.genome, p2.genome, rng, params.crossover_prob)
-            offspring.append(eval_genome(mutate(c1, rng, cfg, mut_prob)))
-            offspring.append(eval_genome(mutate(c2, rng, cfg, mut_prob)))
+        draws = iter(steps)
+        for candidates1, candidates2, swap, redraws1, redraws2 in zip(
+            draws, draws, draws, draws, draws
+        ):
+            p1 = tournament_select(pop, candidates1)
+            p2 = tournament_select(pop, candidates2)
+            c1, c2 = crossover(p1.genome, p2.genome, swap)
+            offspring.append(eval_genome(mutate(c1, redraws1)))
+            offspring.append(eval_genome(mutate(c2, redraws2)))
 
         combined = pop + offspring
         fronts = fast_non_dominated_sort(combined)

@@ -4,11 +4,16 @@ Executes signal plans against seeded Poisson arrivals, supports fixed-time
 and adaptive (optimizer-driven) controllers, emergency phase reordering,
 guidance padding, observation noise, sensing latency, and service
 blackouts. Runs are bit-reproducible from their seeds.
+
+A run draws all its arrivals in one ``poisson(rates, size=(horizon, L, 2))``
+call, which yields the same stream as one draw per second, link and class,
+and marks blackout seconds in a mask before the first step.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -16,6 +21,10 @@ import numpy as np
 
 from . import nsga2, objectives
 from .core import ConfigError, IntersectionConfig, QueueState, SignalPlan, validate_plan
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -33,8 +42,11 @@ class ArrivalModel:
         )
         if len(self.motorized_rates) != len(self.non_motorized_rates):
             raise ConfigError("rate vectors must have equal length")
-        if any(r < 0 for r in self.motorized_rates + self.non_motorized_rates):
-            raise ConfigError("arrival rates must be >= 0")
+        if not all(
+            _is_number(r) and r >= 0
+            for r in self.motorized_rates + self.non_motorized_rates
+        ):
+            raise ConfigError("arrival rates must be numbers >= 0")
 
     @property
     def num_links(self) -> int:
@@ -42,6 +54,11 @@ class ArrivalModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArrivalModel":
+        if not isinstance(d, dict):
+            raise ConfigError(f"demand must be a JSON object, got {d!r}")
+        for key in ("motorized_rates", "non_motorized_rates"):
+            if key not in d:
+                raise ConfigError(f"demand needs {key!r}")
         return cls(
             motorized_rates=tuple(d["motorized_rates"]),
             non_motorized_rates=tuple(d["non_motorized_rates"]),
@@ -63,6 +80,10 @@ class FixedTimeController:
     def __init__(self, greens: Sequence[int], cfg: IntersectionConfig,
                  guidance_pad_s: int = 0, order: Optional[Sequence[int]] = None):
         order = list(order) if order is not None else list(range(cfg.num_links))
+        if len(greens) != cfg.num_links:
+            raise ConfigError("fixed controller needs one green per link")
+        if sorted(order) != list(range(cfg.num_links)):
+            raise ConfigError("fixed controller order must list every link once")
         self._plan = SignalPlan(
             phases=tuple((l, int(greens[l])) for l in order),
             inter_green_s=cfg.inter_green_s,
@@ -127,8 +148,34 @@ class SimOptions:
     initial_non_motorized: Optional[tuple[int, ...]] = None
     noise_seed: int = 1
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.observation_noise_p <= 1.0:
+            raise ConfigError("observation_noise_p must be in [0, 1]")
+        if self.sensing_latency_s < 0:
+            raise ConfigError("sensing_latency_s must be >= 0")
+        for b in self.blackouts:
+            if not (
+                isinstance(b, (list, tuple)) and len(b) == 2
+                and all(_is_number(v) for v in b) and b[0] <= b[1]
+            ):
+                raise ConfigError(
+                    f"blackout must be [start, end] numbers with start <= end, "
+                    f"got {b!r}"
+                )
+        self.blackouts = [tuple(b) for b in self.blackouts]
+
     @classmethod
     def from_dict(cls, d: dict) -> "SimOptions":
+        if not isinstance(d, dict):
+            raise ConfigError(f"options must be a JSON object, got {d!r}")
+        for key in ("emergency_events", "blackouts"):
+            if not isinstance(d.get(key, []), list):
+                raise ConfigError(f"{key} must be a list")
+        for e in d.get("emergency_events", []):
+            if not (isinstance(e, dict) and "time_s" in e and "link" in e):
+                raise ConfigError(
+                    f"emergency event needs 'time_s' and 'link', got {e!r}"
+                )
         return cls(
             observation_noise_p=float(d.get("observation_noise_p", 1.0)),
             guidance_pad_s=int(d.get("guidance_pad_s", 0)),
@@ -137,7 +184,7 @@ class SimOptions:
                 EmergencyEvent(time_s=int(e["time_s"]), link=int(e["link"]))
                 for e in d.get("emergency_events", [])
             ],
-            blackouts=[tuple(b) for b in d.get("blackouts", [])],
+            blackouts=d.get("blackouts", []),
             initial_motorized=(
                 tuple(d["initial_motorized"]) if "initial_motorized" in d else None
             ),
@@ -262,6 +309,8 @@ def simulate(
         raise ConfigError("demand rates must cover every link")
     if horizon_s < 1:
         raise ConfigError("horizon must be >= 1 s")
+    if not all(0 <= e.link < L for e in options.emergency_events):
+        raise ConfigError(f"emergency events must name a link in [0, {L})")
 
     arrival_rng = np.random.default_rng(demand.rng_seed)
     noise_rng = np.random.default_rng(options.noise_seed)
@@ -307,8 +356,16 @@ def simulate(
     throughput = 0
     steps: list[TimeStep] = []
 
-    def in_blackout(t: int) -> bool:
-        return any(s <= t < e for s, e in options.blackouts)
+    # Every arrival up front: numpy draws an array's variates in C order
+    # from the same stream, so the [t][link] = (motorized, non-motorized)
+    # layout replays a per-second, per-link, per-class draw loop exactly.
+    rates = np.array([demand.motorized_rates, demand.non_motorized_rates]).T
+    arrivals_by_t = arrival_rng.poisson(rates, size=(horizon_s, L, 2))
+    blackout = [False] * horizon_s
+    for s, e in options.blackouts:
+        for t in range(horizon_s):
+            if s <= t < e:
+                blackout[t] = True
 
     for t in range(horizon_s):
         if schedule.done:
@@ -320,15 +377,13 @@ def simulate(
         phase_idx, state, link = schedule.current()
 
         arrivals = [0] * L
-        for i in range(L):
-            a_m = int(arrival_rng.poisson(demand.motorized_rates[i]))
-            a_nm = int(arrival_rng.poisson(demand.non_motorized_rates[i]))
+        for i, (a_m, a_nm) in enumerate(arrivals_by_t[t].tolist()):
             arrivals[i] = a_m + a_nm
             q_m[i] += a_m
             q_nm[i] += a_nm
 
         discharged = [0] * L
-        if state == "green" and not in_blackout(t):
+        if state == "green" and not blackout[t]:
             green_elapsed += 1
             cap_m = (
                 math.floor(cfg.sat_flow_motorized * green_elapsed)

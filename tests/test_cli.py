@@ -79,6 +79,12 @@ class TestOptimizeCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_optimizer_key_exits_1(self, assets_dir, tmp_path, capsys):
+        code = self.optimize_with(assets_dir, tmp_path, {"populaton_size": 10})
+        assert code == 1
+        assert "unknown optimizer key 'populaton_size'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("optimizer, policy, digest", [
         ({"population_size": 20.0, "generations": 5, "crossover_prob": 1,
           "mutation_prob": 1, "tournament_size": 3, "rng_seed": 4}, "min_f1",
@@ -134,6 +140,45 @@ class TestGoldenArtifacts:
         assert sha256((out / "comparison.json").read_bytes()) == (
             "c923f064da5c4580504bc9224f35baf2279268c00129052e9c6ab0a8343f21d5")
 
+    @pytest.mark.parametrize("first, metrics, timeseries", [
+        ("fixed_equal",
+         "011baa2f680f07fe32244d5a3d33d48f6b1a499d286977257172df662cac6f20",
+         "fb89348045c13f39cbb04c41121c054e1180383ef5e58fbebdeaa2f4e713cd15"),
+        ("adaptive",
+         "a8c7d515bfdc9b487cf0a57f9c785b388b5390e14983078d692e9e927e18d89f",
+         "5147bacd4dca585483c1f08f1c97be1911b4a7690ec3322e0000d451840d7de9"),
+    ])
+    def test_simulate_single(self, assets_dir, tmp_path, first, metrics,
+                             timeseries):
+        # Digests recorded with per-second scalar Poisson draws, a per-second
+        # blackout scan and an optimizer drawing from its rng on every run.
+        # Blackouts overlap, end on fractional seconds, start before 0 and
+        # run past the horizon; emergencies reorder cycles; noise is on.
+        raw = read_json(assets_dir / "scenario_asymmetric.json")
+        raw["intersection"] = str(assets_dir / "palashi5.json")
+        raw["horizon_s"] = 400
+        raw["options"] = {
+            "observation_noise_p": 0.8, "sensing_latency_s": 3,
+            "guidance_pad_s": 1, "noise_seed": 5,
+            "emergency_events": [{"time_s": 30, "link": 3},
+                                 {"time_s": 95, "link": 0},
+                                 {"time_s": 260, "link": 4}],
+            "blackouts": [[50, 80], [70, 95.5], [120.25, 130.75], [-5, 2],
+                          [390, 1000]],
+        }
+        raw["controllers"][1]["optimizer"] = {
+            "population_size": 12, "generations": 8, "rng_seed": 3,
+        }
+        if first == "adaptive":
+            raw["controllers"].reverse()
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", str(scenario), "--seed", "4",
+                     "--out", str(out)]) == 0
+        assert sha256((out / "metrics.json").read_bytes()) == metrics
+        assert sha256((out / "timeseries.csv").read_bytes()) == timeseries
+
 
 @pytest.fixture
 def quick_scenario(assets_dir, tmp_path):
@@ -168,6 +213,65 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", str(bad),
                      "--out", str(tmp_path / "x")]) == 1
         assert "horizon" in capsys.readouterr().err
+
+    def simulate_with(self, quick_scenario, tmp_path, edit, compare=False):
+        raw = read_json(quick_scenario)
+        edit(raw)
+        bad = tmp_path / "bad_scenario.json"
+        bad.write_text(json.dumps(raw))
+        return main(["simulate", "--scenario", str(bad),
+                     "--out", str(tmp_path / "x")]
+                    + (["--compare"] if compare else []))
+
+    @pytest.mark.parametrize("compare", [False, True])
+    def test_unknown_optimizer_key_exits_1(self, quick_scenario, tmp_path,
+                                           capsys, compare):
+        def edit(raw):
+            raw["controllers"][1]["optimizer"]["populaton_size"] = 10
+            raw["controllers"].reverse()  # adaptive runs without --compare
+
+        assert self.simulate_with(quick_scenario, tmp_path, edit, compare) == 1
+        assert "unknown optimizer key 'populaton_size'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["demand"].pop("motorized_rates"),
+         "demand needs 'motorized_rates'"),
+        (lambda raw: raw["controllers"][0].pop("greens"),
+         "fixed controller needs 'greens'"),
+        (lambda raw: raw.setdefault("options", {}).update(
+            emergency_events=[{"time_s": 10}]),
+         "emergency event needs 'time_s' and 'link'"),
+        (lambda raw: raw.setdefault("options", {}).update(
+            blackouts=[["a", 5]]),
+         "blackout must be"),
+        (lambda raw: raw.setdefault("options", {}).update(
+            emergency_events=[{"time_s": 10, "link": 9}]),
+         "emergency events must name a link in [0, 5)"),
+        (lambda raw: raw.setdefault("options", {}).update(
+            sensing_latency_s=-3),
+         "sensing_latency_s must be >= 0"),
+        (lambda raw: raw.setdefault("options", {}).update(
+            observation_noise_p=2.0),
+         "observation_noise_p must be in [0, 1]"),
+        (lambda raw: raw.setdefault("options", {}).update(
+            blackouts=[[30, 10]]),
+         "start <= end"),
+        (lambda raw: raw["demand"].update(motorized_rates=["a"] * 5),
+         "arrival rates must be numbers >= 0"),
+        (lambda raw: raw["controllers"][0].update(greens=[30, 30]),
+         "one green per link"),
+        (lambda raw: raw["controllers"][0].update(order=[0, 0, 1, 2, 3]),
+         "order must list every link once"),
+        (lambda raw: raw.update(options=[]), "options must be a JSON object"),
+        (lambda raw: raw.setdefault("options", {}).update(blackouts=5),
+         "blackouts must be a list"),
+    ])
+    def test_bad_scenario_exits_1(self, quick_scenario, tmp_path, capsys,
+                                  edit, message):
+        assert self.simulate_with(quick_scenario, tmp_path, edit,
+                                  compare=True) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_same_seed_identical_csv(self, quick_scenario, tmp_path):
         for name in ("a", "b"):

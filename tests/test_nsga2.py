@@ -86,6 +86,149 @@ def reference_update_archive(archive, front):
             archive[ind.genome] = Individual(ind.genome, ind.objectives)
 
 
+# The variation operators, crowding distance and generation loop verbatim
+# as they were when every run drew from its own rng, before the draw script
+# (the loop's module calls renamed to these copies and to ``nsga2.``). Their
+# fronts and per-generation archives are the contract the replay must keep.
+
+
+def reference_crowding_distance(front):
+    n = len(front)
+    if n <= 2:
+        dists = [INF] * n
+    else:
+        dists = [0.0] * n
+        for key in (lambda ind: ind.objectives.f1, lambda ind: ind.objectives.f2):
+            order = sorted(range(n), key=lambda i: key(front[i]))
+            lo, hi = key(front[order[0]]), key(front[order[-1]])
+            dists[order[0]] = INF
+            dists[order[-1]] = INF
+            span = hi - lo
+            if span == 0:
+                continue
+            for j in range(1, n - 1):
+                if dists[order[j]] == INF:
+                    continue
+                gap = key(front[order[j + 1]]) - key(front[order[j - 1]])
+                dists[order[j]] += gap / span
+    for ind, d in zip(front, dists):
+        ind.crowding = d
+    return dists
+
+
+def reference_tournament_select(pop, k, rng):
+    candidates = rng.sample(range(len(pop)), min(k, len(pop)))
+    best = candidates[0]
+    for other in candidates[1:]:
+        best = nsga2._better(pop, best, other)
+    return pop[best]
+
+
+def reference_crossover(a, b, rng, crossover_prob=0.9):
+    if len(a) != len(b):
+        raise ValueError("genomes must have equal length")
+    if rng.random() >= crossover_prob:
+        return a, b
+    c1, c2 = list(a), list(b)
+    for i in range(len(a)):
+        if rng.random() < 0.5:
+            c1[i], c2[i] = c2[i], c1[i]
+    return tuple(c1), tuple(c2)
+
+
+def reference_mutate(g, rng, cfg, mutation_prob):
+    out = list(g)
+    for i in range(len(out)):
+        if rng.random() < mutation_prob:
+            out[i] = rng.randint(cfg.min_green_s, cfg.max_green_s)
+    return tuple(out)
+
+
+def reference_run(queue, cfg, params, guidance_pad_s=0, queue_weighted_f2=False,
+                  on_generation=None):
+    evaluate = objectives.genome_evaluator(
+        queue, cfg, guidance_pad_s, queue_weighted_f2=queue_weighted_f2
+    )
+    rng = random.Random(params.rng_seed)
+    L = cfg.num_links
+    mut_prob = params.mutation_prob if params.mutation_prob is not None else 1.0 / L
+
+    # The genome space is small relative to the evaluation count; memoize.
+    cache = {}
+
+    def eval_genome(g):
+        obj = cache.get(g)
+        if obj is None:
+            obj = cache[g] = evaluate(g)
+        return Individual(genome=g, objectives=obj)
+
+    pop = [
+        eval_genome(
+            tuple(rng.randint(cfg.min_green_s, cfg.max_green_s) for _ in range(L))
+        )
+        for _ in range(params.population_size)
+    ]
+    archive = nsga2._Archive()
+    fronts = fast_non_dominated_sort(pop)
+    for f in fronts:
+        reference_crowding_distance([pop[i] for i in f])
+    nsga2._update_archive(archive, (pop[i] for i in fronts[0]))
+
+    for gen in range(params.generations):
+        offspring = []
+        while len(offspring) < params.population_size:
+            p1 = reference_tournament_select(pop, params.tournament_size, rng)
+            p2 = reference_tournament_select(pop, params.tournament_size, rng)
+            c1, c2 = reference_crossover(p1.genome, p2.genome, rng,
+                                         params.crossover_prob)
+            offspring.append(eval_genome(reference_mutate(c1, rng, cfg, mut_prob)))
+            offspring.append(eval_genome(reference_mutate(c2, rng, cfg, mut_prob)))
+
+        combined = pop + offspring
+        fronts = fast_non_dominated_sort(combined)
+        nsga2._update_archive(archive, (combined[i] for i in fronts[0]))
+        survivors = []
+        for f in fronts:
+            members = [combined[i] for i in f]
+            reference_crowding_distance(members)
+            if len(survivors) + len(members) <= params.population_size:
+                survivors.extend(members)
+            else:
+                members.sort(key=lambda ind: -ind.crowding)
+                survivors.extend(
+                    members[: params.population_size - len(survivors)]
+                )
+                break
+        pop = survivors
+        if on_generation is not None:
+            on_generation(gen, archive.individuals())
+
+    front = sorted(
+        archive.individuals(),
+        key=lambda ind: (ind.objectives.f1, ind.objectives.f2, ind.genome),
+    )
+    for ind in front:
+        ind.rank = 0
+    return front
+
+
+def script_of(params, cfg):
+    """The draw script ``nsga2.run`` replays for ``params`` on ``cfg``."""
+    L = cfg.num_links
+    return nsga2._draw_script(
+        params.rng_seed, params.population_size, params.generations,
+        params.tournament_size, params.crossover_prob,
+        params.mutation_prob if params.mutation_prob is not None else 1.0 / L,
+        L, cfg.min_green_s, cfg.max_green_s,
+    )
+
+
+def script_steps(script):
+    """(candidates1, candidates2, swap, redraws1, redraws2) per offspring pair."""
+    for steps in script.generations:
+        yield from zip(*[iter(steps)] * 5)
+
+
 def random_points(rng, n):
     """n objective points with heavy ties, duplicates or a constant axis."""
     spans = (0, 1, 3, 10, 1000)
@@ -197,70 +340,123 @@ class TestTournamentSelect:
     def test_lower_rank_wins(self):
         pop = [ind(1, 1), ind(2, 2)]
         fast_non_dominated_sort(pop)
-        rng = random.Random(0)
-        for _ in range(20):
-            assert tournament_select(pop, 2, rng).rank == 0
+        for candidates in ((0, 1), (1, 0)):
+            assert tournament_select(pop, candidates).rank == 0
 
     def test_crowding_breaks_rank_ties(self):
         a, b = ind(1, 3), ind(2, 2)
         a.rank = b.rank = 0
         a.crowding, b.crowding = INF, 0.5
-        rng = random.Random(0)
-        for _ in range(20):
-            assert tournament_select([a, b], 2, rng) is a
+        for candidates in ((0, 1), (1, 0)):
+            assert tournament_select([a, b], candidates) is a
+
+    def test_lower_index_breaks_full_ties(self):
+        pop = [ind(5, 5) for _ in range(4)]
+        for p in pop:
+            p.rank, p.crowding = 0, 1.0
+        assert tournament_select(pop, (3, 1, 2)) is pop[1]
 
     def test_deterministic_given_seed(self):
+        cfg = IntersectionConfig(num_links=3, min_green_s=10, max_green_s=30)
         pop = [ind(i, 10 - i) for i in range(6)]
         fast_non_dominated_sort(pop)
         crowding_distance(pop)
-        winners1 = [tournament_select(pop, 3, random.Random(9)) for _ in range(5)]
-        winners2 = [tournament_select(pop, 3, random.Random(9)) for _ in range(5)]
-        assert winners1 == winners2
+        params = OptimizerParams(population_size=6, generations=5,
+                                 tournament_size=3, rng_seed=9)
+        key = (9, 6, 5, 3, 0.9, 1 / 3, 3, 10, 30)
+        # Built afresh, not taken from the cache: the same seed, the same draws.
+        fresh = [nsga2._draw_script.__wrapped__(*key) for _ in range(2)]
+        assert fresh[0] == fresh[1] == script_of(params, cfg)
+        winners = [
+            [tournament_select(pop, c) for s in script_steps(script)
+             for c in s[:2]]
+            for script in fresh
+        ]
+        assert winners[0] == winners[1]
+
+    def test_script_candidates_are_distinct_population_indices(self):
+        cfg = IntersectionConfig(num_links=3, min_green_s=10, max_green_s=30)
+        for P, k in ((4, 2), (4, 5), (10, 3)):
+            params = OptimizerParams(population_size=P, generations=6,
+                                     tournament_size=k, rng_seed=9)
+            steps = list(script_steps(script_of(params, cfg)))
+            assert len(steps) == 6 * P // 2
+            for c1, c2, *_ in steps:
+                for c in (c1, c2):
+                    assert len(c) == len(set(c)) == min(k, P)
+                    assert all(0 <= i < P for i in c)
 
 
 class TestCrossover:
     def test_positionwise_exchange(self):
-        rng = random.Random(1)
-        for _ in range(50):
-            c1, c2 = crossover((10, 20), (30, 40), rng, crossover_prob=1.0)
-            assert sorted([c1[0], c2[0]]) == [10, 30]
-            assert sorted([c1[1], c2[1]]) == [20, 40]
+        for swap in range(4):
+            c1, c2 = crossover((10, 20), (30, 40), swap)
+            for i, (a, b) in enumerate(((10, 30), (20, 40))):
+                assert (c1[i], c2[i]) == ((b, a) if swap >> i & 1 else (a, b))
 
     def test_probability_zero_copies_parents(self):
-        rng = random.Random(1)
-        assert crossover((10, 20), (30, 40), rng, crossover_prob=0.0) == (
-            (10, 20), (30, 40),
-        )
+        cfg = IntersectionConfig(num_links=4, min_green_s=10, max_green_s=30)
+        params = OptimizerParams(population_size=20, generations=10,
+                                 crossover_prob=0.0, rng_seed=1)
+        assert {s[2] for s in script_steps(script_of(params, cfg))} == {0}
+        assert crossover((10, 20), (30, 40), 0) == ((10, 20), (30, 40))
+
+    def test_probability_one_swaps_about_half_the_genes(self):
+        cfg = IntersectionConfig(num_links=4, min_green_s=10, max_green_s=30)
+        params = OptimizerParams(population_size=40, generations=50,
+                                 crossover_prob=1.0, rng_seed=1)
+        masks = [s[2] for s in script_steps(script_of(params, cfg))]
+        assert all(0 <= m < 16 for m in masks)
+        share = sum(bin(m).count("1") for m in masks) / (4 * len(masks))
+        assert 0.45 < share < 0.55
 
     def test_identical_parents(self):
-        rng = random.Random(1)
-        assert crossover((5, 5), (5, 5), rng, crossover_prob=1.0) == ((5, 5), (5, 5))
+        assert crossover((5, 5), (5, 5), 3) == ((5, 5), (5, 5))
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            crossover((1, 2), (1, 2, 3), 1)
 
 
 class TestMutate:
     def test_probability_zero_is_identity(self):
         cfg = IntersectionConfig(num_links=2, min_green_s=10, max_green_s=30)
-        rng = random.Random(0)
-        assert mutate((12, 25), rng, cfg, 0.0) == (12, 25)
+        params = OptimizerParams(population_size=20, generations=10,
+                                 mutation_prob=0.0, rng_seed=0)
+        steps = list(script_steps(script_of(params, cfg)))
+        assert {r for s in steps for r in s[3:]} == {()}
+        assert mutate((12, 25), ()) == (12, 25)
+
+    def test_redraws_set_positions(self):
+        assert mutate((1, 2, 3), ((0, 7), (2, 9))) == (7, 2, 9)
 
     def test_full_mutation_uniform(self):
         # chi-square goodness of fit over 10k single-gene redraws
         from scipy.stats import chisquare
 
         cfg = IntersectionConfig(num_links=2, min_green_s=10, max_green_s=19)
-        rng = random.Random(123)
+        params = OptimizerParams(population_size=100, generations=100,
+                                 mutation_prob=1.0, rng_seed=123)
         counts = {v: 0 for v in range(10, 20)}
-        for _ in range(10000):
-            g = mutate((10, 10), rng, cfg, 1.0)
-            assert all(10 <= v <= 19 for v in g)
-            counts[g[0]] += 1
+        children = 0
+        for step in script_steps(script_of(params, cfg)):
+            for redraws in step[3:]:
+                assert [i for i, _ in redraws] == [0, 1]
+                g = mutate((10, 10), redraws)
+                assert all(10 <= v <= 19 for v in g)
+                counts[g[0]] += 1
+                children += 1
+        assert children == 10000
         stat, p = chisquare(list(counts.values()))
         assert p > 0.001
 
     def test_degenerate_range(self):
         cfg = IntersectionConfig(num_links=2, min_green_s=10, max_green_s=10)
-        rng = random.Random(0)
-        assert mutate((10, 10), rng, cfg, 1.0) == (10, 10)
+        params = OptimizerParams(population_size=4, generations=3,
+                                 mutation_prob=1.0, rng_seed=0)
+        for step in script_steps(script_of(params, cfg)):
+            for redraws in step[3:]:
+                assert mutate((10, 10), redraws) == (10, 10)
 
 
 class TestOptimizerParams:
@@ -384,6 +580,51 @@ class TestRun:
         nsga2.run(queue, cfg, params,
                   on_generation=lambda gen, front: hvs.append(hypervolume(front)))
         assert all(b >= a - 1e-9 for a, b in zip(hvs, hvs[1:]))
+
+    def test_same_fronts_and_archives_as_reference_run(self):
+        rng = random.Random(2002)
+        for trial in range(300):
+            L = rng.randint(2, 6)
+            lo = rng.randint(1, 20)
+            cfg = IntersectionConfig(
+                num_links=L, min_green_s=lo,
+                max_green_s=lo + rng.choice([0, 1, 5, 20, 50]),
+                inter_green_s=rng.randint(0, 5),
+                sat_flow_motorized=rng.choice([0.25, 0.5, 0.7, 1.3]),
+                sat_flow_non_motorized=rng.choice([0.25, 0.4, 1.0]),
+            )
+            params = OptimizerParams(
+                population_size=2 * rng.randint(2, 20),
+                generations=rng.randint(1, 12),
+                crossover_prob=rng.choice([0.0, 1.0, 0.9, rng.random()]),
+                mutation_prob=rng.choice([None, 0.0, 1.0, rng.random()]),
+                tournament_size=rng.randint(2, 5),
+                rng_seed=rng.randint(0, 10**6),
+            )
+            pad = rng.choice([0, 0, 1, 3])
+            weighted = rng.random() < 0.3
+            # The second queue replays the script cached by the first run.
+            for queue in (self.random_queue(rng, L), self.random_queue(rng, L)):
+                got = self.traced(nsga2.run, queue, cfg, params, pad, weighted)
+                want = self.traced(reference_run, queue, cfg, params, pad,
+                                   weighted)
+                assert got == want, trial
+
+    @staticmethod
+    def traced(run, *args):
+        """The front and every per-generation archive, as (genome, objectives)."""
+        archives = []
+        front = run(*args, on_generation=lambda gen, archive: archives.append(
+            (gen, [(i.genome, i.objectives) for i in archive])))
+        return [(i.genome, i.objectives) for i in front], archives
+
+    @staticmethod
+    def random_queue(rng, L):
+        span = rng.choice([0, 3, 40, 150])
+        return QueueState(
+            motorized=tuple(rng.randint(0, span) for _ in range(L)),
+            non_motorized=tuple(rng.randint(0, span // 3) for _ in range(L)),
+        )
 
     def test_dimension_mismatch(self, two_link_cfg):
         queue = QueueState(motorized=(1, 1, 1), non_motorized=(0, 0, 0))

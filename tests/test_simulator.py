@@ -170,6 +170,52 @@ class TestSimulate:
             simulate(cfg, zero_demand(2), FixedTimeController([20, 20], cfg), 0)
 
 
+def scalar_arrivals(demand, horizon_s):
+    """Per-second, per-link (motorized, non-motorized) draws, one call each:
+    the loop the batched draw replaces."""
+    rng = np.random.default_rng(demand.rng_seed)
+    return [
+        [(int(rng.poisson(m)), int(rng.poisson(nm)))
+         for m, nm in zip(demand.motorized_rates, demand.non_motorized_rates)]
+        for _ in range(horizon_s)
+    ]
+
+
+RATE_VECTORS = [
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((0.3, 2.5, 9.99), (0.05, 0.0, 7.0)),
+    ((10.0, 12.5, 40.0), (15.0, 10.0, 99.5)),
+    ((0.0, 11.0, 0.4), (25.0, 0.0, 3.0)),
+]
+
+
+class TestArrivalStream:
+    @pytest.mark.parametrize("rates", RATE_VECTORS)
+    @pytest.mark.parametrize("horizon", [1, 2, 37])
+    def test_one_call_equals_scalar_loop(self, rates, horizon):
+        for seed in range(12):
+            demand = ArrivalModel(*rates, rng_seed=seed)
+            batched = np.random.default_rng(seed).poisson(
+                np.array(rates).T, size=(horizon, 3, 2))
+            assert batched.tolist() == [
+                [list(pair) for pair in row]
+                for row in scalar_arrivals(demand, horizon)
+            ]
+
+    @pytest.mark.parametrize("rates", RATE_VECTORS)
+    @pytest.mark.parametrize("horizon", [1, 90])
+    def test_simulate_arrivals_follow_scalar_stream(self, rates, horizon):
+        cfg = cfg_of(L=3)
+        ctrl = FixedTimeController([15, 10, 25], cfg)
+        for seed in range(6):
+            demand = ArrivalModel(*rates, rng_seed=seed)
+            _, steps = simulate(cfg, demand, ctrl, horizon)
+            assert [s.arrivals for s in steps] == [
+                [m + nm for m, nm in row]
+                for row in scalar_arrivals(demand, horizon)
+            ]
+
+
 class TestEmergencyInSimulation:
     def test_emergency_link_served_promptly(self):
         cfg = cfg_of(L=4)
