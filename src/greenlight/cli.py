@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -116,14 +117,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         out, "optimize",
         {
             "intersection": cfg.to_dict(),
-            "optimizer": {
-                "population_size": params.population_size,
-                "generations": params.generations,
-                "crossover_prob": params.crossover_prob,
-                "mutation_prob": params.mutation_prob,
-                "tournament_size": params.tournament_size,
-                "rng_seed": params.rng_seed,
-            },
+            "optimizer": dataclasses.asdict(params),
             "policy": policy,
             "guidance_pad_s": args.pad,
             "queue": queue.to_dict(),
@@ -207,14 +201,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for i, spec in enumerate(ctrl_specs)
     }
 
+    # The output directory is made only once the run has succeeded, so a
+    # scenario that fails validation leaves nothing behind.
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     artifacts: list[str] = []
 
     if args.compare:
         report = simulator.compare_controllers(
             cfg, demand, controllers, horizon, seeds, options
         )
+        out.mkdir(parents=True, exist_ok=True)
         dump_json(report, out / "comparison.json")
         artifacts.append("comparison.json")
         base = next(iter(controllers))
@@ -228,6 +224,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         metrics, steps = simulator.simulate(
             cfg, demand_seeded, controllers[name], horizon, options
         )
+        out.mkdir(parents=True, exist_ok=True)
         dump_json(metrics.to_dict(), out / "metrics.json")
         _write_timeseries(out / "timeseries.csv", steps, cfg.num_links)
         artifacts += ["metrics.json", "timeseries.csv"]
@@ -252,18 +249,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         cfg.timing = args.timing
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.optimizer = nsga2.OptimizerParams(
-            population_size=cfg.optimizer.population_size,
-            generations=cfg.optimizer.generations,
-            crossover_prob=cfg.optimizer.crossover_prob,
-            mutation_prob=cfg.optimizer.mutation_prob,
-            tournament_size=cfg.optimizer.tournament_size,
-            rng_seed=args.seed,
-        )
+        cfg.optimizer = dataclasses.replace(cfg.optimizer, rng_seed=args.seed)
 
+    result = run_pipeline(cfg, args.cycles)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = run_pipeline(cfg, args.cycles)
 
     with (out / "plans.ndjson").open("w") as fh:
         for c in result.cycles:

@@ -7,7 +7,7 @@ between threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -18,6 +18,16 @@ LinkId = int
 
 class ConfigError(ValueError):
     """Raised when a config or input file fails validation."""
+
+
+def check_fields(d: Any, cls: type, what: str) -> None:
+    """Raise ``ConfigError`` unless ``d`` is a JSON object whose every key
+    names a field of the dataclass ``cls``; ``what`` names the section."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what} key {unknown[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +76,7 @@ class IntersectionConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "IntersectionConfig":
+        check_fields(d, cls, "intersection")
         try:
             return cls(
                 num_links=d["num_links"],

@@ -21,6 +21,13 @@ goes would, and keeps the last few settings; ``run`` replays the script, and
 ``tournament_select``, ``crossover`` and ``mutate`` apply draws they are
 given. The adaptive controller, which reruns one setting before every cycle,
 pays for its draws once.
+
+Survival reads only the fronts that fill the next population, so the
+generation loop's sort orders no front past them. A caller that reruns one
+setting may pass ``run`` a ``FrontMemo`` it owns: light queues that clear at
+min green give many cycles one objective map, and a run on a map the memo
+holds returns the stored front instead of evolving it again. There is no
+module-level front cache.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import math
 import numbers
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -40,6 +47,7 @@ from .core import (
     ObjectiveVector,
     QueueState,
     SignalPlan,
+    check_fields,
 )
 
 Genome = tuple[int, ...]
@@ -93,11 +101,7 @@ class OptimizerParams:
         (1/L). Bools and strings are rejected, not coerced, and so is a
         key that names no field.
         """
-        if not isinstance(d, dict):
-            raise ConfigError(f"optimizer must be a JSON object, got {d!r}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"unknown optimizer key {unknown[0]!r}")
+        check_fields(d, cls, "optimizer")
         mutation_prob = d.get("mutation_prob")
         if mutation_prob is not None:
             mutation_prob = _number(d, "mutation_prob")
@@ -130,7 +134,9 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     return a.f1 <= b.f1 and a.f2 <= b.f2 and (a.f1 < b.f1 or a.f2 < b.f2)
 
 
-def fast_non_dominated_sort(pop: Sequence[Individual]) -> list[list[int]]:
+def fast_non_dominated_sort(
+    pop: Sequence[Individual], survivors: Optional[int] = None
+) -> list[list[int]]:
     """Partition the population into Pareto fronts; updates rank in place.
 
     Front 0 lists its members in index order. A member of front k+1 is
@@ -138,6 +144,10 @@ def fast_non_dominated_sort(pop: Sequence[Individual]) -> list[list[int]]:
     it, then by index: the order in which the O(n^2) count-and-release sort
     of Deb et al. (2002) emits it, on which crowding ties, survivor
     truncation and tournament indices depend.
+
+    With ``survivors``, the list stops at the first front that brings the
+    members listed to at least that many, since survival reads no further;
+    the rank of every member is still set.
     """
     n = len(pop)
     objs = [(ind.objectives.f1, ind.objectives.f2) for ind in pop]
@@ -163,8 +173,11 @@ def fast_non_dominated_sort(pop: Sequence[Individual]) -> list[list[int]]:
         pop[i].rank = rank
 
     fronts = [sorted(stairs[0])] if n else []
+    listed = len(fronts[0]) if n else 0
     position = [0] * n
     for k in range(1, len(stairs)):
+        if survivors is not None and listed >= survivors:
+            break
         above = stairs[k - 1]
         for j, i in enumerate(fronts[k - 1]):
             position[i] = j
@@ -179,6 +192,7 @@ def fast_non_dominated_sort(pop: Sequence[Individual]) -> list[list[int]]:
             return max(at[bisect_left(neg_f2s, -b):bisect_right(f1s, a)]), i
 
         fronts.append(sorted(stairs[k], key=emitted))
+        listed += len(stairs[k])
     return fronts
 
 
@@ -372,6 +386,14 @@ def _update_archive(archive: _Archive, front: Iterable[Individual]) -> None:
         members[j:end] = [{ind.genome: Individual(ind.genome, ind.objectives)}]
 
 
+# The most fronts a ``FrontMemo`` holds; the oldest entry goes first.
+FRONT_MEMO_SIZE = 64
+
+# Fronts of past runs, as (genome, ObjectiveVector) tuples, keyed by the
+# optimizer setting and the objective map the run optimized.
+FrontMemo = dict
+
+
 def run(
     queue: QueueState,
     cfg: IntersectionConfig,
@@ -379,6 +401,7 @@ def run(
     guidance_pad_s: int = 0,
     queue_weighted_f2: bool = False,
     on_generation: Optional[Callable[[int, list[Individual]], None]] = None,
+    memo: Optional[FrontMemo] = None,
 ) -> list[Individual]:
     """Evolve green-time plans against ``queue``; return the Pareto front.
 
@@ -386,11 +409,23 @@ def run(
     individuals, sorted by (f1, f2, genome) for reproducible output.
     ``on_generation`` is invoked with (generation, archive front so far)
     after each generation, mainly for instrumentation in tests.
+
+    A run is a pure function of its setting (``params``, L, the green
+    bounds) and of the objective map on in-bounds genomes (the evaluator's
+    ``key``). With a ``memo``, a run whose setting and map it holds returns
+    fresh rank-0 individuals built from the stored front without evolving,
+    unless ``on_generation`` is set; any other run stores its front,
+    evicting the oldest entry once the memo holds ``FRONT_MEMO_SIZE``.
     """
     evaluate = objectives.genome_evaluator(
         queue, cfg, guidance_pad_s, queue_weighted_f2=queue_weighted_f2
     )
     L = cfg.num_links
+    if memo is not None:
+        key = (params, L, cfg.min_green_s, cfg.max_green_s, evaluate.key)
+        stored = memo.get(key) if on_generation is None else None
+        if stored is not None:
+            return [Individual(g, obj, rank=0) for g, obj in stored]
     script = _draw_script(
         params.rng_seed,
         params.population_size,
@@ -432,7 +467,7 @@ def run(
             offspring.append(eval_genome(mutate(c2, redraws2)))
 
         combined = pop + offspring
-        fronts = fast_non_dominated_sort(combined)
+        fronts = fast_non_dominated_sort(combined, params.population_size)
         _update_archive(archive, (combined[i] for i in fronts[0]))
         survivors: list[Individual] = []
         for f in fronts:
@@ -456,6 +491,10 @@ def run(
     )
     for ind in front:
         ind.rank = 0
+    if memo is not None and key not in memo:
+        if len(memo) >= FRONT_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = tuple((ind.genome, ind.objectives) for ind in front)
     return front
 
 

@@ -111,6 +111,12 @@ def genome_evaluator(
     greens: with link weights w (queue lengths, or 1 for plain red time) and
     W = sum(w), it is sum((W - w_i) * g_i) + W * (L * inter_green +
     2 * pad * (L - 1)).
+
+    The function's ``key`` attribute is the map it computes on genomes
+    within [cfg.min_green_s, cfg.max_green_s]: the residual rows over those
+    greens, the f2 coefficients and the f2 constant. Two evaluators with
+    equal keys score every such genome alike, so ``nsga2.run`` keys its
+    front memo on it.
     """
     if queue.num_links != cfg.num_links:
         raise ValueError(
@@ -141,4 +147,12 @@ def genome_evaluator(
             f2=sum(map(mul, coef, genome)) + const,
         )
 
+    lo, hi = int(cfg.min_green_s), int(cfg.max_green_s)
+    # 3 == 3.0, but an int and a float constant print differently.
+    evaluate_genome.key = (
+        tuple(tuple(row[lo:hi + 1]) for row in residual),
+        tuple(coef),
+        const,
+        type(const),
+    )
     return evaluate_genome

@@ -28,6 +28,7 @@ from ..core import (
     IntersectionConfig,
     QueueState,
     SignalPlan,
+    check_fields,
     load_intersection_config,
 )
 from .buffers import Frame, FrameSlot
@@ -188,6 +189,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict, base_dir: Optional[Path] = None) -> "PipelineConfig":
+        check_fields(d, cls, "pipeline")
         inter = d.get("intersection")
         if isinstance(inter, str):
             path = Path(inter)
@@ -300,11 +302,13 @@ def _build_detector(cfg: PipelineConfig, camera_id: int) -> SyntheticDetector:
 
 
 def _optimize(
-    cfg: PipelineConfig, queue: QueueState
+    cfg: PipelineConfig, queue: QueueState,
+    memo: Optional[nsga2.FrontMemo] = None,
 ) -> tuple[SignalPlan, dict, float]:
     t0 = time.monotonic()
     front = nsga2.run(
-        queue, cfg.intersection, cfg.optimizer, guidance_pad_s=cfg.guidance_pad_s
+        queue, cfg.intersection, cfg.optimizer,
+        guidance_pad_s=cfg.guidance_pad_s, memo=memo,
     )
     plan = nsga2.select_operating_point(
         front, cfg.policy, cfg.intersection, guidance_pad_s=cfg.guidance_pad_s
@@ -367,8 +371,14 @@ def _run_real(cfg: PipelineConfig, cycles: int) -> PipelineResult:
                 continue
             misses = 0
             queue, stale_links = collected
-            plan, objs, opt_ms = _optimize(cfg, queue)
+            # Drained before optimizing, so the cycle holds the samples of
+            # the records that fed its snapshot: a record delivered while
+            # the optimizer runs feeds the next snapshot, not this one.
             ext, inf = recorder.drain()
+            # No front memo here: the ledger charges the measured optimizer
+            # time, which a stored front would cut to ~1 ms, so T_latency
+            # would no longer hold a per-cycle optimization.
+            plan, objs, opt_ms = _optimize(cfg, queue)
             entry = CycleLatency(
                 cycle_id=cycle_id,
                 extraction_samples=ext,
@@ -392,7 +402,9 @@ def _run_sim(cfg: PipelineConfig, cycles: int) -> PipelineResult:
 
     Stage delays come from the configured camera/detector models on a
     virtual clock; the optimizer's charge is the configured nominal value
-    so ledgers are reproducible byte for byte.
+    so ledgers are reproducible byte for byte. Since that charge does not
+    depend on the optimizer's work, a cycle whose objective map an earlier
+    cycle optimized reuses that cycle's front.
     """
     n = len(cfg.cameras)
     if any(spec.get("type") == "replay" for spec in cfg.cameras):
@@ -406,6 +418,7 @@ def _run_sim(cfg: PipelineConfig, cycles: int) -> PipelineResult:
 
     results: list[CycleResult] = []
     breakdown = LatencyBreakdown()
+    memo: nsga2.FrontMemo = {}
     virtual_ms = 0.0
     for cycle_id in range(cycles):
         ext_samples: list[float] = []
@@ -427,7 +440,7 @@ def _run_sim(cfg: PipelineConfig, cycles: int) -> PipelineResult:
             non_motorized=tuple(non_motorized),
             timestamp_ms=int(virtual_ms),
         )
-        plan, objs, _ = _optimize(cfg, queue)
+        plan, objs, _ = _optimize(cfg, queue, memo)
         entry = CycleLatency(
             cycle_id=cycle_id,
             extraction_samples=ext_samples,

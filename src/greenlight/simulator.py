@@ -20,7 +20,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import nsga2, objectives
-from .core import ConfigError, IntersectionConfig, QueueState, SignalPlan, validate_plan
+from .core import (
+    ConfigError,
+    IntersectionConfig,
+    QueueState,
+    SignalPlan,
+    check_fields,
+    validate_plan,
+)
 
 
 def _is_number(v) -> bool:
@@ -107,10 +114,12 @@ class AdaptiveController:
         self._policy = policy
         self._pad = guidance_pad_s
         self._weights = weights
+        # Light queues that clear at min green repeat one objective map.
+        self._fronts: nsga2.FrontMemo = {}
 
     def next_plan(self, observed: QueueState) -> SignalPlan:
         front = nsga2.run(observed, self._cfg, self._params,
-                          guidance_pad_s=self._pad)
+                          guidance_pad_s=self._pad, memo=self._fronts)
         return nsga2.select_operating_point(
             front, self._policy, self._cfg,
             guidance_pad_s=self._pad, weights=self._weights,
@@ -166,8 +175,7 @@ class SimOptions:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimOptions":
-        if not isinstance(d, dict):
-            raise ConfigError(f"options must be a JSON object, got {d!r}")
+        check_fields(d, cls, "options")
         for key in ("emergency_events", "blackouts"):
             if not isinstance(d.get(key, []), list):
                 raise ConfigError(f"{key} must be a list")

@@ -85,6 +85,23 @@ class TestOptimizeCommand:
         assert "unknown optimizer key 'populaton_size'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: dict(raw, min_gren_s=40),
+         "unknown intersection key 'min_gren_s'"),
+        (lambda raw: {"intersection": [5]},
+         "intersection must be a JSON object"),
+    ])
+    def test_bad_intersection_exits_1(self, assets_dir, tmp_path, capsys,
+                                      edit, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(edit(read_json(assets_dir / "palashi5.json"))))
+        code = main(["optimize", "--config", str(config),
+                     "--queue", str(assets_dir / "queue_sample.json"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("optimizer, policy, digest", [
         ({"population_size": 20.0, "generations": 5, "crossover_prob": 1,
           "mutation_prob": 1, "tournament_size": 3, "rng_seed": 4}, "min_f1",
@@ -179,6 +196,43 @@ class TestGoldenArtifacts:
         assert sha256((out / "metrics.json").read_bytes()) == metrics
         assert sha256((out / "timeseries.csv").read_bytes()) == timeseries
 
+    @pytest.mark.parametrize("seed, plans, ledger", [
+        ("0",
+         "72693afc934aae0c086af4a0feb580d7eaf8c08c0644e5919b52473531e9fdbf",
+         "0ca8c4739b2c9fd355e40b15d48120e09cdcb4d5ac4ccaf0e88c2edb80aa5f30"),
+        ("5",
+         "a3fedfddb93140502aa358a680a01525dee1e27e3ad103ffa82811e5f808c4e7",
+         "e2606aba30146478d8051dab4a1d619abccbb6d5d2cec8ff1c957ce4ea65ebd1"),
+    ])
+    def test_pipeline_sim(self, assets_dir, tmp_path, seed, plans, ledger):
+        # Digests recorded with every cycle running the optimizer afresh.
+        # The bundled cameras see constant scenes, so cycles 1-3 repeat
+        # cycle 0's queue with a later timestamp.
+        out = tmp_path / "p"
+        assert main(["pipeline",
+                     "--config", str(assets_dir / "pipeline_demo.json"),
+                     "--timing", "sim", "--cycles", "4", "--seed", seed,
+                     "--out", str(out)]) == 0
+        assert sha256((out / "plans.ndjson").read_bytes()) == plans
+        assert sha256((out / "latency_ledger.ndjson").read_bytes()) == ledger
+
+    def test_pipeline_sim_varying_queues(self, assets_dir, tmp_path):
+        # Detector misses make every cycle's queue differ.
+        raw = read_json(assets_dir / "pipeline_demo.json")
+        raw["intersection"] = str(assets_dir / "palashi5.json")
+        raw["detector"]["miss_rate"] = 0.3
+        raw["optimizer"] = {"population_size": 20, "generations": 10,
+                            "rng_seed": 2}
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "p"
+        assert main(["pipeline", "--config", str(config), "--timing", "sim",
+                     "--cycles", "8", "--seed", "3", "--out", str(out)]) == 0
+        assert sha256((out / "plans.ndjson").read_bytes()) == (
+            "9efb5d15301c7263c6dd13b71be51b1a7f4cc3c96ab07d9bdab09f097349cc8d")
+        assert sha256((out / "latency_ledger.ndjson").read_bytes()) == (
+            "77ec2dc463e73bee28399924c58558638d8e574ee190726fe90cb436a025ad3a")
+
 
 @pytest.fixture
 def quick_scenario(assets_dir, tmp_path):
@@ -272,6 +326,26 @@ class TestSimulateCommand:
                                   compare=True) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "x").exists()
+
+    def test_unknown_options_key_exits_1(self, quick_scenario, tmp_path,
+                                         capsys):
+        # Typos of blackouts and sensing_latency_s.
+        def edit(raw):
+            raw["options"] = {"blackout": [[0, 60]], "sensing_latency": 5}
+
+        assert self.simulate_with(quick_scenario, tmp_path, edit) == 1
+        assert "unknown options key 'blackout'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_failed_single_run_leaves_no_output_dir(self, quick_scenario,
+                                                    tmp_path, capsys):
+        def edit(raw):
+            raw["options"] = {"emergency_events": [{"time_s": 10, "link": 9}]}
+
+        assert self.simulate_with(quick_scenario, tmp_path, edit) == 1
+        assert "emergency events must name a link" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_same_seed_identical_csv(self, quick_scenario, tmp_path):
         for name in ("a", "b"):
@@ -337,6 +411,19 @@ class TestPipelineCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "runtime error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: dict(raw, windw_ms=100), "unknown pipeline key 'windw_ms'"),
+        (lambda raw: [raw], "pipeline must be a JSON object"),
+    ])
+    def test_bad_pipeline_config_exits_1(self, pipeline_cfg_path, tmp_path,
+                                         capsys, edit, message):
+        pipeline_cfg_path.write_text(json.dumps(edit(read_json(pipeline_cfg_path))))
+        code = main(["pipeline", "--config", str(pipeline_cfg_path),
+                     "--timing", "sim", "--out", str(tmp_path / "p")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     def test_plans_pass_validation(self, pipeline_cfg_path, tmp_path, assets_dir):
         out = tmp_path / "p2"

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from greenlight.core import (
     IntersectionConfig,
     ObjectiveVector,
     QueueState,
+    canonical_json,
     validate_plan,
 )
 from greenlight.nsga2 import (
@@ -314,7 +317,18 @@ class TestFastNonDominatedSort:
             points = random_points(rng, rng.randint(1, 128))
             pop = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
             ref = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
-            assert fast_non_dominated_sort(pop) == reference_sort(ref), trial
+            full = reference_sort(ref)
+            assert fast_non_dominated_sort(pop) == full, trial
+            assert [p.rank for p in pop] == [p.rank for p in ref], trial
+
+            # Cut at a survivor count: the shortest prefix of the full
+            # result holding that many members, and every rank still set.
+            cut = rng.randint(1, len(points) + 1)
+            pop = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
+            got = fast_non_dominated_sort(pop, cut)
+            assert got == full[:len(got)], trial
+            assert sum(map(len, got)) >= min(cut, len(points)), trial
+            assert sum(map(len, got[:-1])) < cut, trial
             assert [p.rank for p in pop] == [p.rank for p in ref], trial
 
     def test_empty_population(self):
@@ -630,6 +644,180 @@ class TestRun:
         queue = QueueState(motorized=(1, 1, 1), non_motorized=(0, 0, 0))
         with pytest.raises(ValueError, match="links"):
             nsga2.run(queue, two_link_cfg, OptimizerParams())
+
+
+@pytest.fixture
+def evolutions(monkeypatch):
+    """Count the runs that evolve a front: each replays a draw script."""
+    count = [0]
+    original = nsga2._draw_script
+
+    def counted(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(nsga2, "_draw_script", counted)
+    return count
+
+
+def front_of(queue, cfg, params, pad=0, weighted=False, memo=None):
+    return nsga2.run(queue, cfg, params, guidance_pad_s=pad,
+                     queue_weighted_f2=weighted, memo=memo)
+
+
+def random_setting(rng):
+    L = rng.randint(2, 5)
+    lo = rng.randint(2, 15)
+    cfg = IntersectionConfig(
+        num_links=L, min_green_s=lo, max_green_s=lo + rng.choice([0, 3, 20, 45]),
+        inter_green_s=rng.randint(0, 5),
+        sat_flow_motorized=rng.choice([0.5, 0.7, 1.3]),
+        sat_flow_non_motorized=rng.choice([0.25, 0.4, 1.0]),
+    )
+    params = OptimizerParams(
+        population_size=2 * rng.randint(2, 10),
+        generations=rng.randint(1, 8),
+        crossover_prob=rng.choice([0.0, 1.0, 0.9]),
+        mutation_prob=rng.choice([None, 0.0, 1.0, rng.random()]),
+        tournament_size=rng.randint(2, 4),
+        rng_seed=rng.randint(0, 10**6),
+    )
+    return cfg, params
+
+
+def clearing_queue(rng, cfg, busy=()):
+    """A queue whose links, but those in ``busy``, clear at min green."""
+    m_max = math.floor(cfg.sat_flow_motorized * cfg.min_green_s)
+    n_max = math.floor(cfg.sat_flow_non_motorized * cfg.min_green_s)
+    m = [rng.randint(0, m_max) for _ in range(cfg.num_links)]
+    n = [rng.randint(0, n_max) for _ in range(cfg.num_links)]
+    for i, (bm, bn) in busy:
+        m[i], n[i] = bm, bn
+    return QueueState(tuple(m), tuple(n))
+
+
+class TestFrontMemo:
+    def test_same_front_as_without_memo(self, evolutions):
+        rng = random.Random(7)
+        for trial in range(60):
+            cfg, params = random_setting(rng)
+            pad = rng.choice([0, 0, 2])
+            weighted = rng.random() < 0.3
+            queues = [TestRun.random_queue(rng, cfg.num_links)
+                      for _ in range(3)]
+            memo = {}
+            for queue in queues + queues[::-1]:
+                want = front_of(queue, cfg, params, pad, weighted)
+                got = front_of(queue, cfg, params, pad, weighted, memo)
+                assert got == want, trial
+                assert canonical_json([i.to_dict() for i in got]) == (
+                    canonical_json([i.to_dict() for i in want])), trial
+
+    def test_queues_sharing_an_in_bounds_map_hit(self, evolutions):
+        rng = random.Random(11)
+        for trial in range(60):
+            cfg, params = random_setting(rng)
+            busy = [(i, (rng.randint(0, 90), rng.randint(0, 30)))
+                    for i in range(cfg.num_links) if rng.random() < 0.4]
+            a = clearing_queue(rng, cfg, busy)
+            b = clearing_queue(rng, cfg, busy)
+            memo = {}
+            front_of(a, cfg, params, memo=memo)
+            before = evolutions[0]
+            assert front_of(b, cfg, params, memo=memo) == front_of(
+                b, cfg, params), trial
+            assert evolutions[0] == before + 1, trial  # only the memo-less run
+
+    def test_weighted_f2_keeps_equal_tables_with_other_weights_apart(
+            self, evolutions):
+        rng = random.Random(13)
+        for trial in range(60):
+            cfg, params = random_setting(rng)
+            a = clearing_queue(rng, cfg)
+            b = clearing_queue(rng, cfg)
+            if [m + n for m, n in zip(a.motorized, a.non_motorized)] == [
+                    m + n for m, n in zip(b.motorized, b.non_motorized)]:
+                continue
+            memo = {}
+            front_of(a, cfg, params, weighted=True, memo=memo)
+            before = evolutions[0]
+            got = front_of(b, cfg, params, weighted=True, memo=memo)
+            assert evolutions[0] == before + 1, trial
+            assert got == front_of(b, cfg, params, weighted=True), trial
+
+    def test_settings_sharing_a_memo_keep_their_fronts(self):
+        rng = random.Random(17)
+        for trial in range(60):
+            cfg, params = random_setting(rng)
+            # A variant differing in one part of the setting; a zero queue
+            # gives both the same residual rows, coefficients and constant.
+            change = rng.choice(["rng_seed", "population_size", "generations",
+                                 "crossover_prob", "mutation_prob",
+                                 "tournament_size", "bounds", "float"])
+            other_cfg, other_params = cfg, params
+            if change == "bounds":
+                other_cfg = dataclasses.replace(
+                    cfg, min_green_s=cfg.min_green_s + 1,
+                    max_green_s=cfg.max_green_s + 1)
+            elif change == "float":  # f2 prints as 3.0, not 3
+                other_cfg = dataclasses.replace(
+                    cfg, inter_green_s=float(cfg.inter_green_s))
+            else:
+                value = {"rng_seed": params.rng_seed + 1,
+                         "population_size": params.population_size + 2,
+                         "generations": params.generations + 1,
+                         "crossover_prob": 0.5,
+                         "mutation_prob": 0.25,
+                         "tournament_size": params.tournament_size + 1}[change]
+                other_params = dataclasses.replace(params, **{change: value})
+            zero = QueueState((0,) * cfg.num_links, (0,) * cfg.num_links)
+            memo = {}
+            for c, p in [(cfg, params), (other_cfg, other_params)] * 2:
+                got = front_of(zero, c, p, memo=memo)
+                want = front_of(zero, c, p)
+                assert canonical_json([i.to_dict() for i in got]) == (
+                    canonical_json([i.to_dict() for i in want])), (trial, change)
+
+    def test_memo_never_exceeds_its_cap(self, two_link_cfg, evolutions):
+        params = OptimizerParams(population_size=4, generations=1)
+        memo = {}
+        queues = [QueueState((100 + k, 0), (0, 0))
+                  for k in range(nsga2.FRONT_MEMO_SIZE + 5)]
+        for queue in queues:
+            front_of(queue, two_link_cfg, params, memo=memo)
+            assert len(memo) <= nsga2.FRONT_MEMO_SIZE
+        assert len(memo) == nsga2.FRONT_MEMO_SIZE
+        assert evolutions[0] == len(queues)
+        front_of(queues[-1], two_link_cfg, params, memo=memo)  # newest: kept
+        assert evolutions[0] == len(queues)
+        front_of(queues[0], two_link_cfg, params, memo=memo)  # oldest: evicted
+        assert evolutions[0] == len(queues) + 1
+
+    def test_hit_returns_fresh_objects(self, two_link_cfg, evolutions):
+        queue = QueueState((30, 5), (4, 1))
+        params = OptimizerParams(population_size=12, generations=6)
+        memo = {}
+        first = front_of(queue, two_link_cfg, params, memo=memo)
+        want = [dataclasses.replace(i) for i in first]
+        second = front_of(queue, two_link_cfg, params, memo=memo)
+        assert evolutions[0] == 1
+        assert second == want
+        assert all(a is not b for a, b in zip(first, second))
+        for front in (first, second):
+            front[0].rank, front[0].crowding = 5, 1.0
+            front.pop()
+        assert front_of(queue, two_link_cfg, params, memo=memo) == want
+
+    def test_on_generation_skips_the_lookup(self, two_link_cfg, evolutions):
+        queue = QueueState((30, 5), (4, 1))
+        params = OptimizerParams(population_size=12, generations=6)
+        memo = {}
+        front_of(queue, two_link_cfg, params, memo=memo)
+        seen = []
+        nsga2.run(queue, two_link_cfg, params, memo=memo,
+                  on_generation=lambda gen, archive: seen.append(gen))
+        assert seen == list(range(params.generations))
+        assert evolutions[0] == 2
 
 
 class TestSelectOperatingPoint:

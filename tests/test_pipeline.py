@@ -17,6 +17,7 @@ from greenlight.pipeline import (
     ReplaySource,
     SyntheticCamera,
     SyntheticDetector,
+    orchestrator,
     run_extraction_worker,
     run_inference_worker,
     run_pipeline,
@@ -257,6 +258,24 @@ class TestRunPipeline:
         for c in result.cycles:
             greens = dict(c.plan.phases)
             assert greens[0] >= greens[1]
+
+    def test_cycle_holds_the_samples_of_its_snapshot(self, monkeypatch):
+        # Both cameras deliver during a slow first optimization, so the
+        # second collect returns at once and a quick optimization follows;
+        # the second cycle must still hold the samples of its records.
+        optimize = orchestrator._optimize
+        calls = []
+
+        def uneven(*args):
+            calls.append(None)
+            if len(calls) == 1:
+                time.sleep(0.2)
+            return optimize(*args)
+
+        monkeypatch.setattr(orchestrator, "_optimize", uneven)
+        result = run_pipeline(pipeline_config(), 3)
+        for c in result.cycles:
+            assert c.latency.inference_samples, c.cycle_id
 
     def test_sim_mode_deterministic(self):
         cfg1 = pipeline_config(timing="sim")

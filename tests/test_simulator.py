@@ -287,3 +287,43 @@ class TestCompareControllers:
         fixed = rep["controllers"]["fixed"]["mean"]["overall_avg"]
         adaptive = rep["controllers"]["adaptive"]["mean"]["overall_avg"]
         assert adaptive <= fixed * 1.1
+
+
+class TestAdaptiveController:
+    def test_light_run_evolves_fewer_fronts_than_it_plans(self, palashi_cfg,
+                                                          monkeypatch):
+        # Light queues clear at min green, so many cycles repeat an
+        # objective map and reuse the controller's stored front.
+        counts = {"plans": 0, "evolved": 0}
+        draw_script = nsga2._draw_script
+
+        def evolving(*args):
+            counts["evolved"] += 1
+            return draw_script(*args)
+
+        monkeypatch.setattr(nsga2, "_draw_script", evolving)
+        params = nsga2.OptimizerParams(population_size=12, generations=8)
+        ctrl = simulator.AdaptiveController(palashi_cfg, params)
+        next_plan = ctrl.next_plan
+
+        def planning(observed):
+            counts["plans"] += 1
+            return next_plan(observed)
+
+        ctrl.next_plan = planning
+        demand = ArrivalModel((0.03,) * 5, (0.01,) * 5, rng_seed=3)
+        simulate(palashi_cfg, demand, ctrl, 1800)
+        assert 0 < counts["evolved"] < counts["plans"]
+
+    def test_stored_fronts_give_the_same_run(self, palashi_cfg):
+        params = nsga2.OptimizerParams(population_size=12, generations=8)
+        demand = ArrivalModel((0.06, 0.02, 0.02, 0.02, 0.02),
+                              (0.01,) * 5, rng_seed=8)
+        runs = []
+        for memo in (True, False):
+            ctrl = simulator.AdaptiveController(palashi_cfg, params)
+            if not memo:
+                ctrl._fronts = None
+            metrics, steps = simulate(palashi_cfg, demand, ctrl, 1200)
+            runs.append((metrics, [s.queues for s in steps]))
+        assert runs[0] == runs[1]
