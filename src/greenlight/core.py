@@ -7,7 +7,8 @@ between threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
@@ -20,14 +21,35 @@ class ConfigError(ValueError):
     """Raised when a config or input file fails validation."""
 
 
-def check_fields(d: Any, cls: type, what: str) -> None:
+def check_fields(d: Any, cls: Any, what: str) -> None:
     """Raise ``ConfigError`` unless ``d`` is a JSON object whose every key
-    names a field of the dataclass ``cls``; ``what`` names the section."""
+    names a field of the dataclass ``cls`` (or is in the key set ``cls``);
+    ``what`` names the section."""
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be a JSON object, got {d!r}")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    names = {f.name for f in fields(cls)} if is_dataclass(cls) else set(cls)
+    unknown = sorted(set(d) - names)
     if unknown:
         raise ConfigError(f"unknown {what} key {unknown[0]!r}")
+
+
+def number_field(d: dict, key: str, default: Any = None, low: Any = None):
+    """``d[key]``, or ``default``, which must be a number no less than
+    ``low``; bools and strings raise ``ConfigError``, not coerced."""
+    value = d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{key} must be >= {low}, got {value!r}")
+    return value
+
+
+def integer_field(d: dict, key: str, default: Any = None, low: Any = None) -> int:
+    """``number_field`` for an integral number (``40`` or ``40.0``)."""
+    value = number_field(d, key, default, low)
+    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ module-level front cache.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -48,6 +47,8 @@ from .core import (
     QueueState,
     SignalPlan,
     check_fields,
+    integer_field,
+    number_field,
 )
 
 Genome = tuple[int, ...]
@@ -104,29 +105,15 @@ class OptimizerParams:
         check_fields(d, cls, "optimizer")
         mutation_prob = d.get("mutation_prob")
         if mutation_prob is not None:
-            mutation_prob = _number(d, "mutation_prob")
+            mutation_prob = number_field(d, "mutation_prob")
         return cls(
-            population_size=_integer(d, "population_size", 60),
-            generations=_integer(d, "generations", 100),
-            crossover_prob=float(_number(d, "crossover_prob", 0.9)),
+            population_size=integer_field(d, "population_size", 60),
+            generations=integer_field(d, "generations", 100),
+            crossover_prob=float(number_field(d, "crossover_prob", 0.9)),
             mutation_prob=mutation_prob,
-            tournament_size=_integer(d, "tournament_size", 2),
-            rng_seed=_integer(d, "rng_seed", 0),
+            tournament_size=integer_field(d, "tournament_size", 2),
+            rng_seed=integer_field(d, "rng_seed", 0),
         )
-
-
-def _number(d: dict, key: str, default=None):
-    value = d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return value
-
-
-def _integer(d: dict, key: str, default: int) -> int:
-    value = _number(d, key, default)
-    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:

@@ -13,7 +13,6 @@ from typing import Protocol
 
 from ..core import DetectionRecord
 from .buffers import Frame
-from .sources import now_ms
 
 
 class DetectorAdapter(Protocol):

@@ -2,13 +2,15 @@
 
 A source is an iterable of Frames. Synthetic cameras pace themselves with
 real sleeps (scaled by ``time_scale``) and carry the per-frame extraction
-delay on the frame itself.
+delay on the frame itself. Every source stamps its frames with the
+pipeline's clock.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import threading
 import time
 from pathlib import Path
 from typing import Iterator, Optional
@@ -17,8 +19,33 @@ from ..core import DetectionRecord
 from .buffers import Frame
 
 
-def now_ms() -> float:
-    return time.monotonic() * 1000.0
+class Clock:
+    """Monotonic wall time in ms; a wait blocks on the caller's condition."""
+
+    def now_ms(self) -> float:
+        return time.monotonic() * 1000.0
+
+    def wait_until(self, cond: threading.Condition, deadline_ms: float) -> None:
+        cond.wait(max(0.0, deadline_ms - self.now_ms()) / 1000.0)
+
+    def advance(self, ms: float) -> None:
+        """Wall time passes by itself."""
+
+
+class VirtualClock(Clock):
+    """Time that moves only by ``advance``; a wait runs to its deadline."""
+
+    def __init__(self) -> None:
+        self._ms = 0.0
+
+    def now_ms(self) -> float:
+        return self._ms
+
+    def wait_until(self, cond: threading.Condition, deadline_ms: float) -> None:
+        self._ms = max(self._ms, deadline_ms)
+
+    def advance(self, ms: float) -> None:
+        self._ms += ms
 
 
 class SyntheticCamera:
@@ -43,6 +70,7 @@ class SyntheticCamera:
         time_scale: float = 1.0,
         seed: int = 0,
         fail_after: Optional[int] = None,
+        clock: Clock = Clock(),
     ):
         if fps <= 0:
             raise ValueError("fps must be > 0")
@@ -59,11 +87,8 @@ class SyntheticCamera:
         self.n_frames = n_frames
         self.time_scale = time_scale
         self.fail_after = fail_after
+        self.clock = clock
         self._rng = random.Random((seed << 8) ^ camera_id)
-
-    def extraction_sample(self) -> float:
-        jitter = self._rng.uniform(-self.jitter_ms, self.jitter_ms)
-        return max(0.0, self.extract_delay_ms + jitter)
 
     def __iter__(self) -> Iterator[Frame]:
         period_s = 1.0 / self.fps
@@ -71,14 +96,15 @@ class SyntheticCamera:
         while self.n_frames is None or seq < self.n_frames:
             if self.fail_after is not None and seq >= self.fail_after:
                 raise RuntimeError(f"camera {self.camera_id} stream lost")
-            extraction_ms = self.extraction_sample()
+            jitter = self._rng.uniform(-self.jitter_ms, self.jitter_ms)
+            extraction_ms = max(0.0, self.extract_delay_ms + jitter)
             sleep_s = (period_s + extraction_ms / 1000.0) * self.time_scale
             if sleep_s > 0:
                 time.sleep(sleep_s)
             yield Frame(
                 camera_id=self.camera_id,
                 seq=seq,
-                capture_ts_ms=now_ms(),
+                capture_ts_ms=self.clock.now_ms(),
                 payload=dict(self.counts),
                 extraction_ms=extraction_ms,
             )
@@ -93,11 +119,13 @@ class ReplaySource:
     """
 
     def __init__(self, path: str | Path, camera_id: Optional[int] = None,
-                 time_scale: float = 0.0, fps: float = 10.0):
+                 time_scale: float = 0.0, fps: float = 10.0,
+                 clock: Clock = Clock()):
         self.path = Path(path)
         self.camera_id = camera_id
         self.time_scale = time_scale
         self.fps = fps
+        self.clock = clock
 
     def __iter__(self) -> Iterator[Frame]:
         period_s = 1.0 / self.fps
@@ -115,7 +143,7 @@ class ReplaySource:
                 yield Frame(
                     camera_id=record.camera_id,
                     seq=seq,
-                    capture_ts_ms=now_ms(),
+                    capture_ts_ms=self.clock.now_ms(),
                     payload=record,
                     extraction_ms=0.0,
                 )

@@ -373,6 +373,10 @@ def pipeline_cfg_path(assets_dir, tmp_path):
     return p
 
 
+def with_camera0(raw, camera):
+    return dict(raw, cameras=[camera] + raw["cameras"][1:])
+
+
 class TestPipelineCommand:
     def test_ledger_satisfies_cycle_identity(self, pipeline_cfg_path, tmp_path):
         out = tmp_path / "p"
@@ -415,6 +419,27 @@ class TestPipelineCommand:
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: dict(raw, windw_ms=100), "unknown pipeline key 'windw_ms'"),
         (lambda raw: [raw], "pipeline must be a JSON object"),
+        (lambda raw: with_camera0(raw, 5), "camera 0 must be a JSON object, got 5"),
+        (lambda raw: dict(raw, window_ms=None), "window_ms must be a number, got None"),
+        (lambda raw: with_camera0(raw, {"type": "replay"}),
+         "camera 0: a replay camera needs a 'path' string"),
+        (lambda raw: dict(raw, max_stale_windows=2.7),
+         "max_stale_windows must be an integer, got 2.7"),
+        (lambda raw: with_camera0(raw, dict(raw["cameras"][0], n_frames="5")),
+         "camera 0: n_frames must be a number, got '5'"),
+        (lambda raw: with_camera0(raw, {"motorised_in": 3}),
+         "unknown camera 0 key 'motorised_in'"),
+        (lambda raw: dict(raw, detector={"delay": 5}), "unknown detector key 'delay'"),
+        (lambda raw: with_camera0(raw, dict(raw["cameras"][0], motorized_in=-3)),
+         "camera 0: motorized_in must be >= 0, got -3"),
+        (lambda raw: with_camera0(raw, {"type": "thermal"}),
+         "camera 0: unknown type 'thermal'"),
+        (lambda raw: with_camera0(raw, {"type": "replay", "path": "x", "fps": 0}),
+         "camera 0: fps must be > 0, got 0"),
+        (lambda raw: dict(raw, cameras={"0": {}}),
+         "pipeline config needs a non-empty 'cameras' list"),
+        (lambda raw: dict(raw, detector=dict(raw["detector"], jitter_ms=True)),
+         "jitter_ms must be a number, got True"),
     ])
     def test_bad_pipeline_config_exits_1(self, pipeline_cfg_path, tmp_path,
                                          capsys, edit, message):

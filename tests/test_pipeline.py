@@ -1,8 +1,11 @@
+import functools
+import json
 import threading
 import time
 
 import pytest
 
+from greenlight.cli import main
 from greenlight.core import DetectionRecord
 from greenlight.pipeline import (
     Aggregator,
@@ -22,6 +25,7 @@ from greenlight.pipeline import (
     run_inference_worker,
     run_pipeline,
 )
+from greenlight.pipeline.sources import VirtualClock
 
 
 def frame(seq, camera_id=0, payload=None, extraction_ms=0.0):
@@ -209,6 +213,27 @@ class TestAggregator:
         agg = Aggregator(2)
         assert agg.collect(window_ms=10) is None
 
+    def test_virtual_wait_runs_to_the_deadline(self):
+        clock = VirtualClock()
+        agg = Aggregator(2, clock=clock)
+        agg.submit(self.record(0, 3))
+        agg.submit(self.record(1, 7))
+        queue, stale = agg.collect(window_ms=400)
+        assert (queue.timestamp_ms, stale) == (0, [])
+        clock.advance(250.5)
+        agg.submit(self.record(0, 4))
+        queue, stale = agg.collect(window_ms=400)
+        assert (queue.timestamp_ms, stale) == (650, [1])
+
+    def test_fresh_without_time_passing(self):
+        # Freshness is delivery since the last collect, not a later time.
+        agg = Aggregator(2, clock=VirtualClock())
+        for _ in range(3):
+            agg.submit(self.record(0, 3))
+            agg.submit(self.record(1, 7))
+            queue, stale = agg.collect(window_ms=400)
+            assert (queue.timestamp_ms, stale) == (0, [])
+
 
 class TestLatencyLedger:
     def test_cycle_arithmetic(self):
@@ -317,3 +342,104 @@ class TestRunPipeline:
         result = run_pipeline(cfg, 2)
         assert len(result.cycles) == 2
         assert all(c.queue.total() > 0 for c in result.cycles)
+
+
+def sim_cameras(**second):
+    return [
+        {"fps": 50, "motorized_in": 20, "non_motorized_in": 5,
+         "extract_delay_ms": 2},
+        dict({"fps": 50, "motorized_in": 4, "non_motorized_in": 1,
+              "extract_delay_ms": 2}, **second),
+    ]
+
+
+class TestSimFailurePolicies:
+    """Stale-camera and failure policies in sim timing, where the loop moves
+    one frame per live camera through the stage steps before each collect."""
+
+    def test_camera_death_via_n_frames(self):
+        cfg = pipeline_config(timing="sim", cameras=sim_cameras(n_frames=2),
+                              max_stale_windows=2)
+        result = run_pipeline(cfg, 6)
+        assert [c.stale_links for c in result.cycles] == [
+            [], [], [1], [1], [1], [1]]
+        # Last counts reused for max_stale_windows windows, then zero.
+        assert [c.queue.motorized for c in result.cycles] == (
+            [(20, 4)] * 4 + [(20, 0)] * 2)
+        assert [c.queue.non_motorized for c in result.cycles] == (
+            [(5, 1)] * 4 + [(5, 0)] * 2)
+        assert [len(c.latency.extraction_samples) for c in result.cycles] == [
+            2, 2, 1, 1, 1, 1]
+        # Virtual time advances by each cycle's ledger latency, and by
+        # window_ms while a collect waits on a stale camera.
+        expected, t = [], 0.0
+        for c in result.cycles:
+            if c.stale_links:
+                t += cfg.window_ms
+            expected.append(int(t))
+            t += c.latency.t_latency_ms
+        assert [c.queue.timestamp_ms for c in result.cycles] == expected
+        assert expected[2] - expected[1] > cfg.window_ms
+        live, dead = result.camera_status
+        assert (live.alive, live.frames, live.error) == (True, 6, None)
+        assert (dead.alive, dead.frames, dead.error) == (False, 2, None)
+
+    def test_detector_failure_every_n_frames(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "SyntheticDetector",
+                            functools.partial(SyntheticDetector, fail_every=3))
+        result = run_pipeline(pipeline_config(timing="sim"), 7)
+        # Each detector fails on its 3rd and 6th frame, so cycles 2 and 5
+        # get no fresh record and reuse the last counts.
+        assert [c.stale_links for c in result.cycles] == [
+            [], [], [0, 1], [], [], [0, 1], []]
+        assert {c.queue.motorized for c in result.cycles} == {(20, 4)}
+        assert [len(c.latency.inference_samples) for c in result.cycles] == [
+            2, 2, 0, 2, 2, 0, 2]
+        assert [(s.alive, s.frames, s.detector_errors)
+                for s in result.camera_status] == [(True, 7, 2)] * 2
+
+    def test_all_cameras_dead_exits_2(self, tmp_path, capsys):
+        raw = {
+            "intersection": {"num_links": 2, "min_green_s": 5,
+                             "max_green_s": 30, "inter_green_s": 2},
+            "cameras": [dict(cam, n_frames=1) for cam in sim_cameras()],
+            "optimizer": {"population_size": 12, "generations": 8},
+            "timing": "sim",
+        }
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "p"
+        assert main(["pipeline", "--config", str(config), "--cycles", "10",
+                     "--out", str(out)]) == 2
+        assert "no camera delivered any record" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replay_cameras_byte_identical(self, assets_dir, tmp_path):
+        # 12 logged records per camera: from cycle 12 on, every camera is stale.
+        raw = {
+            "intersection": str(assets_dir / "palashi5.json"),
+            "cameras": [{"type": "replay",
+                         "path": str(assets_dir / "detections_sample.ndjson")}
+                        for _ in range(5)],
+            "optimizer": {"population_size": 12, "generations": 5},
+            "timing": "sim",
+        }
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps(raw))
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["pipeline", "--config", str(config), "--cycles", "14",
+                         "--out", str(out)]) == 0
+            runs.append([(out / f).read_bytes()
+                         for f in ("plans.ndjson", "latency_ledger.ndjson")])
+        assert runs[0] == runs[1]
+        plans = [json.loads(line) for line in runs[0][0].decode().splitlines()]
+        assert [p["stale_links"] for p in plans] == [[]] * 12 + [[0, 1, 2, 3, 4]] * 2
+        assert plans[0]["queue"]["motorized"] == [41, 8, 26, 6, 19]
+        assert len({tuple(p["queue"]["motorized"]) for p in plans}) > 1
+
+    def test_camera_status_counts_frames(self):
+        result = run_pipeline(pipeline_config(timing="sim"), 4)
+        assert [(s.alive, s.frames, s.detector_errors, s.error)
+                for s in result.camera_status] == [(True, 4, 0, None)] * 2

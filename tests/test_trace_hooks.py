@@ -5,7 +5,12 @@ import pytest
 
 from greenlight import cli, nsga2, objectives, simulator
 from greenlight.core import QueueState
-from greenlight.pipeline import Aggregator, SyntheticDetector
+from greenlight.pipeline import (
+    Aggregator,
+    PipelineConfig,
+    SyntheticDetector,
+    run_pipeline,
+)
 
 HOOKS = [
     (objectives, "evaluate"),
@@ -22,6 +27,7 @@ HOOKS = [
     (simulator.AdaptiveController, "next_plan"),
     (cli, "dump_json"),
     (cli, "_write_timeseries"),
+    (Aggregator, "submit"),
     (Aggregator, "collect"),
     (SyntheticDetector, "detect"),
 ]
@@ -48,3 +54,34 @@ def test_run_calls_operators_through_the_module(monkeypatch, two_link_cfg):
     nsga2.run(QueueState((5, 2), (1, 0)), two_link_cfg, params)
     assert calls == {"tournament_select": 8 * 3, "crossover": 4 * 3,
                      "mutate": 8 * 3}
+
+
+def test_class_wrappers_see_every_submit_and_collect(monkeypatch):
+    # The pipeline_real workload measures plan age by wrapping
+    # Aggregator.submit and .collect on the class before run_pipeline, so
+    # the pipeline must look both up on the class after that.
+    calls = {"submit": 0, "collect": 0, "detect": 0}
+    for owner, name in ((Aggregator, "submit"), (Aggregator, "collect"),
+                        (SyntheticDetector, "detect")):
+        original = getattr(owner, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    cfg = PipelineConfig.from_dict({
+        "intersection": {"num_links": 2, "min_green_s": 5, "max_green_s": 30},
+        "cameras": [{"fps": 50, "motorized_in": m, "extract_delay_ms": 2}
+                    for m in (9, 3)],
+        "detector": {"delay_ms": 30},
+        "window_ms": 400,
+        "optimizer": {"population_size": 12, "generations": 8},
+        "timing": "real",
+    })
+    result = run_pipeline(cfg, 3)
+    assert calls["collect"] == len(result.cycles) + result.skipped_cycles
+    # Every detection that did not fail was submitted; the workers have
+    # been joined, so none is in flight.
+    errors = sum(s.detector_errors for s in result.camera_status)
+    assert calls["submit"] == calls["detect"] - errors > 0
