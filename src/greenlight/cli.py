@@ -27,6 +27,8 @@ from .core import (
     QueueState,
     canonical_json,
     dump_json,
+    integer_field,
+    integer_list,
     load_intersection_config,
     validate_plan,
 )
@@ -93,6 +95,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         policy = "knee"
     if args.policy:
         policy = args.policy
+    nsga2.check_selection(policy)
     if args.seed is not None:
         params_dict["rng_seed"] = args.seed
     params = nsga2.OptimizerParams.from_dict(params_dict)
@@ -146,24 +149,28 @@ def _build_controller(spec: dict, cfg: IntersectionConfig,
         )
     if kind == "adaptive":
         params = nsga2.OptimizerParams.from_dict(spec.get("optimizer", {}))
+        policy = spec.get("policy", "knee")
+        weights = nsga2.check_selection(policy, spec.get("weights", (0.5, 0.5)))
         return simulator.AdaptiveController(
-            cfg, params,
-            policy=spec.get("policy", "knee"),
-            guidance_pad_s=pad,
-            weights=tuple(spec.get("weights", (0.5, 0.5))),
+            cfg, params, policy=policy, guidance_pad_s=pad, weights=weights,
         )
     raise ConfigError(f"unknown controller type {kind!r}")
 
 
-def _write_timeseries(path: Path, steps: list[simulator.TimeStep], L: int) -> None:
+def _write_timeseries(path: Path, steps: simulator.SimTrace, L: int) -> None:
+    states = simulator.PHASE_STATES
+    rows = zip(steps.queues.tolist(), steps.active_link.tolist(),
+               steps.phase.tolist())
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["t"] + [f"queue_link_{i}" for i in range(L)]
             + ["active_link", "phase_state"]
         )
-        for s in steps:
-            writer.writerow([s.t] + s.queues + [s.active_link, s.phase_state])
+        writer.writerows(
+            [t, *queues, link, states[phase]]
+            for t, (queues, link, phase) in enumerate(rows)
+        )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -185,11 +192,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if "demand" not in raw:
         raise ConfigError("scenario needs a 'demand' entry")
     demand = simulator.ArrivalModel.from_dict(raw["demand"])
-    horizon = int(raw.get("horizon_s", 0))
-    if horizon < 1:
-        raise ConfigError("horizon_s must be >= 1")
+    horizon = integer_field(raw, "horizon_s", 0, low=1)
     options = simulator.SimOptions.from_dict(raw.get("options", {}))
-    seeds = [int(s) for s in raw.get("seeds", [0])]
+    seeds = integer_list(raw, "seeds", [0], low=0)
+    if not seeds:
+        raise ConfigError("seeds must list at least one seed")
     if args.seed is not None:
         seeds = [args.seed]
 
@@ -311,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--seed", type=int, default=None)
     p_opt.add_argument("--out", default="out_optimize")
     p_opt.add_argument("--policy", default=None,
-                       choices=["knee", "weighted", "min_f1", "min_f2"])
+                       choices=nsga2.POLICIES)
     p_opt.add_argument("--weights", default=None,
                        help="w1,w2 for the weighted policy")
     p_opt.add_argument("--pad", type=int, default=0,

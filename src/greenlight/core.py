@@ -52,6 +52,16 @@ def integer_field(d: dict, key: str, default: Any = None, low: Any = None) -> in
     return int(value)
 
 
+def integer_list(d: dict, key: str, default: Any = None,
+                 low: Any = None) -> list[int]:
+    """``d[key]``, or ``default``: a list of integral numbers, each no less
+    than ``low``."""
+    value = d.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of integers, got {value!r}")
+    return [integer_field({key: v}, key, low=low) for v in value]
+
+
 @dataclass(frozen=True)
 class IntersectionConfig:
     num_links: int
@@ -99,18 +109,21 @@ class IntersectionConfig:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "IntersectionConfig":
         check_fields(d, cls, "intersection")
-        try:
-            return cls(
-                num_links=d["num_links"],
-                link_names=tuple(d.get("link_names") or ()),
-                min_green_s=d.get("min_green_s", 10),
-                max_green_s=d.get("max_green_s", 60),
-                inter_green_s=d.get("inter_green_s", 3),
-                sat_flow_motorized=d.get("sat_flow_motorized", 0.5),
-                sat_flow_non_motorized=d.get("sat_flow_non_motorized", 0.25),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing required field {exc.args[0]!r}") from exc
+        if "num_links" not in d:
+            raise ConfigError("missing required field 'num_links'")
+        names = d.get("link_names") or []
+        if not (isinstance(names, (list, tuple))
+                and all(isinstance(n, str) for n in names)):
+            raise ConfigError(f"link_names must be a list of strings, got {names!r}")
+        return cls(
+            num_links=integer_field(d, "num_links"),
+            link_names=tuple(names),
+            min_green_s=integer_field(d, "min_green_s", 10),
+            max_green_s=integer_field(d, "max_green_s", 60),
+            inter_green_s=integer_field(d, "inter_green_s", 3),
+            sat_flow_motorized=number_field(d, "sat_flow_motorized", 0.5),
+            sat_flow_non_motorized=number_field(d, "sat_flow_non_motorized", 0.25),
+        )
 
 
 @dataclass(frozen=True)

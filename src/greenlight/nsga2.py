@@ -485,6 +485,25 @@ def run(
     return front
 
 
+POLICIES = ("knee", "weighted", "min_f1", "min_f2")
+
+
+def check_selection(policy, weights=(0.5, 0.5)) -> tuple[float, float]:
+    """Raise ``ConfigError`` unless ``policy`` names one of ``POLICIES`` and
+    ``weights`` holds two numbers; returns the weights as a tuple."""
+    if policy not in POLICIES:
+        raise ConfigError(
+            f"policy must be one of {', '.join(POLICIES)}, got {policy!r}"
+        )
+    if not (
+        isinstance(weights, (list, tuple)) and len(weights) == 2
+        and all(isinstance(w, (int, float)) and not isinstance(w, bool)
+                for w in weights)
+    ):
+        raise ConfigError(f"weights must be two numbers, got {weights!r}")
+    return tuple(weights)
+
+
 def select_operating_point(
     front: Sequence[Individual],
     policy: str,

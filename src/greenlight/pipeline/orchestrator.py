@@ -247,6 +247,8 @@ class PipelineConfig:
         check_fields(detector, _DETECTOR_KEYS, "detector")
         for key in _DETECTOR_KEYS:
             number_field(detector, key, 0.0, low=0)
+        policy = d.get("policy", "knee")
+        nsga2.check_selection(policy)
         return cls(
             intersection=cfg,
             cameras=list(cameras),
@@ -254,7 +256,7 @@ class PipelineConfig:
             window_ms=float(number_field(d, "window_ms", 500.0, low=0)),
             max_stale_windows=integer_field(d, "max_stale_windows", 2, low=0),
             optimizer=nsga2.OptimizerParams.from_dict(d.get("optimizer", {})),
-            policy=d.get("policy", "knee"),
+            policy=policy,
             guidance_pad_s=integer_field(d, "guidance_pad_s", 0, low=0),
             timing=d.get("timing", "real"),
             time_scale=float(number_field(d, "time_scale", 1.0, low=0)),

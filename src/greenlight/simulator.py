@@ -7,15 +7,18 @@ blackouts. Runs are bit-reproducible from their seeds.
 
 A run draws all its arrivals in one ``poisson(rates, size=(horizon, L, 2))``
 call, which yields the same stream as one draw per second, link and class,
-and marks blackout seconds in a mask before the first step.
+and marks blackout seconds in a mask before the first step. It then
+advances a stretch of constant signal state at a time and keeps queues,
+arrivals, discharge and phase state as per-second columns (``SimTrace``).
 """
 
 from __future__ import annotations
 
-import math
+import bisect
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,6 +29,9 @@ from .core import (
     QueueState,
     SignalPlan,
     check_fields,
+    integer_field,
+    integer_list,
+    number_field,
     validate_plan,
 )
 
@@ -69,7 +75,7 @@ class ArrivalModel:
         return cls(
             motorized_rates=tuple(d["motorized_rates"]),
             non_motorized_rates=tuple(d["non_motorized_rates"]),
-            rng_seed=int(d.get("rng_seed", 0)),
+            rng_seed=integer_field(d, "rng_seed", 0, low=0),
         )
 
 
@@ -162,6 +168,14 @@ class SimOptions:
             raise ConfigError("observation_noise_p must be in [0, 1]")
         if self.sensing_latency_s < 0:
             raise ConfigError("sensing_latency_s must be >= 0")
+        for counts in (self.initial_motorized, self.initial_non_motorized):
+            if counts is not None and not all(
+                isinstance(c, numbers.Integral) and not isinstance(c, bool)
+                and c >= 0 for c in counts
+            ):
+                raise ConfigError(
+                    f"initial queues must be integers >= 0, got {counts!r}"
+                )
         for b in self.blackouts:
             if not (
                 isinstance(b, (list, tuple)) and len(b) == 2
@@ -179,30 +193,31 @@ class SimOptions:
         for key in ("emergency_events", "blackouts"):
             if not isinstance(d.get(key, []), list):
                 raise ConfigError(f"{key} must be a list")
+        events = []
         for e in d.get("emergency_events", []):
             if not (isinstance(e, dict) and "time_s" in e and "link" in e):
                 raise ConfigError(
                     f"emergency event needs 'time_s' and 'link', got {e!r}"
                 )
+            events.append(EmergencyEvent(time_s=integer_field(e, "time_s"),
+                                         link=integer_field(e, "link")))
+        initial = {
+            key: tuple(integer_list(d, key, low=0)) if key in d else None
+            for key in ("initial_motorized", "initial_non_motorized")
+        }
         return cls(
-            observation_noise_p=float(d.get("observation_noise_p", 1.0)),
-            guidance_pad_s=int(d.get("guidance_pad_s", 0)),
-            sensing_latency_s=int(d.get("sensing_latency_s", 2)),
-            emergency_events=[
-                EmergencyEvent(time_s=int(e["time_s"]), link=int(e["link"]))
-                for e in d.get("emergency_events", [])
-            ],
+            observation_noise_p=float(number_field(d, "observation_noise_p", 1.0)),
+            guidance_pad_s=integer_field(d, "guidance_pad_s", 0, low=0),
+            sensing_latency_s=integer_field(d, "sensing_latency_s", 2, low=0),
+            emergency_events=events,
             blackouts=d.get("blackouts", []),
-            initial_motorized=(
-                tuple(d["initial_motorized"]) if "initial_motorized" in d else None
-            ),
-            initial_non_motorized=(
-                tuple(d["initial_non_motorized"])
-                if "initial_non_motorized" in d
-                else None
-            ),
-            noise_seed=int(d.get("noise_seed", 1)),
+            noise_seed=integer_field(d, "noise_seed", 1, low=0),
+            **initial,
         )
+
+
+GREEN, PAD, INTER_GREEN = 0, 1, 2
+PHASE_STATES = ("green", "pad", "inter_green")  # indexed by the codes above
 
 
 @dataclass
@@ -213,6 +228,49 @@ class TimeStep:
     phase_state: str  # "green" | "pad" | "inter_green"
     arrivals: list[int]
     discharged: list[int]
+
+
+class SimTrace(Sequence):
+    """The per-second columns of one run.
+
+    ``queues``, ``arrivals`` and ``discharged`` are ``(horizon, L)`` int64
+    arrays (motorized + non-motorized), ``active_link`` and ``phase`` (a
+    code into ``PHASE_STATES``) ``(horizon,)`` arrays. Indexing, slicing
+    or iterating builds ``TimeStep`` rows of Python ints.
+    """
+
+    def __init__(self, queues: np.ndarray, arrivals: np.ndarray,
+                 discharged: np.ndarray, active_link: np.ndarray,
+                 phase: np.ndarray):
+        self.queues = queues
+        self.arrivals = arrivals
+        self.discharged = discharged
+        self.active_link = active_link
+        self.phase = phase
+
+    def __len__(self) -> int:
+        return len(self.phase)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[t] for t in range(len(self))[i]]
+        t = range(len(self))[i]
+        return TimeStep(
+            t=t,
+            queues=self.queues[t].tolist(),
+            active_link=int(self.active_link[t]),
+            phase_state=PHASE_STATES[self.phase[t]],
+            arrivals=self.arrivals[t].tolist(),
+            discharged=self.discharged[t].tolist(),
+        )
+
+    def __iter__(self):
+        rows = zip(self.queues.tolist(), self.active_link.tolist(),
+                   self.phase.tolist(), self.arrivals.tolist(),
+                   self.discharged.tolist())
+        for t, (queues, link, phase, arrivals, discharged) in enumerate(rows):
+            yield TimeStep(t, queues, link, PHASE_STATES[phase], arrivals,
+                           discharged)
 
 
 def apply_emergency_reorder(
@@ -238,43 +296,46 @@ def apply_emergency_reorder(
     )
 
 
-class _CycleSchedule:
-    """Expands a plan into per-second (phase index, state, link) slots.
+class _Cycle:
+    """A plan's cycle as segments of constant state.
 
-    Kept mutable so an emergency reorder can rewrite the not-yet-served
-    tail of the cycle mid-flight.
+    Each segment is (end second, phase index, state code, link), ends
+    counted from the cycle start; ``pos`` is the seconds already run and
+    ``length`` the second the cycle ends. An emergency reorder may rewrite
+    the not-yet-served phases, or cut the cycle at the end of the active
+    phase.
     """
 
     def __init__(self, plan: SignalPlan):
-        self.plan = plan
-        self.pos = 0  # seconds into the cycle
+        self.pos = 0
         self.pending_priority: Optional[int] = None  # link to lead next cycle
-        self._rebuild()
+        self._lay_out(plan)
 
-    def _rebuild(self) -> None:
-        slots: list[tuple[int, str, int]] = []
-        for idx, (link, g) in enumerate(self.plan.phases):
-            slots += [(idx, "pad", link)] * self.plan.guidance_pad_s
-            slots += [(idx, "green", link)] * g
-            slots += [(idx, "pad", link)] * self.plan.guidance_pad_s
-            slots += [(idx, "inter_green", -1)] * self.plan.inter_green_s
-        self.slots = slots
+    def _lay_out(self, plan: SignalPlan) -> None:
+        self.plan = plan
+        pad, clearance = plan.guidance_pad_s, plan.inter_green_s
+        segments = []
+        end = 0
+        for idx, (link, g) in enumerate(plan.phases):
+            for n, state, shown in ((pad, PAD, link), (g, GREEN, link),
+                                    (pad, PAD, link), (clearance, INTER_GREEN, -1)):
+                if n > 0:
+                    end += n
+                    segments.append((end, idx, state, shown))
+        self.segments = segments
+        self.ends = [seg[0] for seg in segments]
+        self.length = end
 
     @property
     def done(self) -> bool:
-        return self.pos >= len(self.slots)
+        return self.pos >= self.length
 
-    def current(self) -> tuple[int, str, int]:
-        return self.slots[self.pos]
-
-    def advance(self) -> None:
-        self.pos += 1
+    def current(self) -> int:
+        """Index of the segment that holds second ``pos``."""
+        return bisect.bisect_right(self.ends, self.pos)
 
     def reorder(self, event: EmergencyEvent) -> None:
-        if self.done:
-            self.pending_priority = event.link
-            return
-        active_idx = self.slots[self.pos][0]
+        active_idx = self.segments[self.current()][1]
         pos = next(
             (k for k, (l, _) in enumerate(self.plan.phases) if l == event.link), None
         )
@@ -283,17 +344,13 @@ class _CycleSchedule:
         if pos < active_idx:
             # Already served this cycle: finish the active phase, then start
             # a fresh cycle led by the emergency link.
-            cut = self.pos
-            while cut < len(self.slots) and self.slots[cut][0] == active_idx:
-                cut += 1
-            self.slots = self.slots[:cut]
+            self.length = max(end for end, idx, _, _ in self.segments
+                              if idx == active_idx)
             self.pending_priority = event.link
             return
         new_plan = apply_emergency_reorder(self.plan, event, active_idx)
-        if new_plan is self.plan:
-            return
-        self.plan = new_plan
-        self._rebuild()
+        if new_plan is not self.plan:
+            self._lay_out(new_plan)
 
 
 def simulate(
@@ -302,13 +359,19 @@ def simulate(
     controller,
     horizon_s: int,
     options: Optional[SimOptions] = None,
-) -> tuple[SimMetrics, list[TimeStep]]:
+) -> tuple[SimMetrics, SimTrace]:
     """Run a second-by-second simulation of one intersection.
 
     Each second: arrivals accrue on every link, then the currently green
     link discharges at the class saturation rates. The controller is
     consulted once per completed cycle with the queue state observed
     ``sensing_latency_s`` earlier.
+
+    The run advances one stretch of constant signal state at a time. A
+    stretch ends at a segment boundary, a blackout edge during a green, an
+    emergency event or the horizon. Inside a stretch every link but the
+    served one adds up its arrivals; the served link of a lit green follows
+    Lindley's recursion q_t = max(0, q_{t-1} + a_t - c_t).
     """
     if options is None:
         options = SimOptions()
@@ -323,28 +386,58 @@ def simulate(
     arrival_rng = np.random.default_rng(demand.rng_seed)
     noise_rng = np.random.default_rng(options.noise_seed)
 
-    q_m = list(options.initial_motorized or (0,) * L)
-    q_nm = list(options.initial_non_motorized or (0,) * L)
-    if len(q_m) != L or len(q_nm) != L:
+    initial = (options.initial_motorized or (0,) * L,
+               options.initial_non_motorized or (0,) * L)
+    if len(initial[0]) != L or len(initial[1]) != L:
         raise ConfigError("initial queues must have one entry per link")
 
-    history: list[tuple[list[int], list[int]]] = [(list(q_m), list(q_nm))]
-    events = sorted(options.emergency_events, key=lambda e: e.time_s)
-    next_event = 0
+    # Every arrival up front: numpy draws an array's variates in C order
+    # from the same stream, so the [t][link] = (motorized, non-motorized)
+    # layout replays a per-second, per-link, per-class draw loop exactly.
+    rates = np.array([demand.motorized_rates, demand.non_motorized_rates]).T
+    arrivals = arrival_rng.poisson(rates, size=(horizon_s, L, 2))
+    # reached[k]: initial queue plus every arrival of seconds [0, k), per
+    # link and class; the queue after k seconds is that minus discharge.
+    reached = np.empty((horizon_s + 1, L, 2), dtype=np.int64)
+    reached[0] = np.array(initial, dtype=np.int64).T
+    np.cumsum(arrivals, axis=0, out=reached[1:])
+    reached[1:] += reached[0]
+    discharged = np.zeros((horizon_s, L, 2), dtype=np.int64)
+    served = np.zeros((L, 2), dtype=np.int64)  # discharged before second t
+    active = np.empty(horizon_s, dtype=np.int64)
+    phase = np.empty(horizon_s, dtype=np.int8)
+
+    seconds = np.arange(horizon_s)
+    dark = np.zeros(horizon_s, dtype=bool)
+    for s, e in options.blackouts:
+        dark |= (s <= seconds) & (seconds < e)
+    dark_edges = (np.flatnonzero(dark[1:] != dark[:-1]) + 1).tolist()
+    dark = dark.tolist()
+
+    # Fractional saturation flows discharge on the floor(rate*k) lattice so
+    # a full green matches the optimizer's discharge model exactly:
+    # capacity[k] is what the (k+1)-th lit green second of a phase may
+    # discharge, per class.
+    most = min(int(cfg.max_green_s), horizon_s)
+    lattice = np.floor(np.multiply.outer(
+        np.arange(most + 1),
+        (cfg.sat_flow_motorized, cfg.sat_flow_non_motorized),
+    )).astype(np.int64)
+    capacity = lattice[1:] - lattice[:-1]
 
     def observe(t: int) -> QueueState:
         past = max(0, t - options.sensing_latency_s)
-        m, nm = history[min(past, len(history) - 1)]
+        m, nm = (reached[past] - served + discharged[past:t].sum(axis=0)).T.tolist()
         p = options.observation_noise_p
         if p >= 1.0:
-            om, onm = list(m), list(nm)
+            om, onm = m, nm
         else:
             om = [int(noise_rng.binomial(c, p)) for c in m]
             onm = [int(noise_rng.binomial(c, p)) for c in nm]
         return QueueState(motorized=tuple(om), non_motorized=tuple(onm),
                           timestamp_ms=t * 1000)
 
-    def new_cycle(t: int, priority_link: Optional[int] = None) -> _CycleSchedule:
+    def new_cycle(t: int, priority_link: Optional[int] = None) -> _Cycle:
         plan = controller.next_plan(observe(t))
         violations = validate_plan(plan, cfg)
         if violations:
@@ -355,85 +448,68 @@ def simulate(
             plan = apply_emergency_reorder(
                 plan, EmergencyEvent(time_s=t, link=priority_link), active_index=-1
             )
-        return _CycleSchedule(plan)
+        return _Cycle(plan)
 
-    schedule = new_cycle(0)
-    # Fractional saturation flows discharge on the floor(rate*k) lattice so
-    # a full green matches the optimizer's discharge model exactly.
-    green_elapsed = 0
-    throughput = 0
-    steps: list[TimeStep] = []
-
-    # Every arrival up front: numpy draws an array's variates in C order
-    # from the same stream, so the [t][link] = (motorized, non-motorized)
-    # layout replays a per-second, per-link, per-class draw loop exactly.
-    rates = np.array([demand.motorized_rates, demand.non_motorized_rates]).T
-    arrivals_by_t = arrival_rng.poisson(rates, size=(horizon_s, L, 2))
-    blackout = [False] * horizon_s
-    for s, e in options.blackouts:
-        for t in range(horizon_s):
-            if s <= t < e:
-                blackout[t] = True
-
-    for t in range(horizon_s):
-        if schedule.done:
-            schedule = new_cycle(t, schedule.pending_priority)
+    events = sorted(options.emergency_events, key=lambda e: e.time_s)
+    next_event = 0
+    cycle = new_cycle(0)
+    green_elapsed = 0  # lit green seconds of the current phase so far
+    t = 0
+    while t < horizon_s:
+        if cycle.done:
+            cycle = new_cycle(t, cycle.pending_priority)
         while next_event < len(events) and events[next_event].time_s <= t:
-            schedule.reorder(events[next_event])
+            cycle.reorder(events[next_event])
             next_event += 1
 
-        phase_idx, state, link = schedule.current()
+        k = cycle.current()
+        end, idx, state, link = cycle.segments[k]
+        stop = min(t + end - cycle.pos, horizon_s)
+        if next_event < len(events):
+            stop = min(stop, events[next_event].time_s)
+        lit = False
+        if state == GREEN:
+            lit = not dark[t]
+            edge = bisect.bisect_right(dark_edges, t)
+            if edge < len(dark_edges):
+                stop = min(stop, dark_edges[edge])
+        n = stop - t
+        active[t:stop] = link
+        phase[t:stop] = state
 
-        arrivals = [0] * L
-        for i, (a_m, a_nm) in enumerate(arrivals_by_t[t].tolist()):
-            arrivals[i] = a_m + a_nm
-            q_m[i] += a_m
-            q_nm[i] += a_nm
+        if lit:
+            # Lindley's recursion in closed form: with w the running sum of
+            # arrivals minus capacity from the queue at t, the queue is
+            # w - low, where low = min(0, running minimum of w) is the
+            # capacity left idle so far (as a negative number).
+            a = arrivals[t:stop, link]
+            cap = capacity[green_elapsed:green_elapsed + n]
+            w = np.cumsum(a - cap, axis=0)
+            w += reached[t, link] - served[link]
+            low = np.minimum.accumulate(np.minimum(w, 0), axis=0)
+            out = cap + low
+            out[1:] -= low[:-1]
+            discharged[t:stop, link] = out
+            served[link] += out.sum(axis=0)
+            green_elapsed += n
 
-        discharged = [0] * L
-        if state == "green" and not blackout[t]:
-            green_elapsed += 1
-            cap_m = (
-                math.floor(cfg.sat_flow_motorized * green_elapsed)
-                - math.floor(cfg.sat_flow_motorized * (green_elapsed - 1))
-            )
-            cap_nm = (
-                math.floor(cfg.sat_flow_non_motorized * green_elapsed)
-                - math.floor(cfg.sat_flow_non_motorized * (green_elapsed - 1))
-            )
-            d_m = min(q_m[link], cap_m)
-            d_nm = min(q_nm[link], cap_nm)
-            q_m[link] -= d_m
-            q_nm[link] -= d_nm
-            discharged[link] = d_m + d_nm
-            throughput += d_m + d_nm
-
-        schedule.advance()
-        if schedule.done or schedule.current()[0] != phase_idx:
+        cycle.pos += n
+        t = stop
+        if cycle.done or (cycle.pos == end and cycle.segments[k + 1][1] != idx):
             green_elapsed = 0
 
-        history.append((list(q_m), list(q_nm)))
-        steps.append(
-            TimeStep(
-                t=t,
-                queues=[q_m[i] + q_nm[i] for i in range(L)],
-                active_link=link,
-                phase_state=state,
-                arrivals=arrivals,
-                discharged=discharged,
-            )
-        )
-
-    per_link = np.array([s.queues for s in steps])
+    queues = (reached[1:] - np.cumsum(discharged, axis=0)).sum(axis=2)
     metrics = SimMetrics(
-        max_waiting_per_link=[int(v) for v in per_link.max(axis=0)],
-        avg_waiting_per_link=[float(v) for v in per_link.mean(axis=0)],
-        overall_max=int(per_link.max()),
-        overall_avg=float(per_link.mean()),
-        throughput_total=throughput,
+        max_waiting_per_link=[int(v) for v in queues.max(axis=0)],
+        avg_waiting_per_link=[float(v) for v in queues.mean(axis=0)],
+        overall_max=int(queues.max()),
+        overall_avg=float(queues.mean()),
+        throughput_total=int(served.sum()),
         time_horizon_s=horizon_s,
     )
-    return metrics, steps
+    trace = SimTrace(queues, arrivals.sum(axis=2), discharged.sum(axis=2),
+                     active, phase)
+    return metrics, trace
 
 
 def compare_controllers(

@@ -471,3 +471,136 @@ class TestParser:
         assert main(["optimize", "--config", str(tmp_path / "nope.json"),
                      "--queue", str(tmp_path / "nope2.json"),
                      "--out", str(tmp_path / "o")]) == 1
+
+
+ASSETS_DIR = Path(__file__).resolve().parents[1] / "src" / "greenlight" / "assets"
+
+
+class TestLoadTimeChecks:
+    """Numbers, policies and weights are checked when a config loads: a bad
+    value exits 1, runs nothing and leaves no output directory."""
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        from greenlight import simulator
+        calls = []
+        real = simulator.simulate
+        monkeypatch.setattr(simulator, "simulate",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        yield calls
+        assert calls == []
+
+    @pytest.mark.parametrize("compare", [False, True])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw.update(seeds="12"), "seeds must be a list of integers"),
+        (lambda raw: raw.update(seeds=[]), "seeds must list at least one seed"),
+        (lambda raw: raw.update(seeds=[1, 2.5]), "seeds must be an integer, got 2.5"),
+        (lambda raw: raw.update(seeds=[-1]), "seeds must be >= 0"),
+        (lambda raw: raw.update(horizon_s=900.7), "horizon_s must be an integer"),
+        (lambda raw: raw.update(horizon_s="900"), "horizon_s must be a number"),
+        (lambda raw: raw["options"].update(sensing_latency_s=2.7),
+         "sensing_latency_s must be an integer, got 2.7"),
+        (lambda raw: raw["options"].update(observation_noise_p="0.5"),
+         "observation_noise_p must be a number, got '0.5'"),
+        (lambda raw: raw["options"].update(initial_motorized=[1.5, 0, 0, 0, 0]),
+         "initial_motorized must be an integer, got 1.5"),
+        (lambda raw: raw["options"].update(initial_non_motorized=[0, -2, 0, 0, 0]),
+         "initial_non_motorized must be >= 0"),
+        (lambda raw: raw["options"].update(initial_motorized=3),
+         "initial_motorized must be a list of integers"),
+        (lambda raw: raw["options"].update(
+            emergency_events=[{"time_s": 10.5, "link": 1}]),
+         "time_s must be an integer, got 10.5"),
+        (lambda raw: raw["options"].update(
+            emergency_events=[{"time_s": 10, "link": "1"}]),
+         "link must be a number, got '1'"),
+        (lambda raw: raw["options"].update(guidance_pad_s=1.5),
+         "guidance_pad_s must be an integer, got 1.5"),
+        (lambda raw: raw["options"].update(guidance_pad_s=-1),
+         "guidance_pad_s must be >= 0"),
+        (lambda raw: raw["options"].update(noise_seed="3"),
+         "noise_seed must be a number, got '3'"),
+        (lambda raw: raw["demand"].update(rng_seed=1.5),
+         "rng_seed must be an integer, got 1.5"),
+        (lambda raw: raw["controllers"][1].update(policy="kne"),
+         "policy must be one of knee, weighted, min_f1, min_f2, got 'kne'"),
+        (lambda raw: raw["controllers"][1].update(weights=["a", 1]),
+         "weights must be two numbers"),
+        (lambda raw: raw["controllers"][1].update(weights=[1]),
+         "weights must be two numbers"),
+        (lambda raw: raw.update(intersection=dict(
+            read_json(ASSETS_DIR / "palashi5.json"), sat_flow_motorized="0.5")),
+         "sat_flow_motorized must be a number, got '0.5'"),
+        (lambda raw: raw.update(intersection=dict(
+            read_json(ASSETS_DIR / "palashi5.json"), min_green_s=10.5)),
+         "min_green_s must be an integer, got 10.5"),
+        (lambda raw: raw.update(intersection=dict(
+            read_json(ASSETS_DIR / "palashi5.json"), num_links="5")),
+         "num_links must be a number, got '5'"),
+        (lambda raw: raw.update(intersection=dict(
+            read_json(ASSETS_DIR / "palashi5.json"), link_names="abcde")),
+         "link_names must be a list of strings"),
+    ])
+    def test_bad_scenario_number_exits_1(self, quick_scenario, tmp_path, capsys,
+                                         no_simulation, edit, message, compare):
+        raw = read_json(quick_scenario)
+        raw.setdefault("options", {})
+        edit(raw)
+        bad = tmp_path / "bad_scenario.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["simulate", "--scenario", str(bad),
+                     "--out", str(tmp_path / "x")]
+                    + (["--compare"] if compare else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "x").exists()
+
+    def test_integral_float_numbers_load(self, quick_scenario, tmp_path):
+        raw = read_json(quick_scenario)
+        raw.update(horizon_s=300.0, seeds=[1.0])
+        raw["options"].update(sensing_latency_s=2.0, initial_motorized=[3.0] * 5)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(out)]) == 0
+        metrics = read_json(out / "metrics.json")
+        assert metrics["time_horizon_s"] == 300
+        assert isinstance(metrics["throughput_total"], int)
+
+    @pytest.mark.parametrize("config, message", [
+        ({"policy": "kne"}, "policy must be one of"),
+        ({"intersection": {"num_links": 2, "min_green_s": 10.5}},
+         "min_green_s must be an integer, got 10.5"),
+        ({"intersection": {"num_links": 2, "sat_flow_motorized": "0.5"}},
+         "sat_flow_motorized must be a number, got '0.5'"),
+    ])
+    def test_bad_optimize_config_exits_1(self, assets_dir, tmp_path, capsys,
+                                         config, message):
+        raw = {"intersection": read_json(assets_dir / "palashi5.json")}
+        if "intersection" in config:
+            raw["intersection"] = config["intersection"]
+        raw.update({k: v for k, v in config.items() if k != "intersection"})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["optimize", "--config", str(path),
+                     "--queue", str(assets_dir / "queue_sample.json"),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("timing", ["sim", "real"])
+    def test_bad_pipeline_policy_starts_nothing(self, pipeline_cfg_path, tmp_path,
+                                                capsys, monkeypatch, timing):
+        import greenlight.cli
+        started = []
+        monkeypatch.setattr(greenlight.cli, "run_pipeline",
+                            lambda *a, **k: started.append(a))
+        raw = read_json(pipeline_cfg_path)
+        raw["policy"] = "kne"
+        pipeline_cfg_path.write_text(json.dumps(raw))
+        assert main(["pipeline", "--config", str(pipeline_cfg_path),
+                     "--timing", timing, "--out", str(tmp_path / "p")]) == 1
+        assert "policy must be one of" in capsys.readouterr().err
+        assert started == []
+        assert not (tmp_path / "p").exists()
