@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import logging
 import sys
 from datetime import datetime, timezone
@@ -25,12 +24,11 @@ from .core import (
     ConfigError,
     IntersectionConfig,
     QueueState,
+    Section,
     canonical_json,
     dump_json,
-    integer_field,
-    integer_list,
-    load_intersection_config,
-    validate_plan,
+    read_json,
+    setting,
 )
 from .pipeline import AllCamerasStale, PipelineConfig, run_pipeline
 
@@ -62,17 +60,17 @@ def _write_manifest(
     dump_json(manifest, out / "manifest.json")
 
 
-def _load_json(path: str | Path) -> dict:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"{path}: no such file")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: malformed JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    return raw
+@dataclasses.dataclass(frozen=True)
+class OptimizeConfig(Section):
+    """An ``optimize`` config that wraps the intersection with optimizer
+    settings and a selection policy."""
+
+    NAME = "optimize config"
+
+    intersection: IntersectionConfig = setting(IntersectionConfig)
+    optimizer: nsga2.OptimizerParams = setting(
+        nsga2.OptimizerParams, factory=nsga2.OptimizerParams)
+    policy: str = setting(nsga2.POLICIES, "knee")
 
 
 def _parse_weights(s: str) -> tuple[float, float]:
@@ -84,22 +82,16 @@ def _parse_weights(s: str) -> tuple[float, float]:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     started = _utcnow()
-    raw = _load_json(args.config)
-    if "intersection" in raw:
-        cfg = IntersectionConfig.from_dict(raw["intersection"])
-        params_dict = dict(raw.get("optimizer", {}))
-        policy = raw.get("policy", "knee")
+    raw = read_json(args.config)
+    if isinstance(raw, dict) and "intersection" in raw:
+        conf = OptimizeConfig.from_dict(raw)
     else:
-        cfg = IntersectionConfig.from_dict(raw)
-        params_dict = {}
-        policy = "knee"
-    if args.policy:
-        policy = args.policy
-    nsga2.check_selection(policy)
+        conf = OptimizeConfig(IntersectionConfig.from_dict(raw))
+    cfg, params = conf.intersection, conf.optimizer
+    policy = args.policy or conf.policy
     if args.seed is not None:
-        params_dict["rng_seed"] = args.seed
-    params = nsga2.OptimizerParams.from_dict(params_dict)
-    queue = QueueState.from_dict(_load_json(args.queue))
+        params = dataclasses.replace(params, rng_seed=args.seed)
+    queue = QueueState.from_dict(read_json(args.queue))
     if queue.num_links != cfg.num_links:
         raise ConfigError(
             f"queue covers {queue.num_links} links, config has {cfg.num_links}"
@@ -120,7 +112,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         out, "optimize",
         {
             "intersection": cfg.to_dict(),
-            "optimizer": dataclasses.asdict(params),
+            "optimizer": params.to_dict(),
             "policy": policy,
             "guidance_pad_s": args.pad,
             "queue": queue.to_dict(),
@@ -139,22 +131,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def _build_controller(spec: dict, cfg: IntersectionConfig,
                       options: simulator.SimOptions):
-    kind = spec.get("type")
-    pad = options.guidance_pad_s
-    if kind == "fixed":
-        if not isinstance(spec.get("greens"), list):
-            raise ConfigError("fixed controller needs 'greens', one per link")
-        return simulator.FixedTimeController(
-            spec["greens"], cfg, guidance_pad_s=pad, order=spec.get("order")
-        )
-    if kind == "adaptive":
-        params = nsga2.OptimizerParams.from_dict(spec.get("optimizer", {}))
-        policy = spec.get("policy", "knee")
-        weights = nsga2.check_selection(policy, spec.get("weights", (0.5, 0.5)))
-        return simulator.AdaptiveController(
-            cfg, params, policy=policy, guidance_pad_s=pad, weights=weights,
-        )
-    raise ConfigError(f"unknown controller type {kind!r}")
+    kind = {"fixed": simulator.FixedTimeController,
+            "adaptive": simulator.AdaptiveController}[spec["type"]]
+    return kind(cfg=cfg, guidance_pad_s=options.guidance_pad_s,
+                **{k: v for k, v in spec.items() if k not in ("type", "name")})
 
 
 def _write_timeseries(path: Path, steps: simulator.SimTrace, L: int) -> None:
@@ -175,38 +155,13 @@ def _write_timeseries(path: Path, steps: simulator.SimTrace, L: int) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = _utcnow()
-    scenario_path = Path(args.scenario)
-    raw = _load_json(scenario_path)
-
-    inter = raw.get("intersection")
-    if isinstance(inter, str):
-        p = Path(inter)
-        if not p.is_absolute():
-            p = scenario_path.parent / p
-        cfg = load_intersection_config(p)
-    elif isinstance(inter, dict):
-        cfg = IntersectionConfig.from_dict(inter)
-    else:
-        raise ConfigError("scenario needs an 'intersection' entry")
-
-    if "demand" not in raw:
-        raise ConfigError("scenario needs a 'demand' entry")
-    demand = simulator.ArrivalModel.from_dict(raw["demand"])
-    horizon = integer_field(raw, "horizon_s", 0, low=1)
-    options = simulator.SimOptions.from_dict(raw.get("options", {}))
-    seeds = integer_list(raw, "seeds", [0], low=0)
-    if not seeds:
-        raise ConfigError("seeds must list at least one seed")
-    if args.seed is not None:
-        seeds = [args.seed]
-
-    ctrl_specs = raw.get("controllers", [])
-    if not ctrl_specs:
-        raise ConfigError("scenario needs at least one controller")
-    controllers = {
-        spec.get("name", f"controller_{i}"): _build_controller(spec, cfg, options)
-        for i, spec in enumerate(ctrl_specs)
-    }
+    raw = read_json(args.scenario)
+    scenario = simulator.Scenario.from_dict(raw, base_dir=Path(args.scenario).parent)
+    cfg, demand, options = scenario.intersection, scenario.demand, scenario.options
+    horizon = scenario.horizon_s
+    seeds = [args.seed] if args.seed is not None else list(scenario.seeds)
+    controllers = {spec["name"]: _build_controller(spec, cfg, options)
+                   for spec in scenario.controllers}
 
     # The output directory is made only once the run has succeeded, so a
     # scenario that fails validation leaves nothing behind.

@@ -2,147 +2,341 @@
 
 All types here are immutable value objects; they can be shared freely
 between threads.
+
+Every field of every config and input section is declared once, in one
+table: its kind, bounds and default. A ``Section`` dataclass keeps its
+table in ``setting`` field metadata; camera, detector and controller
+entries, which stay JSON objects, are dicts of ``Spec``. ``load_section``
+reads a section from JSON (object, unknown and missing keys, tagged
+entries), ``check`` checks and converts the field values (each ``Section``
+runs it from ``__post_init__``, so direct construction is checked too),
+``dump`` writes the fields back out, and ``read_json`` is the one reader
+of config files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
 from pathlib import Path
-from typing import Any
+from typing import Any, Optional
 
 # A link is one approach road feeding the intersection; links are addressed
 # by their integer index in [0, num_links).
 LinkId = int
+
+# The kind of a number kept as written: a JSON 1 stays an int, 0.5 a float.
+REAL = numbers.Real
 
 
 class ConfigError(ValueError):
     """Raised when a config or input file fails validation."""
 
 
-def check_fields(d: Any, cls: Any, what: str) -> None:
-    """Raise ``ConfigError`` unless ``d`` is a JSON object whose every key
-    names a field of the dataclass ``cls`` (or is in the key set ``cls``);
-    ``what`` names the section."""
+@dataclass(frozen=True, eq=False)
+class ListOf:
+    """A JSON list of ``kind`` items, loaded as a tuple; ``size`` fixes
+    its length, ``nonempty`` forbids ``[]``, ``entry`` names one item in
+    messages ("camera 0")."""
+
+    kind: Any
+    size: Optional[int] = None
+    nonempty: bool = False
+    entry: str = ""
+
+
+@dataclass(frozen=True, eq=False)
+class OneOf:
+    """An object whose ``tag`` key (``default`` when absent) picks the
+    table of its other keys from ``variants``."""
+
+    tag: str
+    variants: dict
+    default: Optional[str] = None
+
+
+@dataclass(frozen=True, eq=False)
+class Spec:
+    """One field: its kind and bounds.
+
+    ``kind`` is ``int`` (an integral number; ``40.0`` loads as 40),
+    ``float`` (a number, loaded as a float), ``REAL``, ``str``, a tuple of
+    allowed strings, a ``ListOf``, a ``Section`` class, a dict table of
+    ``Spec``, a ``OneOf``, or None for any JSON value. Bools, strings and
+    non-finite numbers are not numbers. Bounds (``low`` <= value <=
+    ``high``, value > ``above``) hold for a number and for each number in
+    a list. ``error`` replaces the message of any failure of the field
+    itself, a missing key included; with ``path``, a string names a JSON
+    file that holds the section.
+    """
+
+    kind: Any
+    low: Any = None
+    high: Any = None
+    above: Any = None
+    required: bool = False
+    nullable: bool = False
+    error: Optional[str] = None
+    path: bool = False
+
+
+def setting(kind: Any, default: Any = MISSING, *, factory: Any = MISSING,
+            **spec: Any) -> Any:
+    """A ``Section`` field declared by its ``Spec``: required unless it has
+    a ``default`` (or a ``factory`` for mutable ones); a None default
+    admits null."""
+    return field(default=default, default_factory=factory, metadata={
+        "spec": Spec(kind, nullable=default is None, **spec)})
+
+
+def table(section: Any) -> dict:
+    """The field table (name -> ``Spec``) of a ``Section`` class or dict."""
+    return section if isinstance(section, dict) else _fields_table(section)
+
+
+@cache
+def _fields_table(cls: type) -> dict:
+    return {
+        f.name: replace(f.metadata["spec"], required=(
+            f.default is MISSING and f.default_factory is MISSING))
+        for f in fields(cls) if "spec" in f.metadata
+    }
+
+
+class Section:
+    """Mixin for a dataclass whose fields are ``setting``s: checked on
+    construction, read by ``from_dict``/``load`` and written by ``to_dict``.
+    ``NAME`` names the section in messages."""
+
+    NAME = ""
+
+    def __post_init__(self) -> None:
+        check(self)
+
+    @classmethod
+    def from_dict(cls, d: Any, base_dir: Optional[Path] = None):
+        """Load from a JSON value; a relative file path in it is taken
+        from ``base_dir``."""
+        return load_section(cls, d, cls.NAME, base_dir=base_dir)
+
+    @classmethod
+    def load(cls, path: str | Path):
+        """Load from a JSON file."""
+        return cls.from_dict(read_json(path), base_dir=Path(path).parent)
+
+    def to_dict(self) -> dict[str, Any]:
+        return dump(self)
+
+
+def read_json(path: str | Path) -> Any:
+    """Parse a JSON file; any failure to read or parse it is a
+    ``ConfigError``."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"{path}: no such file") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: malformed JSON: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from None
+
+
+def _fail(spec: Spec, message: str):
+    raise ConfigError(spec.error or message)
+
+
+_NUMBERS = (int, float, REAL)
+_PLURALS = {None: "values", int: "integers", float: "numbers", REAL: "numbers",
+            str: "strings"}
+
+
+def _is_section(kind: Any) -> bool:
+    return isinstance(kind, (dict, OneOf)) or (
+        isinstance(kind, type) and issubclass(kind, Section))
+
+
+def _convert(spec: Spec, kind: Any, key: str, v: Any) -> Any:
+    """``v`` checked against ``kind`` and the bounds of ``spec``."""
+    if kind in _NUMBERS:
+        return _number(spec, kind, key, v)
+    if kind is None:
+        return v
+    if isinstance(kind, ListOf):
+        if not isinstance(v, (list, tuple)) or kind.size not in (None, len(v)):
+            size = "" if kind.size is None else f"{kind.size} "
+            plural = _PLURALS.get(kind.kind, "lists" if isinstance(
+                kind.kind, ListOf) else "objects")
+            _fail(spec, f"{key} must be a list of {size}{plural}, got {v!r}")
+        if kind.nonempty and not v:
+            _fail(spec, f"{key} must list at least one {kind.entry}")
+        item = kind.kind
+        if item in _NUMBERS:
+            return tuple([_number(spec, item, key, x) for x in v])
+        if _is_section(item):
+            return tuple(load_section(item, x, f"{kind.entry} {i}", kind.entry,
+                                      entry=True) for i, x in enumerate(v))
+        return tuple([_convert(spec, item, key, x) for x in v])
+    if kind is str or isinstance(kind, tuple):
+        if not isinstance(v, str) or (kind is not str and v not in kind):
+            _fail(spec, f"{key} must be a string, got {v!r}" if kind is str else
+                  f"{key} must be one of {', '.join(kind)}, got {v!r}")
+        return v
+    return load_section(kind, v, key)
+
+
+def _number(spec: Spec, kind: Any, key: str, v: Any) -> Any:
+    if kind is int and type(v) is int:  # the common case, already final
+        pass
+    elif isinstance(v, bool) or not isinstance(v, numbers.Real):
+        _fail(spec, f"{key} must be a number, got {v!r}")
+    elif kind is int:
+        if not isinstance(v, numbers.Integral) and not (
+                math.isfinite(v) and float(v).is_integer()):
+            _fail(spec, f"{key} must be an integer, got {v!r}")
+        v = int(v)
+    else:
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:  # an int beyond any float
+            finite = False
+        if not finite:
+            _fail(spec, f"{key} must be a finite number, got {v!r}")
+        if kind is float:
+            v = float(v)
+    low, high = spec.low, spec.high
+    if (low is not None and v < low) or (high is not None and v > high):
+        _fail(spec, f"{key} must be >= {low}, got {v!r}" if high is None
+              else f"{key} must be in [{low}, {high}], got {v!r}")
+    if spec.above is not None and v <= spec.above:
+        _fail(spec, f"{key} must be > {spec.above}, got {v!r}")
+    return v
+
+
+def _value(spec: Spec, key: str, v: Any) -> Any:
+    if v is None and spec.nullable:
+        return None
+    if spec.path and isinstance(v, str):
+        v = read_json(v)
+    return _convert(spec, spec.kind, key, v)
+
+
+def check(obj: Section) -> None:
+    """Check and convert every ``setting`` field of ``obj`` in place."""
+    for key, spec in table(type(obj)).items():
+        object.__setattr__(obj, key, _value(spec, key, getattr(obj, key)))
+
+
+def load_section(section: Any, d: Any, label: str, noun: str = "", *,
+                 entry: bool = False, base_dir: Optional[Path] = None) -> Any:
+    """Read one section (a ``Section`` class, a dict table or a ``OneOf``)
+    from the JSON value ``d``: a ``Section`` instance, or a dict of the keys
+    given for a dict table. An instance of a ``Section`` class is taken
+    as it is.
+
+    ``label`` names the section in messages ("options", "camera 0"), and
+    ``noun`` the kind of entry; an error inside a list entry (``entry``) is
+    prefixed by its label. A relative file path is taken from ``base_dir``.
+    """
+    if isinstance(section, type) and isinstance(d, section):
+        return d
     if not isinstance(d, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {d!r}")
-    names = {f.name for f in fields(cls)} if is_dataclass(cls) else set(cls)
-    unknown = sorted(set(d) - names)
+        raise ConfigError(f"{label} must be a JSON object, got {d!r}")
+    prefix = f"{label}: " if entry else ""
+    if isinstance(section, OneOf):
+        tag = d.get(section.tag, section.default)
+        if not isinstance(tag, str) or tag not in section.variants:
+            raise ConfigError(f"{prefix}unknown type {tag!r}")
+        variant = {section.tag: Spec(str), **section.variants[tag]}
+        return load_section(variant, d, label, f"{tag} {noun}", entry=entry)
+    specs = table(section)
+    unknown = sorted((k for k in d if k not in specs), key=str)
     if unknown:
-        raise ConfigError(f"unknown {what} key {unknown[0]!r}")
+        raise ConfigError(f"unknown {label} key {unknown[0]!r}")
+    needs = [k for k, s in specs.items() if s.required]
+    missing = [k for k in needs if k not in d]
+    if missing:
+        *rest, last = map(repr, needs)
+        keys = f"{', '.join(rest)} and {last}" if rest else last
+        name = getattr(section, "NAME", "") or noun or label
+        raise ConfigError(prefix + (specs[missing[0]].error or f"{name} needs {keys}"))
+    if base_dir is not None:
+        d = {k: str(Path(base_dir, v)) if specs[k].path and isinstance(v, str)
+             else v for k, v in d.items()}
+    try:
+        if isinstance(section, dict):
+            return {k: _value(specs[k], k, v) for k, v in d.items()}
+        return section(**d)
+    except ConfigError as exc:
+        if entry:
+            raise ConfigError(prefix + str(exc)) from None
+        raise
 
 
-def number_field(d: dict, key: str, default: Any = None, low: Any = None):
-    """``d[key]``, or ``default``, which must be a number no less than
-    ``low``; bools and strings raise ``ConfigError``, not coerced."""
-    value = d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    if low is not None and value < low:
-        raise ConfigError(f"{key} must be >= {low}, got {value!r}")
+def dump(value: Any) -> Any:
+    """A section's fields as JSON data, nested sections and lists included."""
+    if isinstance(value, Section):
+        return {f.name: dump(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [dump(v) for v in value]
     return value
 
 
-def integer_field(d: dict, key: str, default: Any = None, low: Any = None) -> int:
-    """``number_field`` for an integral number (``40`` or ``40.0``)."""
-    value = number_field(d, key, default, low)
-    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+_FINITE = Spec(REAL)
 
 
-def integer_list(d: dict, key: str, default: Any = None,
-                 low: Any = None) -> list[int]:
-    """``d[key]``, or ``default``: a list of integral numbers, each no less
-    than ``low``."""
-    value = d.get(key, default)
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list of integers, got {value!r}")
-    return [integer_field({key: v}, key, low=low) for v in value]
+def is_number(v: Any) -> bool:
+    """A finite number, as the ``REAL`` kind takes it."""
+    try:
+        _number(_FINITE, REAL, "", v)
+    except ConfigError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
-class IntersectionConfig:
-    num_links: int
-    link_names: tuple[str, ...] = ()
-    min_green_s: int = 10
-    max_green_s: int = 60
-    inter_green_s: int = 3
-    sat_flow_motorized: float = 0.5
-    sat_flow_non_motorized: float = 0.25
+class IntersectionConfig(Section):
+    NAME = "intersection"
+
+    # Default names are made one per link, so the count has a ceiling.
+    num_links: int = setting(int, low=2, high=100)
+    link_names: tuple[str, ...] = setting(ListOf(str), ())
+    min_green_s: int = setting(int, 10, low=1)
+    max_green_s: int = setting(int, 60, low=1)
+    inter_green_s: int = setting(int, 3, low=0)
+    sat_flow_motorized: float = setting(REAL, 0.5, above=0)
+    sat_flow_non_motorized: float = setting(REAL, 0.25, above=0)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_links, int) or self.num_links < 2:
-            raise ConfigError("num_links must be an integer >= 2")
+        super().__post_init__()
         if not self.link_names:
             object.__setattr__(
                 self, "link_names",
                 tuple(f"link-{i}" for i in range(self.num_links)),
             )
-        else:
-            object.__setattr__(self, "link_names", tuple(self.link_names))
         if len(self.link_names) != self.num_links:
             raise ConfigError("link_names must have exactly num_links entries")
-        if self.min_green_s < 1:
-            raise ConfigError("min_green_s must be >= 1")
         if self.max_green_s < self.min_green_s:
             raise ConfigError("max_green_s must be >= min_green_s")
-        if self.inter_green_s < 0:
-            raise ConfigError("inter_green_s must be >= 0")
-        if self.sat_flow_motorized <= 0:
-            raise ConfigError("sat_flow_motorized must be > 0")
-        if self.sat_flow_non_motorized <= 0:
-            raise ConfigError("sat_flow_non_motorized must be > 0")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "num_links": self.num_links,
-            "link_names": list(self.link_names),
-            "min_green_s": self.min_green_s,
-            "max_green_s": self.max_green_s,
-            "inter_green_s": self.inter_green_s,
-            "sat_flow_motorized": self.sat_flow_motorized,
-            "sat_flow_non_motorized": self.sat_flow_non_motorized,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "IntersectionConfig":
-        check_fields(d, cls, "intersection")
-        if "num_links" not in d:
-            raise ConfigError("missing required field 'num_links'")
-        names = d.get("link_names") or []
-        if not (isinstance(names, (list, tuple))
-                and all(isinstance(n, str) for n in names)):
-            raise ConfigError(f"link_names must be a list of strings, got {names!r}")
-        return cls(
-            num_links=integer_field(d, "num_links"),
-            link_names=tuple(names),
-            min_green_s=integer_field(d, "min_green_s", 10),
-            max_green_s=integer_field(d, "max_green_s", 60),
-            inter_green_s=integer_field(d, "inter_green_s", 3),
-            sat_flow_motorized=number_field(d, "sat_flow_motorized", 0.5),
-            sat_flow_non_motorized=number_field(d, "sat_flow_non_motorized", 0.25),
-        )
 
 
 @dataclass(frozen=True)
-class QueueState:
+class QueueState(Section):
     """Per-link waiting-vehicle counts, split motorized / non-motorized."""
 
-    motorized: tuple[int, ...]
-    non_motorized: tuple[int, ...]
-    timestamp_ms: int = 0
+    NAME = "queue"
+
+    motorized: tuple[int, ...] = setting(ListOf(int), low=0)
+    non_motorized: tuple[int, ...] = setting(ListOf(int), low=0)
+    timestamp_ms: int = setting(int, 0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "motorized", tuple(int(v) for v in self.motorized))
-        object.__setattr__(
-            self, "non_motorized", tuple(int(v) for v in self.non_motorized)
-        )
+        super().__post_init__()
         if len(self.motorized) != len(self.non_motorized):
             raise ConfigError("motorized and non_motorized must have equal length")
-        if any(v < 0 for v in self.motorized + self.non_motorized):
-            raise ConfigError("queue counts must be non-negative")
 
     @property
     def num_links(self) -> int:
@@ -151,27 +345,9 @@ class QueueState:
     def total(self) -> int:
         return sum(self.motorized) + sum(self.non_motorized)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "motorized": list(self.motorized),
-            "non_motorized": list(self.non_motorized),
-            "timestamp_ms": self.timestamp_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "QueueState":
-        try:
-            return cls(
-                motorized=tuple(d["motorized"]),
-                non_motorized=tuple(d["non_motorized"]),
-                timestamp_ms=int(d.get("timestamp_ms", 0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing required field {exc.args[0]!r}") from exc
-
 
 @dataclass(frozen=True)
-class SignalPlan:
+class SignalPlan(Section):
     """One full cycle: an ordered list of (link, green seconds) phases.
 
     ``guidance_pad_s`` seconds are inserted before and after each green to
@@ -179,18 +355,11 @@ class SignalPlan:
     interval between consecutive phases.
     """
 
-    phases: tuple[tuple[LinkId, int], ...]
-    inter_green_s: int = 0
-    guidance_pad_s: int = 0
+    NAME = "plan"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "phases", tuple((int(l), int(g)) for l, g in self.phases)
-        )
-        if self.inter_green_s < 0:
-            raise ConfigError("inter_green_s must be >= 0")
-        if self.guidance_pad_s < 0:
-            raise ConfigError("guidance_pad_s must be >= 0")
+    phases: tuple[tuple[LinkId, int], ...] = setting(ListOf(ListOf(int, size=2)))
+    inter_green_s: int = setting(int, 0, low=0)
+    guidance_pad_s: int = setting(int, 0, low=0)
 
     @property
     def num_links(self) -> int:
@@ -205,76 +374,29 @@ class SignalPlan:
         pads = 2 * self.guidance_pad_s * len(self.phases)
         return sum(self.greens) + pads + len(self.phases) * self.inter_green_s
 
-    def service_time_s(self, link: LinkId) -> int:
-        for lnk, g in self.phases:
-            if lnk == link:
-                return g + 2 * self.guidance_pad_s
-        raise KeyError(f"link {link} not served by plan")
-
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "phases": [[l, g] for l, g in self.phases],
-            "inter_green_s": self.inter_green_s,
-            "guidance_pad_s": self.guidance_pad_s,
-            "cycle_length_s": self.cycle_length_s,
-        }
+        return {**dump(self), "cycle_length_s": self.cycle_length_s}
 
     @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SignalPlan":
-        try:
-            return cls(
-                phases=tuple((int(l), int(g)) for l, g in d["phases"]),
-                inter_green_s=int(d.get("inter_green_s", 0)),
-                guidance_pad_s=int(d.get("guidance_pad_s", 0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing required field {exc.args[0]!r}") from exc
+    def from_dict(cls, d: Any, base_dir: Optional[Path] = None) -> "SignalPlan":
+        # ``cycle_length_s`` is derived: ``to_dict`` writes it for readers.
+        if isinstance(d, dict):
+            d = {k: v for k, v in d.items() if k != "cycle_length_s"}
+        return super().from_dict(d, base_dir)
 
 
 @dataclass(frozen=True)
-class DetectionRecord:
+class DetectionRecord(Section):
     """Per-frame vehicle counts from one camera, four detection classes."""
 
-    camera_id: LinkId
-    frame_ts_ms: int
-    motorized_in: int
-    motorized_out: int = 0
-    non_motorized_in: int = 0
-    non_motorized_out: int = 0
+    NAME = "detection record"
 
-    def __post_init__(self) -> None:
-        counts = (
-            self.motorized_in,
-            self.motorized_out,
-            self.non_motorized_in,
-            self.non_motorized_out,
-        )
-        if any(c < 0 for c in counts):
-            raise ConfigError("detection counts must be non-negative")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "camera_id": self.camera_id,
-            "frame_ts_ms": self.frame_ts_ms,
-            "motorized_in": self.motorized_in,
-            "motorized_out": self.motorized_out,
-            "non_motorized_in": self.non_motorized_in,
-            "non_motorized_out": self.non_motorized_out,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "DetectionRecord":
-        try:
-            return cls(
-                camera_id=int(d["camera_id"]),
-                frame_ts_ms=int(d["frame_ts_ms"]),
-                motorized_in=int(d["motorized_in"]),
-                motorized_out=int(d.get("motorized_out", 0)),
-                non_motorized_in=int(d.get("non_motorized_in", 0)),
-                non_motorized_out=int(d.get("non_motorized_out", 0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing required field {exc.args[0]!r}") from exc
+    camera_id: LinkId = setting(int, low=0)
+    frame_ts_ms: int = setting(int, low=0)
+    motorized_in: int = setting(int, low=0)
+    motorized_out: int = setting(int, 0, low=0)
+    non_motorized_in: int = setting(int, 0, low=0)
+    non_motorized_out: int = setting(int, 0, low=0)
 
 
 @dataclass(frozen=True, order=True)
@@ -294,14 +416,7 @@ class ObjectiveVector:
 
 def load_intersection_config(path: str | Path) -> IntersectionConfig:
     """Load and validate an intersection config JSON file."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    return IntersectionConfig.from_dict(raw)
+    return IntersectionConfig.load(path)
 
 
 def validate_plan(plan: SignalPlan, cfg: IntersectionConfig) -> list[str]:

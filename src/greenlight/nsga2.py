@@ -41,14 +41,14 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import objectives
 from .core import (
+    REAL,
     ConfigError,
     IntersectionConfig,
     ObjectiveVector,
     QueueState,
+    Section,
     SignalPlan,
-    check_fields,
-    integer_field,
-    number_field,
+    setting,
 )
 
 Genome = tuple[int, ...]
@@ -62,7 +62,6 @@ class Individual:
     objectives: ObjectiveVector
     rank: int = -1
     crowding: float = 0.0
-    feasible: bool = True
 
     def to_dict(self) -> dict:
         return {
@@ -73,47 +72,22 @@ class Individual:
 
 
 @dataclass(frozen=True)
-class OptimizerParams:
-    population_size: int = 60
-    generations: int = 100
-    crossover_prob: float = 0.9
-    mutation_prob: Optional[float] = None  # None -> 1/L
-    tournament_size: int = 2
-    rng_seed: int = 0
+class OptimizerParams(Section):
+    NAME = "optimizer"
+
+    population_size: int = setting(int, 60, low=4)
+    generations: int = setting(int, 100, low=1)
+    crossover_prob: float = setting(float, 0.9, low=0, high=1)
+    # None -> 1/L. Kept as written: optimize manifests record a 1 as 1.
+    mutation_prob: Optional[float] = setting(REAL, None, low=0, high=1)
+    tournament_size: int = setting(int, 2, low=2)
+    rng_seed: int = setting(int, 0)
 
     def __post_init__(self) -> None:
-        if self.population_size < 4 or self.population_size % 2 != 0:
-            raise ConfigError("population_size must be an even integer >= 4")
-        if self.generations < 1:
-            raise ConfigError("generations must be >= 1")
-        if not (0.0 <= self.crossover_prob <= 1.0):
-            raise ConfigError("crossover_prob must be in [0, 1]")
-        if self.mutation_prob is not None and not (0.0 <= self.mutation_prob <= 1.0):
-            raise ConfigError("mutation_prob must be in [0, 1]")
-        if self.tournament_size < 2:
-            raise ConfigError("tournament_size must be >= 2")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptimizerParams":
-        """Build from a JSON object; a mistyped value raises ``ConfigError``.
-
-        Integer fields take integral numbers (``40`` or ``40.0``), the
-        probabilities take numbers, and ``mutation_prob`` may be null
-        (1/L). Bools and strings are rejected, not coerced, and so is a
-        key that names no field.
-        """
-        check_fields(d, cls, "optimizer")
-        mutation_prob = d.get("mutation_prob")
-        if mutation_prob is not None:
-            mutation_prob = number_field(d, "mutation_prob")
-        return cls(
-            population_size=integer_field(d, "population_size", 60),
-            generations=integer_field(d, "generations", 100),
-            crossover_prob=float(number_field(d, "crossover_prob", 0.9)),
-            mutation_prob=mutation_prob,
-            tournament_size=integer_field(d, "tournament_size", 2),
-            rng_seed=integer_field(d, "rng_seed", 0),
-        )
+        super().__post_init__()
+        if self.population_size % 2 != 0:
+            raise ConfigError(
+                f"population_size must be even, got {self.population_size}")
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -486,22 +460,6 @@ def run(
 
 
 POLICIES = ("knee", "weighted", "min_f1", "min_f2")
-
-
-def check_selection(policy, weights=(0.5, 0.5)) -> tuple[float, float]:
-    """Raise ``ConfigError`` unless ``policy`` names one of ``POLICIES`` and
-    ``weights`` holds two numbers; returns the weights as a tuple."""
-    if policy not in POLICIES:
-        raise ConfigError(
-            f"policy must be one of {', '.join(POLICIES)}, got {policy!r}"
-        )
-    if not (
-        isinstance(weights, (list, tuple)) and len(weights) == 2
-        and all(isinstance(w, (int, float)) and not isinstance(w, bool)
-                for w in weights)
-    ):
-        raise ConfigError(f"weights must be two numbers, got {weights!r}")
-    return tuple(weights)
 
 
 def select_operating_point(

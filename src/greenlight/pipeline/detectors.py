@@ -89,7 +89,7 @@ class ReplayDetector:
     """Passes a logged DetectionRecord payload through unchanged."""
 
     def __init__(self, delay_ms: float = 0.0):
-        self.delay_ms = delay_ms
+        self.delay_ms = float(delay_ms)
 
     def detect(self, frame: Frame) -> tuple[DetectionRecord, float]:
         record = frame.payload

@@ -15,25 +15,25 @@ clock, so every output (including the ledger) is deterministic.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Optional
 
 from .. import nsga2
 from ..core import (
+    REAL,
     ConfigError,
     DetectionRecord,
     IntersectionConfig,
+    ListOf,
+    OneOf,
     QueueState,
+    Section,
     SignalPlan,
-    check_fields,
-    integer_field,
-    load_intersection_config,
-    number_field,
+    Spec,
+    setting,
 )
 from .buffers import Frame, FrameSlot
 from .detectors import DetectorAdapter, ReplayDetector, SyntheticDetector
@@ -180,99 +180,60 @@ class Aggregator:
             return queue, stale_links
 
 
-# The keys of a synthetic camera entry: SyntheticCamera arguments, by type.
-_SYNTHETIC = {"fps": float, "motorized_in": int, "non_motorized_in": int,
-              "motorized_out": int, "non_motorized_out": int,
-              "extract_delay_ms": float, "jitter_ms": float, "n_frames": int}
-_DETECTOR_KEYS = ("delay_ms", "jitter_ms", "miss_rate", "false_rate")
-
-
-def _check_camera(spec: Any, what: str) -> None:
-    """Raise ``ConfigError`` unless ``spec`` is a valid camera entry."""
-    replay = isinstance(spec, dict) and spec.get("type") == "replay"
-    check_fields(spec, {"type", "path", "fps"} if replay else {"type", *_SYNTHETIC},
-                 what)
-    try:
-        if spec.get("type", "synthetic") not in ("synthetic", "replay"):
-            raise ConfigError(f"unknown type {spec['type']!r}")
-        if replay and not isinstance(spec.get("path"), str):
-            raise ConfigError("a replay camera needs a 'path' string")
-        for key, kind in _SYNTHETIC.items():
-            if key in spec and (key != "n_frames" or spec[key] is not None):
-                (integer_field if kind is int else number_field)(spec, key, low=0)
-        if spec.get("fps", 10.0) <= 0:
-            raise ConfigError(f"fps must be > 0, got {spec['fps']!r}")
-    except ConfigError as exc:
-        raise ConfigError(f"{what}: {exc}") from None
+# Camera and detector entries stay JSON objects: the manifest records them
+# as written, and the keys given are the arguments of the stage they build
+# (SyntheticCamera or ReplaySource, SyntheticDetector), so an absent key
+# takes that class's default.
+FPS = Spec(REAL, above=0)
+SYNTHETIC_CAMERA = {
+    "fps": FPS,
+    **{key: Spec(int, low=0) for key in (
+        "motorized_in", "non_motorized_in", "motorized_out", "non_motorized_out")},
+    "extract_delay_ms": Spec(REAL, low=0),
+    "jitter_ms": Spec(REAL, low=0),
+    "n_frames": Spec(int, low=0, nullable=True),
+}
+REPLAY_CAMERA = {
+    "path": Spec(str, required=True, error="a replay camera needs a 'path' string"),
+    "fps": FPS,
+}
+CAMERA = OneOf("type", {"synthetic": SYNTHETIC_CAMERA, "replay": REPLAY_CAMERA},
+               default="synthetic")
+DETECTOR = {
+    "delay_ms": Spec(REAL, low=0),
+    "jitter_ms": Spec(REAL, low=0),
+    "miss_rate": Spec(REAL, low=0, high=1),
+    "false_rate": Spec(REAL, low=0),
+}
 
 
 @dataclass
-class PipelineConfig:
-    intersection: IntersectionConfig
-    cameras: list[dict]
-    detector: dict = field(default_factory=dict)
-    window_ms: float = 500.0
-    max_stale_windows: int = 2
-    optimizer: nsga2.OptimizerParams = field(default_factory=nsga2.OptimizerParams)
-    policy: str = "knee"
-    guidance_pad_s: int = 0
-    timing: str = "real"
-    time_scale: float = 1.0
-    nominal_optimization_ms: float = 250.0
-    seed: int = 0
+class PipelineConfig(Section):
+    NAME = "pipeline"
 
-    @classmethod
-    def from_dict(cls, d: dict, base_dir: Optional[Path] = None) -> "PipelineConfig":
-        check_fields(d, cls, "pipeline")
-        inter = d.get("intersection")
-        if isinstance(inter, str):
-            path = Path(inter)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            cfg = load_intersection_config(path)
-        elif isinstance(inter, dict):
-            cfg = IntersectionConfig.from_dict(inter)
-        else:
-            raise ConfigError("pipeline config needs an 'intersection' entry")
-        cameras = d.get("cameras")
-        if not isinstance(cameras, list) or not cameras:
-            raise ConfigError("pipeline config needs a non-empty 'cameras' list")
-        if len(cameras) != cfg.num_links:
+    intersection: IntersectionConfig = setting(IntersectionConfig, path=True)
+    cameras: tuple[dict, ...] = setting(
+        ListOf(CAMERA, nonempty=True, entry="camera"),
+        error="pipeline config needs a non-empty 'cameras' list")
+    detector: dict = setting(DETECTOR, factory=dict)
+    window_ms: float = setting(float, 500.0, low=0)
+    max_stale_windows: int = setting(int, 2, low=0)
+    optimizer: nsga2.OptimizerParams = setting(
+        nsga2.OptimizerParams, factory=nsga2.OptimizerParams)
+    policy: str = setting(nsga2.POLICIES, "knee")
+    guidance_pad_s: int = setting(int, 0, low=0)
+    timing: str = setting(("real", "sim"), "real")
+    time_scale: float = setting(float, 1.0, low=0)
+    nominal_optimization_ms: float = setting(float, 250.0, low=0)
+    seed: int = setting(int, 0)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if len(self.cameras) != self.intersection.num_links:
             raise ConfigError(
-                f"{len(cameras)} cameras configured for {cfg.num_links} links"
+                f"{len(self.cameras)} cameras configured for "
+                f"{self.intersection.num_links} links"
             )
-        for i, spec in enumerate(cameras):
-            _check_camera(spec, f"camera {i}")
-        detector = d.get("detector", {})
-        check_fields(detector, _DETECTOR_KEYS, "detector")
-        for key in _DETECTOR_KEYS:
-            number_field(detector, key, 0.0, low=0)
-        policy = d.get("policy", "knee")
-        nsga2.check_selection(policy)
-        return cls(
-            intersection=cfg,
-            cameras=list(cameras),
-            detector=dict(detector),
-            window_ms=float(number_field(d, "window_ms", 500.0, low=0)),
-            max_stale_windows=integer_field(d, "max_stale_windows", 2, low=0),
-            optimizer=nsga2.OptimizerParams.from_dict(d.get("optimizer", {})),
-            policy=policy,
-            guidance_pad_s=integer_field(d, "guidance_pad_s", 0, low=0),
-            timing=d.get("timing", "real"),
-            time_scale=float(number_field(d, "time_scale", 1.0, low=0)),
-            nominal_optimization_ms=float(
-                number_field(d, "nominal_optimization_ms", 250.0, low=0)),
-            seed=integer_field(d, "seed", 0),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PipelineConfig":
-        path = Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
-        return cls.from_dict(raw, base_dir=path.parent)
 
 
 @dataclass
@@ -303,19 +264,17 @@ def _build_stage(
 ) -> tuple[Iterator[Frame], DetectorAdapter]:
     """Build the (frames, detector) pair for one camera slot; stage sleeps
     are scaled by ``time_scale``."""
+    args = {key: value for key, value in spec.items() if key != "type"}
     if spec.get("type") == "replay":
-        source = ReplaySource(spec["path"], camera_id=camera_id, time_scale=time_scale,
-                              fps=float(spec.get("fps", 10.0)), clock=clock)
-        return iter(source), ReplayDetector(float(cfg.detector.get("delay_ms", 0.0)))
+        source = ReplaySource(camera_id=camera_id, time_scale=time_scale,
+                              clock=clock, **args)
+        delay = {k: v for k, v in cfg.detector.items() if k == "delay_ms"}
+        return iter(source), ReplayDetector(**delay)
     camera = SyntheticCamera(
-        camera_id, time_scale=time_scale, seed=cfg.seed, clock=clock,
-        **{key: kind(spec[key]) for key, kind in _SYNTHETIC.items()
-           if spec.get(key) is not None},
-    )
+        camera_id, time_scale=time_scale, seed=cfg.seed, clock=clock, **args)
     detector = SyntheticDetector(
         time_scale=time_scale, seed=(cfg.seed << 8) ^ (camera_id + 1),
-        **{key: float(value) for key, value in cfg.detector.items()},
-    )
+        **cfg.detector)
     return iter(camera), detector
 
 
@@ -350,8 +309,6 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
     """
     if cycles < 1:
         raise ConfigError("cycles must be >= 1")
-    if cfg.timing not in ("real", "sim"):
-        raise ConfigError(f"unknown timing mode {cfg.timing!r}")
     sim = cfg.timing == "sim"
     clock = VirtualClock() if sim else Clock()
     n = len(cfg.cameras)

@@ -15,48 +15,45 @@ arrivals, discharge and phase state as per-second columns (``SimTrace``).
 from __future__ import annotations
 
 import bisect
-import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import nsga2, objectives
 from .core import (
+    REAL,
     ConfigError,
     IntersectionConfig,
+    ListOf,
+    OneOf,
     QueueState,
+    Section,
     SignalPlan,
-    check_fields,
-    integer_field,
-    integer_list,
-    number_field,
+    Spec,
+    is_number,
+    setting,
     validate_plan,
 )
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
-class ArrivalModel:
+class ArrivalModel(Section):
     """Per-link, per-class Poisson arrival rates in vehicles/second."""
 
-    motorized_rates: tuple[float, ...]
-    non_motorized_rates: tuple[float, ...]
-    rng_seed: int = 0
+    NAME = "demand"
+
+    motorized_rates: tuple[float, ...] = setting(ListOf(None))
+    non_motorized_rates: tuple[float, ...] = setting(ListOf(None))
+    rng_seed: int = setting(int, 0, low=0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "motorized_rates", tuple(self.motorized_rates))
-        object.__setattr__(
-            self, "non_motorized_rates", tuple(self.non_motorized_rates)
-        )
+        super().__post_init__()
         if len(self.motorized_rates) != len(self.non_motorized_rates):
             raise ConfigError("rate vectors must have equal length")
         if not all(
-            _is_number(r) and r >= 0
+            is_number(r) and r >= 0
             for r in self.motorized_rates + self.non_motorized_rates
         ):
             raise ConfigError("arrival rates must be numbers >= 0")
@@ -65,24 +62,13 @@ class ArrivalModel:
     def num_links(self) -> int:
         return len(self.motorized_rates)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArrivalModel":
-        if not isinstance(d, dict):
-            raise ConfigError(f"demand must be a JSON object, got {d!r}")
-        for key in ("motorized_rates", "non_motorized_rates"):
-            if key not in d:
-                raise ConfigError(f"demand needs {key!r}")
-        return cls(
-            motorized_rates=tuple(d["motorized_rates"]),
-            non_motorized_rates=tuple(d["non_motorized_rates"]),
-            rng_seed=integer_field(d, "rng_seed", 0, low=0),
-        )
-
 
 @dataclass(frozen=True)
-class EmergencyEvent:
-    time_s: int
-    link: int
+class EmergencyEvent(Section):
+    NAME = "emergency event"
+
+    time_s: int = setting(int)
+    link: int = setting(int)
 
 
 class FixedTimeController:
@@ -112,11 +98,12 @@ class AdaptiveController:
 
     name = "adaptive"
 
-    def __init__(self, cfg: IntersectionConfig, params: nsga2.OptimizerParams,
+    def __init__(self, cfg: IntersectionConfig,
+                 optimizer: nsga2.OptimizerParams = nsga2.OptimizerParams(),
                  policy: str = "knee", guidance_pad_s: int = 0,
                  weights: tuple[float, float] = (0.5, 0.5)):
         self._cfg = cfg
-        self._params = params
+        self._params = optimizer
         self._policy = policy
         self._pad = guidance_pad_s
         self._weights = weights
@@ -132,8 +119,25 @@ class AdaptiveController:
         )
 
 
+# Controller entries of a scenario stay JSON objects; the keys given are
+# the controller's arguments, so an absent key takes the class's default.
+FIXED_CONTROLLER = {
+    "name": Spec(str),
+    "greens": Spec(ListOf(int), required=True),
+    "order": Spec(ListOf(int), nullable=True),
+}
+ADAPTIVE_CONTROLLER = {
+    "name": Spec(str),
+    "policy": Spec(nsga2.POLICIES),
+    "weights": Spec(ListOf(REAL, size=2), error="weights must be two numbers"),
+    "optimizer": Spec(nsga2.OptimizerParams),
+}
+CONTROLLER = OneOf("type", {"fixed": FIXED_CONTROLLER,
+                            "adaptive": ADAPTIVE_CONTROLLER})
+
+
 @dataclass
-class SimMetrics:
+class SimMetrics(Section):
     max_waiting_per_link: list[int]
     avg_waiting_per_link: list[float]
     overall_max: int
@@ -141,79 +145,59 @@ class SimMetrics:
     throughput_total: int
     time_horizon_s: int
 
-    def to_dict(self) -> dict:
-        return {
-            "max_waiting_per_link": self.max_waiting_per_link,
-            "avg_waiting_per_link": self.avg_waiting_per_link,
-            "overall_max": self.overall_max,
-            "overall_avg": self.overall_avg,
-            "throughput_total": self.throughput_total,
-            "time_horizon_s": self.time_horizon_s,
-        }
-
 
 @dataclass
-class SimOptions:
-    observation_noise_p: float = 1.0  # detection probability per vehicle
-    guidance_pad_s: int = 0
-    sensing_latency_s: int = 2
-    emergency_events: list[EmergencyEvent] = field(default_factory=list)
-    blackouts: list[tuple[int, int]] = field(default_factory=list)  # [start, end)
-    initial_motorized: Optional[tuple[int, ...]] = None
-    initial_non_motorized: Optional[tuple[int, ...]] = None
-    noise_seed: int = 1
+class SimOptions(Section):
+    NAME = "options"
+
+    # Detection probability per vehicle.
+    observation_noise_p: float = setting(float, 1.0, low=0, high=1)
+    guidance_pad_s: int = setting(int, 0, low=0)
+    sensing_latency_s: int = setting(int, 2, low=0)
+    emergency_events: tuple[EmergencyEvent, ...] = setting(
+        ListOf(EmergencyEvent, entry="emergency event"), ())
+    blackouts: tuple[tuple[float, float], ...] = setting(ListOf(None), ())  # [start, end)
+    initial_motorized: Optional[tuple[int, ...]] = setting(ListOf(int), None, low=0)
+    initial_non_motorized: Optional[tuple[int, ...]] = setting(ListOf(int), None, low=0)
+    noise_seed: int = setting(int, 1, low=0)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.observation_noise_p <= 1.0:
-            raise ConfigError("observation_noise_p must be in [0, 1]")
-        if self.sensing_latency_s < 0:
-            raise ConfigError("sensing_latency_s must be >= 0")
-        for counts in (self.initial_motorized, self.initial_non_motorized):
-            if counts is not None and not all(
-                isinstance(c, numbers.Integral) and not isinstance(c, bool)
-                and c >= 0 for c in counts
-            ):
-                raise ConfigError(
-                    f"initial queues must be integers >= 0, got {counts!r}"
-                )
+        super().__post_init__()
         for b in self.blackouts:
             if not (
                 isinstance(b, (list, tuple)) and len(b) == 2
-                and all(_is_number(v) for v in b) and b[0] <= b[1]
+                and all(is_number(v) for v in b) and b[0] <= b[1]
             ):
                 raise ConfigError(
                     f"blackout must be [start, end] numbers with start <= end, "
                     f"got {b!r}"
                 )
-        self.blackouts = [tuple(b) for b in self.blackouts]
+        self.blackouts = tuple(tuple(b) for b in self.blackouts)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimOptions":
-        check_fields(d, cls, "options")
-        for key in ("emergency_events", "blackouts"):
-            if not isinstance(d.get(key, []), list):
-                raise ConfigError(f"{key} must be a list")
-        events = []
-        for e in d.get("emergency_events", []):
-            if not (isinstance(e, dict) and "time_s" in e and "link" in e):
-                raise ConfigError(
-                    f"emergency event needs 'time_s' and 'link', got {e!r}"
-                )
-            events.append(EmergencyEvent(time_s=integer_field(e, "time_s"),
-                                         link=integer_field(e, "link")))
-        initial = {
-            key: tuple(integer_list(d, key, low=0)) if key in d else None
-            for key in ("initial_motorized", "initial_non_motorized")
-        }
-        return cls(
-            observation_noise_p=float(number_field(d, "observation_noise_p", 1.0)),
-            guidance_pad_s=integer_field(d, "guidance_pad_s", 0, low=0),
-            sensing_latency_s=integer_field(d, "sensing_latency_s", 2, low=0),
-            emergency_events=events,
-            blackouts=d.get("blackouts", []),
-            noise_seed=integer_field(d, "noise_seed", 1, low=0),
-            **initial,
-        )
+
+@dataclass
+class Scenario(Section):
+    """A ``simulate`` input: intersection (inline or a file path), demand,
+    horizon, seeds, options and controller entries."""
+
+    NAME = "scenario"
+
+    intersection: IntersectionConfig = setting(IntersectionConfig, path=True)
+    demand: ArrivalModel = setting(ArrivalModel)
+    horizon_s: int = setting(int, low=1)
+    controllers: tuple[dict, ...] = setting(
+        ListOf(CONTROLLER, nonempty=True, entry="controller"))
+    seeds: tuple[int, ...] = setting(
+        ListOf(int, nonempty=True, entry="seed"), (0,), low=0)
+    options: SimOptions = setting(SimOptions, factory=SimOptions)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        names = [spec.setdefault("name", f"controller_{i}")
+                 for i, spec in enumerate(self.controllers)]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigError(f"duplicate controller name {name!r}")
 
 
 GREEN, PAD, INTER_GREEN = 0, 1, 2

@@ -604,3 +604,123 @@ class TestLoadTimeChecks:
         assert "policy must be one of" in capsys.readouterr().err
         assert started == []
         assert not (tmp_path / "p").exists()
+
+
+PALASHI = read_json(ASSETS_DIR / "palashi5.json")
+
+
+class TestConfigFiles:
+    """One reader for every config file: a file that cannot be read is a
+    validation error (exit 1) for every command."""
+
+    @pytest.mark.parametrize("command", ["optimize", "optimize-queue", "simulate",
+                                         "simulate-intersection", "pipeline",
+                                         "pipeline-intersection"])
+    def test_missing_file_exits_1(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "nope.json")
+        config = tmp_path / "config.json"
+        if command.endswith("-intersection"):
+            raw = read_json(ASSETS_DIR / ("scenario_asymmetric.json" if command.startswith(
+                "simulate") else "pipeline_demo.json"))
+            raw["intersection"] = "nope.json"
+            config.write_text(json.dumps(raw))
+        argv = {
+            "optimize": ["optimize", "--config", missing,
+                         "--queue", str(ASSETS_DIR / "queue_sample.json")],
+            "optimize-queue": ["optimize", "--config", str(ASSETS_DIR / "palashi5.json"),
+                               "--queue", missing],
+            "simulate": ["simulate", "--scenario", missing],
+            "simulate-intersection": ["simulate", "--scenario", str(config)],
+            "pipeline": ["pipeline", "--config", missing, "--timing", "sim"],
+            "pipeline-intersection": ["pipeline", "--config", str(config),
+                                      "--timing", "sim"],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.json: no such file" in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestRejectedInputs:
+    """Inputs that used to run something else in silence, coerce a value or
+    end in a traceback: each exits 1 with a ``ConfigError`` message, runs
+    nothing and leaves no output directory."""
+
+    @pytest.mark.parametrize("command, target, edit, message", [
+        ("simulate", "config", lambda raw: raw.update(seed=[3, 4]),
+         "unknown scenario key 'seed'"),
+        ("simulate", "config", lambda raw: raw["demand"].update(rng_sed=3),
+         "unknown demand key 'rng_sed'"),
+        ("simulate", "config", lambda raw: raw["controllers"][1].update(polcy="min_f1"),
+         "unknown controller 1 key 'polcy'"),
+        ("simulate", "config", lambda raw: raw["controllers"][0].update(gren=[30] * 5),
+         "unknown controller 0 key 'gren'"),
+        ("simulate", "config", lambda raw: raw["controllers"][0].update(name=3),
+         "controller 0: name must be a string, got 3"),
+        ("simulate", "config", lambda raw: raw.update(controllers={"a": 1}),
+         "controllers must be a list of objects, got {'a': 1}"),
+        ("simulate", "config", lambda raw: raw.update(controllers=[1, 2]),
+         "controller 0 must be a JSON object, got 1"),
+        ("simulate", "config", lambda raw: raw["controllers"][0].update(type="manual"),
+         "controller 0: unknown type 'manual'"),
+        ("simulate", "config", lambda raw: raw["controllers"][0].update(greens=["30"] * 5),
+         "controller 0: greens must be a number, got '30'"),
+        ("simulate", "config", lambda raw: raw["controllers"][0].update(greens=[10.5] * 5),
+         "controller 0: greens must be an integer, got 10.5"),
+        ("simulate", "config", lambda raw: raw["controllers"].append(
+            dict(raw["controllers"][0], greens=[20] * 5)),
+         "duplicate controller name 'fixed_equal'"),
+        ("simulate", "config", lambda raw: raw.update(controllers=[
+            {"type": "fixed", "greens": [30] * 5},  # named controller_0 by default
+            {"type": "fixed", "greens": [20] * 5, "name": "controller_0"}]),
+         "duplicate controller name 'controller_0'"),
+        ("simulate", "config", lambda raw: raw.update(intersection=dict(
+            PALASHI, sat_flow_motorized=float("inf"))),
+         "sat_flow_motorized must be a finite number, got inf"),
+        ("simulate", "config", lambda raw: raw["demand"].update(
+            motorized_rates=[float("nan")] * 5),
+         "arrival rates must be numbers >= 0"),
+        ("simulate", "config", lambda raw: raw["options"].update(blackouts=[[0, float("inf")]]),
+         "blackout must be [start, end] numbers with start <= end"),
+        ("optimize", "config", lambda raw: raw.update(polcy="min_f1"),
+         "unknown optimize config key 'polcy'"),
+        ("optimize", "config", lambda raw: raw.update(optimizer=None),
+         "optimizer must be a JSON object, got None"),
+        ("optimize", "config", lambda raw: raw["optimizer"].update(mutation_prob=float("nan")),
+         "mutation_prob must be a finite number, got nan"),
+        ("optimize", "queue", lambda q: q.update(motorized=None),
+         "motorized must be a list of integers, got None"),
+        ("optimize", "queue", lambda q: q.update(motorized=[1.5, "3", 0, 0, 0]),
+         "motorized must be an integer, got 1.5"),
+        ("optimize", "queue", lambda q: q.update(motorized="34"),
+         "motorized must be a list of integers, got '34'"),
+        ("optimize", "queue", lambda q: q.update(timestamp_ms=True),
+         "timestamp_ms must be a number, got True"),
+    ])
+    def test_exits_1(self, quick_scenario, tmp_path, capsys, monkeypatch,
+                     command, target, edit, message):
+        from greenlight import nsga2, simulator
+        ran = []
+        monkeypatch.setattr(simulator, "simulate", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(nsga2, "run", lambda *a, **k: ran.append(a))
+        queue = read_json(ASSETS_DIR / "queue_sample.json")
+        if command == "simulate":
+            raw = read_json(quick_scenario)
+            raw.setdefault("options", {})
+        else:
+            raw = {"intersection": dict(PALASHI), "optimizer": {"generations": 5}}
+        edit(queue if target == "queue" else raw)
+        config, queue_path = tmp_path / "config.json", tmp_path / "queue.json"
+        config.write_text(json.dumps(raw))
+        queue_path.write_text(json.dumps(queue))
+        out = str(tmp_path / "o")
+        if command == "simulate":
+            argv = ["simulate", "--scenario", str(config), "--compare", "--out", out]
+        else:
+            argv = ["optimize", "--config", str(config), "--queue", str(queue_path),
+                    "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert ran == []
+        assert not (tmp_path / "o").exists()

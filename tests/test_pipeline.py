@@ -443,3 +443,21 @@ class TestSimFailurePolicies:
         result = run_pipeline(pipeline_config(timing="sim"), 4)
         assert [(s.alive, s.frames, s.detector_errors, s.error)
                 for s in result.camera_status] == [(True, 4, 0, None)] * 2
+
+
+def test_bad_replay_record_kills_its_camera(tmp_path):
+    # A fractional count is a source failure, not a count of 2.
+    log = tmp_path / "replay.ndjson"
+    log.write_text("".join(json.dumps(r) + "\n" for r in (
+        {"camera_id": 1, "frame_ts_ms": 0, "motorized_in": 3},
+        {"camera_id": 1, "frame_ts_ms": 100, "motorized_in": 2.7},
+    )))
+    cfg = pipeline_config(timing="sim", cameras=[
+        sim_cameras()[0], {"type": "replay", "path": str(log)}])
+    result = run_pipeline(cfg, 4)
+    replay = result.camera_status[1]
+    assert not replay.alive
+    assert "motorized_in must be an integer, got 2.7" in replay.error
+    assert [c.stale_links for c in result.cycles] == [[], [1], [1], [1]]
+    # Last counts reused for max_stale_windows windows, then zero.
+    assert [c.queue.motorized[1] for c in result.cycles] == [3, 3, 3, 0]
