@@ -27,6 +27,7 @@ from .core import (
     Section,
     canonical_json,
     dump_json,
+    is_number,
     read_json,
     setting,
 )
@@ -74,14 +75,20 @@ class OptimizeConfig(Section):
 
 
 def _parse_weights(s: str) -> tuple[float, float]:
-    parts = s.split(",")
-    if len(parts) != 2:
-        raise ConfigError("--weights expects two comma-separated numbers")
-    return float(parts[0]), float(parts[1])
+    """Two comma-separated finite numbers, as a controller's ``weights``."""
+    try:
+        weights = tuple(float(part) for part in s.split(","))
+    except ValueError:
+        weights = ()
+    if len(weights) != 2 or not all(map(is_number, weights)):
+        raise ConfigError(
+            f"--weights expects two comma-separated finite numbers, got {s!r}")
+    return weights
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     started = _utcnow()
+    weights = _parse_weights(args.weights) if args.weights else (0.5, 0.5)
     raw = read_json(args.config)
     if isinstance(raw, dict) and "intersection" in raw:
         conf = OptimizeConfig.from_dict(raw)
@@ -98,7 +105,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         )
 
     front = nsga2.run(queue, cfg, params, guidance_pad_s=args.pad)
-    weights = _parse_weights(args.weights) if args.weights else (0.5, 0.5)
     plan = nsga2.select_operating_point(
         front, policy, cfg, guidance_pad_s=args.pad, weights=weights
     )

@@ -8,7 +8,6 @@ from .orchestrator import (
     PipelineConfig,
     PipelineResult,
     run_extraction_worker,
-    run_inference_worker,
     run_pipeline,
 )
 from .sources import ReplaySource, SyntheticCamera
@@ -30,6 +29,5 @@ __all__ = [
     "SyntheticCamera",
     "SyntheticDetector",
     "run_extraction_worker",
-    "run_inference_worker",
     "run_pipeline",
 ]

@@ -6,11 +6,16 @@ aggregator. Each cycle of ``run_pipeline`` collects one window of records
 into a QueueState, drains the stage samples, invokes the optimizer and
 appends a latency-ledger entry.
 
-``timing="real"`` runs the steps in one extraction and one inference
-thread per camera against the wall clock. ``timing="sim"`` starts no
-thread: before each collect the loop moves one frame per live camera
-through the same steps, and the aggregator and sources read a virtual
-clock, so every output (including the ledger) is deterministic.
+Both timings detect one frame per live camera per snapshot.
+``timing="real"`` runs the steps against the wall clock in one extraction
+thread per camera, which captures without pause like an RTSP feed, and
+one detection thread per camera. Taking a snapshot releases each camera's
+next detection, on its first frame captured after the release, so
+detection overlaps the optimizer and a snapshot's records were captured
+close together. ``timing="sim"`` starts no thread: before each collect
+the loop moves one frame per live camera through the same steps, and the
+aggregator and sources read a virtual clock, so every output (including
+the ledger) is deterministic.
 """
 
 from __future__ import annotations
@@ -101,17 +106,70 @@ def run_extraction_worker(
         pass
 
 
-def run_inference_worker(
+class SnapshotGate:
+    """Counts the snapshots the cycle loop takes, for the detection threads.
+
+    ``release`` counts one and stamps it on the pipeline clock. ``wait``
+    blocks until a snapshot after the ``seen``-th, or ``close``; it returns
+    that (count, stamp in ms), or None once closed.
+    """
+
+    def __init__(self, clock: Clock):
+        self._clock = clock
+        self._cond = threading.Condition()
+        self._count = 0
+        self._at_ms = 0.0
+        self._closed = False
+
+    def release(self) -> None:
+        with self._cond:
+            self._count += 1
+            self._at_ms = self._clock.now_ms()
+            self._cond.notify_all()
+
+    def wait(self, seen: int) -> Optional[tuple[int, float]]:
+        with self._cond:
+            self._cond.wait_for(lambda: self._closed or self._count > seen)
+            return None if self._closed else (self._count, self._at_ms)
+
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+
+
+class _CapturedSince:
+    """The frames of ``slot`` captured at or after ``since_ms``: ``take``
+    discards older ones."""
+
+    def __init__(self, slot: FrameSlot, since_ms: float):
+        self._slot = slot
+        self._since_ms = since_ms
+
+    def take(self, timeout: Optional[float]) -> Optional[Frame]:
+        frame = self._slot.take(timeout)
+        while frame is not None and frame.capture_ts_ms < self._since_ms:
+            frame = self._slot.take(timeout)
+        return frame
+
+
+def run_detection_worker(
     slot: FrameSlot,
     detector: DetectorAdapter,
     sink: Callable[[DetectionRecord], None],
     recorder: LatencyRecorder,
-    stop: threading.Event,
     status: CameraStatus,
+    gate: SnapshotGate,
 ) -> None:
-    """Detect on each taken frame until stop."""
-    while not stop.is_set():
-        infer_one(slot, detector, sink, recorder, status, timeout=0.05)
+    """Detect once per released snapshot, on the slot's first frame
+    captured after the release, until the gate closes. A camera still
+    detecting when a snapshot is released serves it as soon as it is done;
+    a dead camera waits on its slot until the slot closes."""
+    seen = 0
+    while (released := gate.wait(seen)) is not None:
+        seen, since_ms = released
+        infer_one(_CapturedSince(slot, since_ms), detector, sink, recorder,
+                  status, timeout=None)
 
 
 class Aggregator:
@@ -298,6 +356,12 @@ def _optimize(
 def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
     """Run ``cycles`` cycles of collect, drain, optimize and ledger entry.
 
+    Each live camera detects one frame per snapshot. In ``real`` timing a
+    snapshot releases the cameras' next detections right after its
+    collect returns (a skipped collect releases too), and each detects
+    its first frame captured after the release, while the optimizer runs.
+    A camera still detecting serves the release once it is done.
+
     In ``sim`` timing the virtual clock advances by each cycle's ledger
     latency, and the ledger charges the optimizer its nominal time, so
     ledgers are reproducible byte for byte. Since that charge does not
@@ -315,6 +379,7 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
     recorder = LatencyRecorder()
     aggregator = Aggregator(n, cfg.max_stale_windows, clock)
     stop = threading.Event()
+    gate = SnapshotGate(clock)
     statuses = [CameraStatus() for _ in range(n)]
     slots = [FrameSlot() for _ in range(n)]
     stages = [_build_stage(spec, i, cfg, 0.0 if sim else cfg.time_scale, clock)
@@ -325,10 +390,11 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
         for name, target, args in (
             ("extract", run_extraction_worker,
              (frames, slots[i], recorder, stop, statuses[i])),
-            ("infer", run_inference_worker,
-             (slots[i], detector, aggregator.submit, recorder, stop, statuses[i])),
+            ("infer", run_detection_worker,
+             (slots[i], detector, aggregator.submit, recorder, statuses[i], gate)),
         )
     ]
+    gate.release()  # before any capture: every camera's first frame counts
     for t in threads:
         t.start()
 
@@ -345,6 +411,7 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
                               statuses[i], timeout=0.0)
             collected = aggregator.collect(cfg.window_ms)
             if collected is None:
+                gate.release()
                 skipped += 1
                 misses += 1
                 log.warning("cycle skipped: all cameras stale")
@@ -353,10 +420,12 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
                 continue
             misses = 0
             queue, stale_links = collected
-            # Drained before optimizing, so the cycle holds the samples of
-            # the records that fed its snapshot: a record delivered while
-            # the optimizer runs feeds the next snapshot, not this one.
+            # Drained before the next detections are released, so the
+            # cycle holds the samples of the records that fed its snapshot:
+            # a record delivered while the optimizer runs feeds the next
+            # snapshot, not this one.
             ext, inf = recorder.drain()
+            gate.release()
             plan, objs, opt_ms = _optimize(cfg, queue, memo)
             entry = CycleLatency(
                 cycle_id=len(results),
@@ -369,6 +438,7 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
             clock.advance(entry.t_latency_ms)
     finally:
         stop.set()
+        gate.close()
         for s in slots:
             s.close()
         for t in threads:

@@ -9,13 +9,14 @@ pipeline's clock.
 from __future__ import annotations
 
 import json
+import os
 import random
 import threading
 import time
 from pathlib import Path
 from typing import Iterator, Optional
 
-from ..core import DetectionRecord
+from ..core import ConfigError, DetectionRecord
 from .buffers import Frame
 
 
@@ -115,13 +116,17 @@ class ReplaySource:
     """Replays a line-delimited JSON detection log as frames.
 
     Each frame's payload is the logged DetectionRecord; pair with the
-    replay detector, which passes it through verbatim.
+    replay detector, which passes it through verbatim. A log that is not a
+    readable file is a ``ConfigError`` when the source is built, before
+    the pipeline starts any thread.
     """
 
     def __init__(self, path: str | Path, camera_id: Optional[int] = None,
                  time_scale: float = 0.0, fps: float = 10.0,
                  clock: Clock = Clock()):
         self.path = Path(path)
+        if not (self.path.is_file() and os.access(self.path, os.R_OK)):
+            raise ConfigError(f"replay log {str(path)!r} is not a readable file")
         self.camera_id = camera_id
         self.time_scale = time_scale
         self.fps = fps

@@ -724,3 +724,43 @@ class TestRejectedInputs:
         assert err.startswith("error: ") and message in err
         assert ran == []
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "abc,1", "1"])
+    def test_bad_weights_exit_1(self, tmp_path, capsys, monkeypatch, weights):
+        from greenlight import nsga2
+        ran = []
+        monkeypatch.setattr(nsga2, "run", lambda *a, **k: ran.append(a))
+        out = tmp_path / "o"
+        assert main(["optimize", "--config", str(ASSETS_DIR / "palashi5.json"),
+                     "--queue", str(ASSETS_DIR / "queue_sample.json"),
+                     "--policy", "weighted", "--weights", weights,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and (
+            f"--weights expects two comma-separated finite numbers, got '{weights}'"
+            in err)
+        assert ran == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("timing", ["sim", "real"])
+    def test_missing_replay_log_exits_1(self, tmp_path, capsys, monkeypatch,
+                                        timing):
+        import threading
+        started = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread.name))
+        raw = read_json(ASSETS_DIR / "pipeline_demo.json")
+        raw["intersection"] = str(ASSETS_DIR / "palashi5.json")
+        # A replay log is opened from the working directory.
+        raw["cameras"] = [{"type": "replay", "path": "no_such_log.ndjson"}] * 5
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(config), "--timing", timing,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and (
+            "replay log 'no_such_log.ndjson' is not a readable file" in err)
+        assert started == []
+        assert not out.exists()

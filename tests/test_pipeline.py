@@ -1,5 +1,6 @@
 import functools
 import json
+import sys
 import threading
 import time
 
@@ -22,7 +23,6 @@ from greenlight.pipeline import (
     SyntheticDetector,
     orchestrator,
     run_extraction_worker,
-    run_inference_worker,
     run_pipeline,
 )
 from greenlight.pipeline.sources import VirtualClock
@@ -107,24 +107,16 @@ class TestExtractionWorker:
         assert len(ext) == 5
 
 
-def drive_inference(frames, detector, timeout=5.0):
+def drive_inference(frames, detector):
+    # One frame at a time through the inference step.
     slot = FrameSlot()
     recorder = LatencyRecorder()
     status = CameraStatus()
-    stop = threading.Event()
     records = []
-    t = threading.Thread(
-        target=run_inference_worker,
-        args=(slot, detector, records.append, recorder, stop, status))
-    t.start()
     for f in frames:
         slot.put(f)
-        deadline = time.monotonic() + timeout
-        while not slot.peek_empty() and time.monotonic() < deadline:
-            time.sleep(0.001)
-        time.sleep(0.005)  # let detect() finish before the next put
-    stop.set()
-    t.join()
+        orchestrator.infer_one(slot, detector, records.append, recorder, status,
+                               timeout=0.0)
     _, inf = recorder.drain()
     return records, inf, status
 
@@ -342,6 +334,112 @@ class TestRunPipeline:
         result = run_pipeline(cfg, 2)
         assert len(result.cycles) == 2
         assert all(c.queue.total() > 0 for c in result.cycles)
+
+
+class TestRealReleaseRule:
+    """Real timing detects one frame per live camera per snapshot: taking a
+    snapshot releases each camera's next detection, on a frame captured
+    after the release."""
+
+    def test_one_detection_per_camera_per_snapshot(self, monkeypatch):
+        # On the pipeline's monotonic clock: ("collect", return ms),
+        # ("detect", camera), ("submit", record), in the order they happen.
+        events = []
+        collect, submit = Aggregator.collect, Aggregator.submit
+        detect = SyntheticDetector.detect
+
+        def watched_collect(self, *args, **kwargs):
+            res = collect(self, *args, **kwargs)
+            events.append(("collect", time.monotonic() * 1e3))
+            return res
+
+        def watched_submit(self, record):
+            events.append(("submit", record))
+            return submit(self, record)
+
+        def watched_detect(self, frame):
+            events.append(("detect", frame.camera_id))
+            return detect(self, frame)
+
+        monkeypatch.setattr(Aggregator, "collect", watched_collect)
+        monkeypatch.setattr(Aggregator, "submit", watched_submit)
+        monkeypatch.setattr(SyntheticDetector, "detect", watched_detect)
+        cameras = [{"fps": 10, "motorized_in": m, "extract_delay_ms": 12,
+                    "jitter_ms": 4} for m in (9, 3, 6)]
+        cfg = pipeline_config(
+            intersection={"num_links": 3, "min_green_s": 5, "max_green_s": 30},
+            cameras=cameras, detector={"delay_ms": 1000, "jitter_ms": 400},
+            window_ms=2000, time_scale=0.05)
+        result = run_pipeline(cfg, 6)
+        assert result.skipped_cycles == 0
+        assert all(not c.stale_links for c in result.cycles)
+
+        # Split the events at each collect: part k+1 holds the detections
+        # and records between snapshots k and k+1, and the last part the
+        # detections in flight at stop.
+        parts, returned = [[]], []
+        for event in events:
+            if event[0] == "collect":
+                returned.append(event[1])
+                parts.append([])
+            else:
+                parts[-1].append(event)
+        assert len(returned) == 6
+        records = [[e[1] for e in part if e[0] == "submit"] for part in parts]
+        for k in range(1, len(returned)):
+            # Captured after snapshot k-1's collect returned; a record keeps
+            # the capture time in whole ms.
+            assert all(r.frame_ts_ms >= int(returned[k - 1])
+                       for r in records[k]), k
+        for k, part in enumerate(parts):
+            detected = [e[1] for e in part if e[0] == "detect"]
+            assert sorted(detected) == sorted(set(detected)), k
+            if k < len(returned):  # fed snapshot k
+                assert sorted(r.camera_id for r in records[k]) == [0, 1, 2], k
+        for c in result.cycles:
+            assert len(c.latency.inference_samples) == 3 - len(c.stale_links)
+
+    def test_gate_serves_the_latest_snapshot_once_under_contention(self):
+        # More waiters than cores and a short switch interval: a lost
+        # wake-up leaves a waiter short of the last snapshot, a repeated
+        # one serves a snapshot twice.
+        gate = orchestrator.SnapshotGate(orchestrator.Clock())
+        served = [[] for _ in range(8)]
+
+        def waiter(i):
+            seen = 0
+            while (snapshot := gate.wait(seen)) is not None:
+                seen = snapshot[0]
+                served[i].append(snapshot)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=waiter, args=(i,))
+                       for i in range(len(served))]
+            for t in threads:
+                t.start()
+            # Bursts of releases, each followed by a wait until every waiter
+            # has served the latest one, so waiters are asleep at a release.
+            deadline = time.monotonic() + 10.0
+            released = 0
+            for burst in range(300):
+                for _ in range(1 + burst % 7):
+                    gate.release()
+                    released += 1
+                while (any(not s or s[-1][0] < released for s in served)
+                       and time.monotonic() < deadline):
+                    time.sleep(0.0002)
+            gate.close()
+            for t in threads:
+                t.join(timeout=5.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for s in served:
+            counts, stamps = [c for c, _ in s], [t for _, t in s]
+            assert counts[-1] == released
+            assert counts == sorted(set(counts)) and stamps == sorted(stamps)
 
 
 def sim_cameras(**second):
