@@ -88,7 +88,8 @@ def _parse_weights(s: str) -> tuple[float, float]:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     started = _utcnow()
-    weights = _parse_weights(args.weights) if args.weights else (0.5, 0.5)
+    weights = (_parse_weights(args.weights) if args.weights is not None
+               else (0.5, 0.5))
     raw = read_json(args.config)
     if isinstance(raw, dict) and "intersection" in raw:
         conf = OptimizeConfig.from_dict(raw)

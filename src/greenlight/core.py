@@ -69,8 +69,9 @@ class Spec:
     non-finite numbers are not numbers. Bounds (``low`` <= value <=
     ``high``, value > ``above``) hold for a number and for each number in
     a list. ``error`` replaces the message of any failure of the field
-    itself, a missing key included; with ``path``, a string names a JSON
-    file that holds the section.
+    itself, a missing key included. With ``path``, a string is a file path,
+    taken from the config file's directory when relative; for a section
+    kind it names a JSON file that holds the section.
     """
 
     kind: Any
@@ -219,7 +220,7 @@ def _number(spec: Spec, kind: Any, key: str, v: Any) -> Any:
 def _value(spec: Spec, key: str, v: Any) -> Any:
     if v is None and spec.nullable:
         return None
-    if spec.path and isinstance(v, str):
+    if spec.path and isinstance(v, str) and _is_section(spec.kind):
         v = read_json(v)
     return _convert(spec, spec.kind, key, v)
 
@@ -251,7 +252,8 @@ def load_section(section: Any, d: Any, label: str, noun: str = "", *,
         if not isinstance(tag, str) or tag not in section.variants:
             raise ConfigError(f"{prefix}unknown type {tag!r}")
         variant = {section.tag: Spec(str), **section.variants[tag]}
-        return load_section(variant, d, label, f"{tag} {noun}", entry=entry)
+        return load_section(variant, d, label, f"{tag} {noun}", entry=entry,
+                            base_dir=base_dir)
     specs = table(section)
     unknown = sorted((k for k in d if k not in specs), key=str)
     if unknown:
@@ -264,8 +266,7 @@ def load_section(section: Any, d: Any, label: str, noun: str = "", *,
         name = getattr(section, "NAME", "") or noun or label
         raise ConfigError(prefix + (specs[missing[0]].error or f"{name} needs {keys}"))
     if base_dir is not None:
-        d = {k: str(Path(base_dir, v)) if specs[k].path and isinstance(v, str)
-             else v for k, v in d.items()}
+        d = _from_base(specs, d, base_dir)
     try:
         if isinstance(section, dict):
             return {k: _value(specs[k], k, v) for k, v in d.items()}
@@ -274,6 +275,32 @@ def load_section(section: Any, d: Any, label: str, noun: str = "", *,
         if entry:
             raise ConfigError(prefix + str(exc)) from None
         raise
+
+
+def _from_base(specs: dict, d: dict, base_dir: Path) -> dict:
+    """``d`` with each relative file path its table declares, those in list
+    entries included, taken from ``base_dir``."""
+    out = dict(d)
+    for k, v in d.items():
+        spec = specs.get(k)  # an unknown key in a list entry is caught later
+        if spec is None:
+            continue
+        if spec.path and isinstance(v, str):
+            out[k] = str(Path(base_dir, v))
+        elif (isinstance(spec.kind, ListOf) and isinstance(v, list)
+              and isinstance(spec.kind.kind, (dict, OneOf))):
+            out[k] = [_from_base(_entry_table(spec.kind.kind, x), x, base_dir)
+                      if isinstance(x, dict) else x for x in v]
+    return out
+
+
+def _entry_table(item: Any, d: dict) -> dict:
+    """The table of list entry ``d``; an unknown tag gives an empty one,
+    which the entry's own load rejects."""
+    if isinstance(item, OneOf):
+        tag = d.get(item.tag, item.default)
+        return item.variants.get(tag, {}) if isinstance(tag, str) else {}
+    return item
 
 
 def dump(value: Any) -> Any:

@@ -4,6 +4,13 @@ The genome is one green duration per link, in seconds, clamped to the
 config's [min_green_s, max_green_s]. Variation operators repair bounds, so
 every individual is feasible. A run is fully deterministic given its seed.
 
+A run keeps its population as flat per-slot lists (genomes, (f1, f2)
+tuples, ranks, crowding distances); an ``Individual`` with an
+``ObjectiveVector`` is built only for what leaves ``run``: the returned
+front, the memo entries and the ``on_generation`` archives.
+``fast_non_dominated_sort`` and ``crowding_distance`` are adapters over
+Individuals for the point-based ``sort_points`` and ``crowding_points``.
+
 Fronts come from a sort-and-sweep over (f1, f2) (Jensen 2003, IEEE TEC
 7(5)) that ranks by bisection in O(n log n), not from pairwise comparison;
 genomes are scored from a per-link residual table
@@ -95,10 +102,10 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     return a.f1 <= b.f1 and a.f2 <= b.f2 and (a.f1 < b.f1 or a.f2 < b.f2)
 
 
-def fast_non_dominated_sort(
-    pop: Sequence[Individual], survivors: Optional[int] = None
-) -> list[list[int]]:
-    """Partition the population into Pareto fronts; updates rank in place.
+def sort_points(
+    points: Sequence[tuple], survivors: Optional[int] = None
+) -> tuple[list[list[int]], list[int]]:
+    """Pareto fronts of (f1, f2) points, as index lists, and each point's rank.
 
     Front 0 lists its members in index order. A member of front k+1 is
     placed by the front-k position of the last front-k member dominating
@@ -108,10 +115,10 @@ def fast_non_dominated_sort(
 
     With ``survivors``, the list stops at the first front that brings the
     members listed to at least that many, since survival reads no further;
-    the rank of every member is still set.
+    the rank of every point is still given.
     """
-    n = len(pop)
-    objs = [(ind.objectives.f1, ind.objectives.f2) for ind in pop]
+    n = len(points)
+    ranks = [0] * n
     # Sweep in (f1, f2) order. Every point seen so far has f1 no greater,
     # so front k dominates a new point iff front k's lowest f2 is <= its f2;
     # those lowest f2 never fall with k, so the rank is a bisection. A
@@ -120,8 +127,8 @@ def fast_non_dominated_sort(
     lowest_f2: list = []
     prev = None
     rank = -1
-    for i in sorted(range(n), key=objs.__getitem__):
-        p = objs[i]
+    for i in sorted(range(n), key=points.__getitem__):
+        p = points[i]
         if p != prev:
             prev = p
             rank = bisect_right(lowest_f2, p[1])
@@ -131,77 +138,99 @@ def fast_non_dominated_sort(
             else:
                 lowest_f2[rank] = p[1]
         stairs[rank].append(i)
-        pop[i].rank = rank
+        ranks[i] = rank
+    if not n:
+        return [], ranks
 
-    fronts = [sorted(stairs[0])] if n else []
-    listed = len(fronts[0]) if n else 0
+    fronts = [sorted(stairs[0])]
+    listed = len(fronts[0])
     position = [0] * n
     for k in range(1, len(stairs)):
         if survivors is not None and listed >= survivors:
             break
-        above = stairs[k - 1]
+        above, members = stairs[k - 1], stairs[k]
+        listed += len(members)
+        if len(above) == 1 or len(members) == 1:
+            # A lone member needs no order; below a lone member, every
+            # member is placed at position 0, so index order decides.
+            fronts.append(sorted(members))
+            continue
         for j, i in enumerate(fronts[k - 1]):
             position[i] = j
         # Along ``above`` f1 rises and f2 falls, so the members dominating
         # (a, b) are the slice with f2 <= b and f1 <= a.
         at = [position[i] for i in above]
-        f1s = [objs[i][0] for i in above]
-        neg_f2s = [-objs[i][1] for i in above]
+        f1s = [points[i][0] for i in above]
+        neg_f2s = [-points[i][1] for i in above]
 
         def emitted(i: int) -> tuple[int, int]:
-            a, b = objs[i]
+            a, b = points[i]
             return max(at[bisect_left(neg_f2s, -b):bisect_right(f1s, a)]), i
 
-        fronts.append(sorted(stairs[k], key=emitted))
-        listed += len(stairs[k])
+        fronts.append(sorted(members, key=emitted))
+    return fronts, ranks
+
+
+def crowding_points(points: Sequence[tuple]) -> list[float]:
+    """Crowding distances of one non-dominated front of (f1, f2) points;
+    extremes get +inf."""
+    n = len(points)
+    if n <= 2:
+        return [INF] * n
+    dists = [0.0] * n
+    for vals in ([p[0] for p in points], [p[1] for p in points]):
+        order = sorted(range(n), key=vals.__getitem__)
+        lo, hi = vals[order[0]], vals[order[-1]]
+        dists[order[0]] = INF
+        dists[order[-1]] = INF
+        span = hi - lo
+        if span == 0:
+            continue
+        for before, i, after in zip(order, order[1:], order[2:]):
+            if dists[i] == INF:
+                continue
+            dists[i] += (vals[after] - vals[before]) / span
+    return dists
+
+
+def _points(inds: Iterable[Individual]) -> list[tuple]:
+    return [(ind.objectives.f1, ind.objectives.f2) for ind in inds]
+
+
+def fast_non_dominated_sort(
+    pop: Sequence[Individual], survivors: Optional[int] = None
+) -> list[list[int]]:
+    """``sort_points`` on the population's objectives; sets each rank."""
+    fronts, ranks = sort_points(_points(pop), survivors)
+    for ind, rank in zip(pop, ranks):
+        ind.rank = rank
     return fronts
 
 
 def crowding_distance(front: Sequence[Individual]) -> list[float]:
-    """Crowding distances for one non-dominated front; extremes get +inf."""
-    n = len(front)
-    if n <= 2:
-        dists = [INF] * n
-    else:
-        dists = [0.0] * n
-        for vals in (
-            [ind.objectives.f1 for ind in front],
-            [ind.objectives.f2 for ind in front],
-        ):
-            order = sorted(range(n), key=vals.__getitem__)
-            lo, hi = vals[order[0]], vals[order[-1]]
-            dists[order[0]] = INF
-            dists[order[-1]] = INF
-            span = hi - lo
-            if span == 0:
-                continue
-            for before, i, after in zip(order, order[1:], order[2:]):
-                if dists[i] == INF:
-                    continue
-                dists[i] += (vals[after] - vals[before]) / span
+    """``crowding_points`` on the front's objectives; sets each crowding."""
+    dists = crowding_points(_points(front))
     for ind, d in zip(front, dists):
         ind.crowding = d
     return dists
 
 
-def _better(pop: Sequence[Individual], i: int, j: int) -> int:
-    """Crowded-comparison: lower rank, then larger crowding, then lower index."""
-    a, b = pop[i], pop[j]
-    if a.rank != b.rank:
-        return i if a.rank < b.rank else j
-    if a.crowding != b.crowding:
-        return i if a.crowding > b.crowding else j
-    return min(i, j)
-
-
 def tournament_select(
-    pop: Sequence[Individual], candidates: Sequence[int]
-) -> Individual:
-    """Crowded-comparison winner among the drawn population indices."""
+    ranks: Sequence[int], crowding: Sequence[float], candidates: Sequence[int]
+) -> int:
+    """Crowded-comparison winner among the drawn population indices: lower
+    rank, then larger crowding, then lower index."""
     best = candidates[0]
     for other in candidates[1:]:
-        best = _better(pop, best, other)
-    return pop[best]
+        if ranks[other] != ranks[best]:
+            if ranks[other] < ranks[best]:
+                best = other
+        elif crowding[other] != crowding[best]:
+            if crowding[other] > crowding[best]:
+                best = other
+        elif other < best:
+            best = other
+    return best
 
 
 def crossover(a: Genome, b: Genome, swap: int) -> tuple[Genome, Genome]:
@@ -314,28 +343,32 @@ def plan_from_genome(
 class _Archive:
     """Non-dominated archive as a staircase.
 
-    ``points`` holds the distinct (f1, f2) vectors, sorted, so f1 rises and
-    f2 falls along it; ``members[j]`` maps each genome reaching
-    ``points[j]`` to its individual, in insertion order.
+    ``points`` holds the distinct (f1, f2) points, sorted, so f1 rises and
+    f2 falls along it; ``members[j]`` holds the genomes reaching
+    ``points[j]`` as dict keys, in insertion order.
     """
 
     points: list[tuple] = field(default_factory=list)
-    members: list[dict[Genome, Individual]] = field(default_factory=list)
+    members: list[dict[Genome, None]] = field(default_factory=list)
 
     def individuals(self) -> list[Individual]:
-        return [ind for group in self.members for ind in group.values()]
+        return [
+            Individual(g, ObjectiveVector(*p))
+            for p, group in zip(self.points, self.members)
+            for g in group
+        ]
 
 
-def _update_archive(archive: _Archive, front: Iterable[Individual]) -> None:
-    """Insert each individual unless an archived vector dominates it, and
-    drop the archived vectors it dominates."""
+def _update_archive(
+    archive: _Archive, front: Iterable[tuple[tuple, Genome]]
+) -> None:
+    """Insert each (point, genome) pair unless an archived point dominates
+    it, and drop the archived points it dominates."""
     points, members = archive.points, archive.members
-    for ind in front:
-        p = (ind.objectives.f1, ind.objectives.f2)
+    for p, genome in front:
         j = bisect_left(points, p)
         if j < len(points) and points[j] == p:
-            if ind.genome not in members[j]:
-                members[j][ind.genome] = Individual(ind.genome, ind.objectives)
+            members[j][genome] = None
             continue
         # points[j-1] has f1 <= p's and the lowest f2 of all such points.
         if j and points[j - 1][1] <= p[1]:
@@ -344,7 +377,19 @@ def _update_archive(archive: _Archive, front: Iterable[Individual]) -> None:
         while end < len(points) and points[end][1] >= p[1]:
             end += 1
         points[j:end] = [p]
-        members[j:end] = [{ind.genome: Individual(ind.genome, ind.objectives)}]
+        members[j:end] = [{genome: None}]
+
+
+class _PointCache(dict):
+    """(f1, f2) points by genome; a missing genome is evaluated once."""
+
+    def __init__(self, evaluate: Callable[[Genome], tuple]):
+        super().__init__()
+        self.evaluate = evaluate
+
+    def __missing__(self, genome: Genome) -> tuple:
+        p = self[genome] = self.evaluate(genome)
+        return p
 
 
 # The most fronts a ``FrontMemo`` holds; the oldest entry goes first.
@@ -398,60 +443,64 @@ def run(
         cfg.min_green_s,
         cfg.max_green_s,
     )
+    P = params.population_size
 
-    # The genome space is small relative to the evaluation count; memoize.
-    cache: dict[Genome, ObjectiveVector] = {}
-
-    def eval_genome(g: Genome) -> Individual:
-        obj = cache.get(g)
-        if obj is None:
-            obj = cache[g] = evaluate(g)
-        return Individual(genome=g, objectives=obj)
-
-    pop = [eval_genome(g) for g in script.initial]
-    archive = _Archive()
-    fronts = fast_non_dominated_sort(pop)
+    # The population is a table of slots: genome, (f1, f2) point, rank and
+    # crowding distance, one list each. The genome space is small relative
+    # to the evaluation count, so points are memoized per genome.
+    point = _PointCache(evaluate)
+    genomes = list(script.initial)
+    points = [point[g] for g in genomes]
+    fronts, ranks = sort_points(points)
+    crowding = [0.0] * P
     for f in fronts:
-        crowding_distance([pop[i] for i in f])
-    _update_archive(archive, (pop[i] for i in fronts[0]))
+        for i, d in zip(f, crowding_points([points[i] for i in f])):
+            crowding[i] = d
+    archive = _Archive()
+    _update_archive(archive, [(points[i], genomes[i]) for i in fronts[0]])
 
     for gen, steps in enumerate(script.generations):
-        offspring: list[Individual] = []
+        # Offspring take slots P..2P-1 after their parents.
         draws = iter(steps)
         for candidates1, candidates2, swap, redraws1, redraws2 in zip(
             draws, draws, draws, draws, draws
         ):
-            p1 = tournament_select(pop, candidates1)
-            p2 = tournament_select(pop, candidates2)
-            c1, c2 = crossover(p1.genome, p2.genome, swap)
-            offspring.append(eval_genome(mutate(c1, redraws1)))
-            offspring.append(eval_genome(mutate(c2, redraws2)))
+            p1 = genomes[tournament_select(ranks, crowding, candidates1)]
+            p2 = genomes[tournament_select(ranks, crowding, candidates2)]
+            c1, c2 = crossover(p1, p2, swap)
+            c1 = mutate(c1, redraws1)
+            c2 = mutate(c2, redraws2)
+            genomes += c1, c2
+            points += point[c1], point[c2]
 
-        combined = pop + offspring
-        fronts = fast_non_dominated_sort(combined, params.population_size)
-        _update_archive(archive, (combined[i] for i in fronts[0]))
-        survivors: list[Individual] = []
+        fronts, all_ranks = sort_points(points, P)
+        _update_archive(archive, [(points[i], genomes[i]) for i in fronts[0]])
+        chosen: list[int] = []
+        crowding = []
         for f in fronts:
-            members = [combined[i] for i in f]
-            crowding_distance(members)
-            if len(survivors) + len(members) <= params.population_size:
-                survivors.extend(members)
-            else:
-                members.sort(key=lambda ind: -ind.crowding)
-                survivors.extend(
-                    members[: params.population_size - len(survivors)]
-                )
+            dists = crowding_points([points[i] for i in f])
+            room = P - len(chosen)
+            if len(f) > room:
+                # The most crowded first, ties in front order.
+                kept = sorted(range(len(f)), key=lambda j: -dists[j])[:room]
+                f = [f[j] for j in kept]
+                dists = [dists[j] for j in kept]
+            chosen += f
+            crowding += dists
+            if len(chosen) == P:
                 break
-        pop = survivors
+        genomes = [genomes[i] for i in chosen]
+        points = [points[i] for i in chosen]
+        ranks = [all_ranks[i] for i in chosen]
         if on_generation is not None:
             on_generation(gen, archive.individuals())
 
-    front = sorted(
-        archive.individuals(),
-        key=lambda ind: (ind.objectives.f1, ind.objectives.f2, ind.genome),
-    )
-    for ind in front:
-        ind.rank = 0
+    # The staircase is in (f1, f2) order, and each point's genomes sorted.
+    front = [
+        Individual(g, ObjectiveVector(*p), rank=0)
+        for p, group in zip(archive.points, archive.members)
+        for g in sorted(group)
+    ]
     if memo is not None and key not in memo:
         if len(memo) >= FRONT_MEMO_SIZE:
             del memo[next(iter(memo))]

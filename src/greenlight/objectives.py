@@ -101,16 +101,16 @@ def genome_evaluator(
     cfg: IntersectionConfig,
     guidance_pad_s: int = 0,
     queue_weighted_f2: bool = False,
-) -> Callable[[Sequence[int]], ObjectiveVector]:
+) -> Callable[[Sequence[int]], tuple]:
     """Return a function of a genome (one green per link, in link order).
 
-    It gives the same ``ObjectiveVector`` as ``evaluate`` on the plan that
-    serves the links in order with those greens, ``guidance_pad_s`` and the
-    config's inter-green, for any greens in [0, cfg.max_green_s]. f1 is read
-    from a table of per-link residuals built once, and f2 is affine in the
-    greens: with link weights w (queue lengths, or 1 for plain red time) and
-    W = sum(w), it is sum((W - w_i) * g_i) + W * (L * inter_green +
-    2 * pad * (L - 1)).
+    It gives, as a plain (f1, f2) tuple, the ``ObjectiveVector`` that
+    ``evaluate`` gives on the plan that serves the links in order with those
+    greens, ``guidance_pad_s`` and the config's inter-green, for any greens
+    in [0, cfg.max_green_s]. f1 is read from a table of per-link residuals
+    built once, and f2 is affine in the greens: with link weights w (queue
+    lengths, or 1 for plain red time) and W = sum(w), it is
+    sum((W - w_i) * g_i) + W * (L * inter_green + 2 * pad * (L - 1)).
 
     The function's ``key`` attribute is the map it computes on genomes
     within [cfg.min_green_s, cfg.max_green_s]: the residual rows over those
@@ -141,10 +141,10 @@ def genome_evaluator(
     coef = [total - w for w in weights]
     const = total * (L * cfg.inter_green_s + 2 * guidance_pad_s * (L - 1))
 
-    def evaluate_genome(genome: Sequence[int]) -> ObjectiveVector:
-        return ObjectiveVector(
-            f1=sum(map(list.__getitem__, residual, genome)),
-            f2=sum(map(mul, coef, genome)) + const,
+    def evaluate_genome(genome: Sequence[int]) -> tuple:
+        return (
+            sum(map(list.__getitem__, residual, genome)),
+            sum(map(mul, coef, genome)) + const,
         )
 
     lo, hi = int(cfg.min_green_s), int(cfg.max_green_s)

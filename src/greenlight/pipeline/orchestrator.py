@@ -239,7 +239,8 @@ class Aggregator:
 
 
 # Camera and detector entries stay JSON objects: the manifest records them
-# as written, and the keys given are the arguments of the stage they build
+# as written (a replay log's relative path joined to the config file's
+# directory), and the keys given are the arguments of the stage they build
 # (SyntheticCamera or ReplaySource, SyntheticDetector), so an absent key
 # takes that class's default.
 FPS = Spec(REAL, above=0)
@@ -252,7 +253,8 @@ SYNTHETIC_CAMERA = {
     "n_frames": Spec(int, low=0, nullable=True),
 }
 REPLAY_CAMERA = {
-    "path": Spec(str, required=True, error="a replay camera needs a 'path' string"),
+    "path": Spec(str, required=True, path=True,
+                 error="a replay camera needs a 'path' string"),
     "fps": FPS,
 }
 CAMERA = OneOf("type", {"synthetic": SYNTHETIC_CAMERA, "replay": REPLAY_CAMERA},

@@ -126,7 +126,9 @@ class ReplaySource:
                  clock: Clock = Clock()):
         self.path = Path(path)
         if not (self.path.is_file() and os.access(self.path, os.R_OK)):
-            raise ConfigError(f"replay log {str(path)!r} is not a readable file")
+            raise ConfigError(
+                f"replay log {self.path.name!r} is not a readable file in "
+                f"{str(self.path.parent)!r}")
         self.camera_id = camera_id
         self.time_scale = time_scale
         self.fps = fps

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -640,6 +641,29 @@ class TestConfigFiles:
         assert err.startswith("error: ") and "nope.json: no such file" in err
         assert not (tmp_path / "o").exists()
 
+    def test_relative_paths_taken_from_config_dir(self, tmp_path, monkeypatch):
+        # The intersection and every replay log named by bare file name are
+        # read from the config file's directory, not the working directory.
+        from greenlight.pipeline import PipelineConfig
+        probe = tmp_path / "probe"
+        probe.mkdir()
+        for name in ("palashi5.json", "detections_sample.ndjson"):
+            shutil.copy(ASSETS_DIR / name, probe / name)
+        raw = read_json(ASSETS_DIR / "pipeline_demo.json")
+        raw["intersection"] = "palashi5.json"
+        raw["cameras"] = [{"type": "replay", "path": "detections_sample.ndjson"}] * 5
+        config = probe / "pipeline.json"
+        config.write_text(json.dumps(raw))
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        assert main(["pipeline", "--config", str(config), "--timing", "sim",
+                     "--cycles", "2", "--out", str(tmp_path / "o")]) == 0
+        log = str(probe / "detections_sample.ndjson")
+        assert {c["path"] for c in PipelineConfig.load(config).cameras} == {log}
+        # Without a config file there is no base: the path stays as written.
+        assert {c["path"] for c in PipelineConfig.from_dict(
+            dict(raw, intersection=str(probe / "palashi5.json"))).cameras} == {
+            "detections_sample.ndjson"}
+
 
 class TestRejectedInputs:
     """Inputs that used to run something else in silence, coerce a value or
@@ -725,7 +749,7 @@ class TestRejectedInputs:
         assert ran == []
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "abc,1", "1"])
+    @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "abc,1", "1", ""])
     def test_bad_weights_exit_1(self, tmp_path, capsys, monkeypatch, weights):
         from greenlight import nsga2
         ran = []
@@ -751,7 +775,7 @@ class TestRejectedInputs:
                             lambda thread: started.append(thread.name))
         raw = read_json(ASSETS_DIR / "pipeline_demo.json")
         raw["intersection"] = str(ASSETS_DIR / "palashi5.json")
-        # A replay log is opened from the working directory.
+        # A replay log is opened from the config file's directory.
         raw["cameras"] = [{"type": "replay", "path": "no_such_log.ndjson"}] * 5
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps(raw))

@@ -1,5 +1,8 @@
+import bisect
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenlight import nsga2, objectives
+from greenlight import cli, nsga2, objectives
 from greenlight.core import (
     ConfigError,
     IntersectionConfig,
@@ -89,10 +92,51 @@ def reference_update_archive(archive, front):
             archive[ind.genome] = Individual(ind.genome, ind.objectives)
 
 
+@dataclasses.dataclass
+class ReferenceArchive:
+    """nsga2._Archive and nsga2._update_archive verbatim as they were while
+    the archive held Individuals, before the flat per-run tables."""
+
+    points: list = dataclasses.field(default_factory=list)
+    members: list = dataclasses.field(default_factory=list)
+
+    def individuals(self):
+        return [ind for group in self.members for ind in group.values()]
+
+    def update(self, front):
+        points, members = self.points, self.members
+        for ind in front:
+            p = (ind.objectives.f1, ind.objectives.f2)
+            j = bisect.bisect_left(points, p)
+            if j < len(points) and points[j] == p:
+                if ind.genome not in members[j]:
+                    members[j][ind.genome] = Individual(ind.genome, ind.objectives)
+                continue
+            if j and points[j - 1][1] <= p[1]:
+                continue
+            end = j
+            while end < len(points) and points[end][1] >= p[1]:
+                end += 1
+            points[j:end] = [p]
+            members[j:end] = [{ind.genome: Individual(ind.genome, ind.objectives)}]
+
+
+def reference_better(pop, i, j):
+    """nsga2._better verbatim, from before the flat per-run tables."""
+    a, b = pop[i], pop[j]
+    if a.rank != b.rank:
+        return i if a.rank < b.rank else j
+    if a.crowding != b.crowding:
+        return i if a.crowding > b.crowding else j
+    return min(i, j)
+
+
 # The variation operators, crowding distance and generation loop verbatim
 # as they were when every run drew from its own rng, before the draw script
-# (the loop's module calls renamed to these copies and to ``nsga2.``). Their
-# fronts and per-generation archives are the contract the replay must keep.
+# (the loop's module calls renamed to these copies: the O(n^2) sort, the
+# archive and crowded comparison above, and the evaluator's tuple wrapped as
+# the ObjectiveVector it was). Their fronts and per-generation archives are
+# the contract the replay must keep.
 
 
 def reference_crowding_distance(front):
@@ -123,7 +167,7 @@ def reference_tournament_select(pop, k, rng):
     candidates = rng.sample(range(len(pop)), min(k, len(pop)))
     best = candidates[0]
     for other in candidates[1:]:
-        best = nsga2._better(pop, best, other)
+        best = reference_better(pop, best, other)
     return pop[best]
 
 
@@ -162,7 +206,7 @@ def reference_run(queue, cfg, params, guidance_pad_s=0, queue_weighted_f2=False,
     def eval_genome(g):
         obj = cache.get(g)
         if obj is None:
-            obj = cache[g] = evaluate(g)
+            obj = cache[g] = ObjectiveVector(*evaluate(g))
         return Individual(genome=g, objectives=obj)
 
     pop = [
@@ -171,11 +215,11 @@ def reference_run(queue, cfg, params, guidance_pad_s=0, queue_weighted_f2=False,
         )
         for _ in range(params.population_size)
     ]
-    archive = nsga2._Archive()
-    fronts = fast_non_dominated_sort(pop)
+    archive = ReferenceArchive()
+    fronts = reference_sort(pop)
     for f in fronts:
         reference_crowding_distance([pop[i] for i in f])
-    nsga2._update_archive(archive, (pop[i] for i in fronts[0]))
+    archive.update(pop[i] for i in fronts[0])
 
     for gen in range(params.generations):
         offspring = []
@@ -188,8 +232,8 @@ def reference_run(queue, cfg, params, guidance_pad_s=0, queue_weighted_f2=False,
             offspring.append(eval_genome(reference_mutate(c2, rng, cfg, mut_prob)))
 
         combined = pop + offspring
-        fronts = fast_non_dominated_sort(combined)
-        nsga2._update_archive(archive, (combined[i] for i in fronts[0]))
+        fronts = reference_sort(combined)
+        archive.update(combined[i] for i in fronts[0])
         survivors = []
         for f in fronts:
             members = [combined[i] for i in f]
@@ -350,25 +394,31 @@ class TestCrowdingDistance:
         assert crowding_distance(front) == [INF, (4 - 1) / (4 - 1), INF]
 
 
+def select(pop, candidates):
+    """tournament_select on the population's rank and crowding tables."""
+    return tournament_select([p.rank for p in pop], [p.crowding for p in pop],
+                             candidates)
+
+
 class TestTournamentSelect:
     def test_lower_rank_wins(self):
         pop = [ind(1, 1), ind(2, 2)]
         fast_non_dominated_sort(pop)
         for candidates in ((0, 1), (1, 0)):
-            assert tournament_select(pop, candidates).rank == 0
+            assert pop[select(pop, candidates)].rank == 0
 
     def test_crowding_breaks_rank_ties(self):
         a, b = ind(1, 3), ind(2, 2)
         a.rank = b.rank = 0
         a.crowding, b.crowding = INF, 0.5
         for candidates in ((0, 1), (1, 0)):
-            assert tournament_select([a, b], candidates) is a
+            assert [a, b][select([a, b], candidates)] is a
 
     def test_lower_index_breaks_full_ties(self):
         pop = [ind(5, 5) for _ in range(4)]
         for p in pop:
             p.rank, p.crowding = 0, 1.0
-        assert tournament_select(pop, (3, 1, 2)) is pop[1]
+        assert pop[select(pop, (3, 1, 2))] is pop[1]
 
     def test_deterministic_given_seed(self):
         cfg = IntersectionConfig(num_links=3, min_green_s=10, max_green_s=30)
@@ -382,7 +432,7 @@ class TestTournamentSelect:
         fresh = [nsga2._draw_script.__wrapped__(*key) for _ in range(2)]
         assert fresh[0] == fresh[1] == script_of(params, cfg)
         winners = [
-            [tournament_select(pop, c) for s in script_steps(script)
+            [pop[select(pop, c)] for s in script_steps(script)
              for c in s[:2]]
             for script in fresh
         ]
@@ -524,7 +574,9 @@ class TestArchive:
             archive, ref = nsga2._Archive(), {}
             for _ in range(rng.randint(1, 12)):
                 batch = rng.sample(inds, rng.randint(1, len(inds)))
-                nsga2._update_archive(archive, batch)
+                nsga2._update_archive(archive, [
+                    ((i.objectives.f1, i.objectives.f2), i.genome)
+                    for i in batch])
                 reference_update_archive(ref, batch)
                 got = archive.individuals()
                 assert len(got) == len(ref), trial
@@ -623,6 +675,34 @@ class TestRun:
                 want = self.traced(reference_run, queue, cfg, params, pad,
                                    weighted)
                 assert got == want, trial
+
+    def test_many_fronts_same_as_reference_run(self, monkeypatch):
+        # Queues where every link but at most one clears at min green give
+        # many small fronts, so the sort takes its one-member fast path;
+        # count the sorts where that path must restore index order.
+        sort, reordered = nsga2.sort_points, [0]
+
+        def counted(points, survivors=None):
+            fronts, ranks = sort(points, survivors)
+            for above, front in zip(fronts, fronts[1:]):
+                if len(above) == 1 and sorted(
+                        front, key=points.__getitem__) != front:
+                    reordered[0] += 1
+            return fronts, ranks
+
+        monkeypatch.setattr(nsga2, "sort_points", counted)
+        rng = random.Random(1998)
+        for trial in range(220):
+            cfg, params = random_setting(rng)
+            busy = [(rng.randrange(cfg.num_links),
+                     (rng.randint(0, 90), rng.randint(0, 30)))][:rng.randint(0, 1)]
+            queue = clearing_queue(rng, cfg, busy)
+            pad = rng.choice([0, 0, 1, 3])
+            weighted = rng.random() < 0.4
+            got = self.traced(nsga2.run, queue, cfg, params, pad, weighted)
+            want = self.traced(reference_run, queue, cfg, params, pad, weighted)
+            assert got == want, trial
+        assert reordered[0] > 0
 
     @staticmethod
     def traced(run, *args):
@@ -854,6 +934,47 @@ class TestSelectOperatingPoint:
         with pytest.raises(ValueError, match="empty"):
             select_operating_point([], "knee", self.cfg())
 
+    def test_compare_asymmetric_queues_pinned(self, assets_dir, tmp_path,
+                                              monkeypatch):
+        # The queues the adaptive controller of the bundled comparison sees
+        # on seeds 1-3; each one's 40x40 front and knee plan on palashi5.
+        assert hashlib.sha256(
+            canonical_json(compare_asymmetric_choices(assets_dir, tmp_path,
+                                                      monkeypatch))
+            .encode()).hexdigest() == (
+            "727f1e35ecdf9ddae128a661c00e3648755a896a34c74fd7593a93c698aba9ef")
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             select_operating_point(self.front3(), "nope", self.cfg())
+
+
+def compare_asymmetric_choices(assets, tmp_path, monkeypatch):
+    """Front and knee plan of nsga2.run, at the adaptive controller's 40x40
+    setting, on each distinct queue it sees in ``simulate --compare`` on the
+    bundled scenario, seeds 1-3."""
+    scenario = assets / "scenario_asymmetric.json"
+    queues, run = [], nsga2.run
+
+    def capturing(queue, *args, **kwargs):
+        queues.append(queue)
+        return run(queue, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(nsga2, "run", capturing)
+        for seed in (1, 2, 3):
+            assert cli.main(["simulate", "--scenario", str(scenario), "--compare",
+                             "--seed", str(seed),
+                             "--out", str(tmp_path / str(seed))]) == 0
+    adaptive = json.loads(scenario.read_text())["controllers"][1]
+    params = OptimizerParams.from_dict(adaptive["optimizer"])
+    cfg = IntersectionConfig.load(assets / "palashi5.json")
+    choices = []
+    for queue in dict.fromkeys(queues):
+        front = nsga2.run(queue, cfg, params)
+        plan = select_operating_point(front, adaptive["policy"], cfg)
+        choices.append({"queue": queue.to_dict(),
+                        "front": [i.to_dict() for i in front],
+                        "plan": plan.to_dict()})
+    assert len(choices) == 38
+    return choices

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greenlight import objectives
-from greenlight.core import IntersectionConfig, QueueState, SignalPlan
+from greenlight.core import IntersectionConfig, ObjectiveVector, QueueState, SignalPlan
 from greenlight.nsga2 import plan_from_genome
 
 
@@ -235,7 +235,7 @@ def test_genome_evaluator_matches_evaluate():
                 plan_from_genome(genome, cfg, pad), q, cfg,
                 queue_weighted_f2=weighted,
             )
-            got = evaluate(genome)
+            got = ObjectiveVector(*evaluate(genome))
             assert got == want, (trial, genome)
             assert type(got.f1) is type(want.f1), trial
             assert type(got.f2) is type(want.f2), trial
