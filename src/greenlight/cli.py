@@ -96,20 +96,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         conf = OptimizeConfig(IntersectionConfig.from_dict(raw))
     cfg, params = conf.intersection, conf.optimizer
-    policy = args.policy or conf.policy
     if args.seed is not None:
         params = dataclasses.replace(params, rng_seed=args.seed)
+    planner = nsga2.Planner(cfg, params, args.policy or conf.policy, args.pad,
+                            weights)
     queue = QueueState.from_dict(read_json(args.queue))
     if queue.num_links != cfg.num_links:
         raise ConfigError(
             f"queue covers {queue.num_links} links, config has {cfg.num_links}"
         )
-
-    front = nsga2.run(queue, cfg, params, guidance_pad_s=args.pad)
-    plan = nsga2.select_operating_point(
-        front, policy, cfg, guidance_pad_s=args.pad, weights=weights
-    )
-    chosen = next(i for i in front if i.genome == plan.greens)
+    front, plan, chosen = planner(queue)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -120,8 +116,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         {
             "intersection": cfg.to_dict(),
             "optimizer": params.to_dict(),
-            "policy": policy,
-            "guidance_pad_s": args.pad,
+            "policy": planner.policy,
+            "guidance_pad_s": planner.guidance_pad_s,
             "queue": queue.to_dict(),
         },
         [params.rng_seed],

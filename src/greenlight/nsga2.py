@@ -4,6 +4,11 @@ The genome is one green duration per link, in seconds, clamped to the
 config's [min_green_s, max_green_s]. Variation operators repair bounds, so
 every individual is feasible. A run is fully deterministic given its seed.
 
+A ``Planner`` is the one path from a queue snapshot to a plan, for
+``optimize``, the adaptive controller and the pipeline alike: it calls
+``run`` on the snapshot, then ``select_operating_point`` on the front, and
+returns (front, plan, chosen ``Individual``).
+
 A run keeps its population as flat per-slot lists (genomes, (f1, f2)
 tuples, ranks, crowding distances); an ``Individual`` with an
 ``ObjectiveVector`` is built only for what leaves ``run``: the returned
@@ -30,11 +35,11 @@ given. The adaptive controller, which reruns one setting before every cycle,
 pays for its draws once.
 
 Survival reads only the fronts that fill the next population, so the
-generation loop's sort orders no front past them. A caller that reruns one
-setting may pass ``run`` a ``FrontMemo`` it owns: light queues that clear at
-min green give many cycles one objective map, and a run on a map the memo
-holds returns the stored front instead of evolving it again. There is no
-module-level front cache.
+generation loop's sort orders no front past them. A ``Planner`` built with
+``reuse_fronts`` owns a ``FrontMemo`` that it passes to every ``run``: light
+queues that clear at min green give many cycles one objective map, and a
+run on a map the memo holds returns the stored front instead of evolving it
+again. There is no module-level front cache.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from .core import (
     REAL,
     ConfigError,
     IntersectionConfig,
+    ListOf,
     ObjectiveVector,
     QueueState,
     Section,
@@ -405,7 +411,6 @@ def run(
     cfg: IntersectionConfig,
     params: OptimizerParams,
     guidance_pad_s: int = 0,
-    queue_weighted_f2: bool = False,
     on_generation: Optional[Callable[[int, list[Individual]], None]] = None,
     memo: Optional[FrontMemo] = None,
 ) -> list[Individual]:
@@ -423,9 +428,7 @@ def run(
     unless ``on_generation`` is set; any other run stores its front,
     evicting the oldest entry once the memo holds ``FRONT_MEMO_SIZE``.
     """
-    evaluate = objectives.genome_evaluator(
-        queue, cfg, guidance_pad_s, queue_weighted_f2=queue_weighted_f2
-    )
+    evaluate = objectives.genome_evaluator(queue, cfg, guidance_pad_s)
     L = cfg.num_links
     if memo is not None:
         key = (params, L, cfg.min_green_s, cfg.max_green_s, evaluate.key)
@@ -558,3 +561,44 @@ def select_operating_point(
 
     best = min(front, key=key)
     return plan_from_genome(best.genome, cfg, guidance_pad_s)
+
+
+@dataclass
+class Planner(Section):
+    """Turns a queue snapshot into (Pareto front, plan, chosen individual).
+
+    ``run`` and ``select_operating_point`` are looked up on this module at
+    each call, so a wrapper installed on the module sees every plan made.
+    The pad and weights are checked when the planner is built: each weight
+    is >= 0, and not both are 0. With ``reuse_fronts`` the planner owns a
+    ``FrontMemo``, so a snapshot whose objective map it has optimized
+    before gets that front back without a new evolution.
+    """
+
+    NAME = "planner"
+
+    cfg: IntersectionConfig = setting(IntersectionConfig)
+    params: OptimizerParams = setting(
+        OptimizerParams, factory=OptimizerParams)
+    policy: str = setting(POLICIES, "knee")
+    guidance_pad_s: int = setting(int, 0, low=0)
+    weights: tuple[float, float] = setting(
+        ListOf(REAL, size=2), (0.5, 0.5), low=0)
+    reuse_fronts: bool = False
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not any(self.weights):
+            raise ConfigError(
+                f"weights must not both be 0, got {list(self.weights)}")
+        self._memo: Optional[FrontMemo] = {} if self.reuse_fronts else None
+
+    def __call__(
+        self, queue: QueueState
+    ) -> tuple[list[Individual], SignalPlan, Individual]:
+        front = run(queue, self.cfg, self.params, self.guidance_pad_s,
+                    memo=self._memo)
+        plan = select_operating_point(front, self.policy, self.cfg,
+                                      self.guidance_pad_s, self.weights)
+        chosen = next(ind for ind in front if ind.genome == plan.greens)
+        return front, plan, chosen

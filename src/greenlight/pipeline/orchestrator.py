@@ -338,23 +338,6 @@ def _build_stage(
     return iter(camera), detector
 
 
-def _optimize(
-    cfg: PipelineConfig, queue: QueueState,
-    memo: Optional[nsga2.FrontMemo] = None,
-) -> tuple[SignalPlan, dict, float]:
-    t0 = time.monotonic()
-    front = nsga2.run(
-        queue, cfg.intersection, cfg.optimizer,
-        guidance_pad_s=cfg.guidance_pad_s, memo=memo,
-    )
-    plan = nsga2.select_operating_point(
-        front, cfg.policy, cfg.intersection, guidance_pad_s=cfg.guidance_pad_s
-    )
-    elapsed_ms = (time.monotonic() - t0) * 1000.0
-    chosen = next(ind for ind in front if ind.genome == plan.greens)
-    return plan, chosen.objectives.to_dict(), elapsed_ms
-
-
 def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
     """Run ``cycles`` cycles of collect, drain, optimize and ledger entry.
 
@@ -364,19 +347,22 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
     its first frame captured after the release, while the optimizer runs.
     A camera still detecting serves the release once it is done.
 
+    Every cycle's plan comes from one ``nsga2.Planner`` built for the run.
     In ``sim`` timing the virtual clock advances by each cycle's ledger
     latency, and the ledger charges the optimizer its nominal time, so
     ledgers are reproducible byte for byte. Since that charge does not
-    depend on the optimizer's work, a cycle whose objective map an earlier
-    cycle optimized reuses that cycle's front. ``real`` timing keeps no
-    front memo: its ledger charges the measured optimizer time, which a
-    stored front would cut to ~1 ms, so T_latency would no longer hold a
-    per-cycle optimization.
+    depend on the optimizer's work, the planner reuses fronts: a cycle
+    whose objective map an earlier cycle optimized gets that cycle's front.
+    In ``real`` timing it evolves a front every cycle: the ledger charges
+    the measured planner time, which a stored front would cut to ~1 ms, so
+    T_latency would no longer hold a per-cycle optimization.
     """
     if cycles < 1:
         raise ConfigError("cycles must be >= 1")
     sim = cfg.timing == "sim"
     clock = VirtualClock() if sim else Clock()
+    planner = nsga2.Planner(cfg.intersection, cfg.optimizer, cfg.policy,
+                            cfg.guidance_pad_s, reuse_fronts=sim)
     n = len(cfg.cameras)
     recorder = LatencyRecorder()
     aggregator = Aggregator(n, cfg.max_stale_windows, clock)
@@ -401,7 +387,6 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
         t.start()
 
     results: list[CycleResult] = []
-    memo: Optional[nsga2.FrontMemo] = {} if sim else None
     skipped = misses = 0
     try:
         while len(results) < cycles:
@@ -428,15 +413,17 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
             # snapshot, not this one.
             ext, inf = recorder.drain()
             gate.release()
-            plan, objs, opt_ms = _optimize(cfg, queue, memo)
+            t0 = time.monotonic()
+            _, plan, chosen = planner(queue)
+            opt_ms = (time.monotonic() - t0) * 1000.0
             entry = CycleLatency(
                 cycle_id=len(results),
                 extraction_samples=ext,
                 inference_samples=inf,
                 optimization_ms=cfg.nominal_optimization_ms if sim else opt_ms,
             )
-            results.append(
-                CycleResult(entry.cycle_id, queue, stale_links, plan, objs, entry))
+            results.append(CycleResult(entry.cycle_id, queue, stale_links, plan,
+                                       chosen.objectives.to_dict(), entry))
             clock.advance(entry.t_latency_ms)
     finally:
         stop.set()

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import nsga2, objectives
+from . import nsga2
 from .core import (
     REAL,
     ConfigError,
@@ -102,21 +102,12 @@ class AdaptiveController:
                  optimizer: nsga2.OptimizerParams = nsga2.OptimizerParams(),
                  policy: str = "knee", guidance_pad_s: int = 0,
                  weights: tuple[float, float] = (0.5, 0.5)):
-        self._cfg = cfg
-        self._params = optimizer
-        self._policy = policy
-        self._pad = guidance_pad_s
-        self._weights = weights
         # Light queues that clear at min green repeat one objective map.
-        self._fronts: nsga2.FrontMemo = {}
+        self._planner = nsga2.Planner(cfg, optimizer, policy, guidance_pad_s,
+                                      weights, reuse_fronts=True)
 
     def next_plan(self, observed: QueueState) -> SignalPlan:
-        front = nsga2.run(observed, self._cfg, self._params,
-                          guidance_pad_s=self._pad, memo=self._fronts)
-        return nsga2.select_operating_point(
-            front, self._policy, self._cfg,
-            guidance_pad_s=self._pad, weights=self._weights,
-        )
+        return self._planner(observed)[1]
 
 
 # Controller entries of a scenario stay JSON objects; the keys given are
@@ -402,7 +393,7 @@ def simulate(
     # a full green matches the optimizer's discharge model exactly:
     # capacity[k] is what the (k+1)-th lit green second of a phase may
     # discharge, per class.
-    most = min(int(cfg.max_green_s), horizon_s)
+    most = min(cfg.max_green_s, horizon_s)
     lattice = np.floor(np.multiply.outer(
         np.arange(most + 1),
         (cfg.sat_flow_motorized, cfg.sat_flow_non_motorized),

@@ -706,6 +706,10 @@ class TestRejectedInputs:
          "arrival rates must be numbers >= 0"),
         ("simulate", "config", lambda raw: raw["options"].update(blackouts=[[0, float("inf")]]),
          "blackout must be [start, end] numbers with start <= end"),
+        ("simulate", "config", lambda raw: raw["controllers"][1].update(weights=[-1, 0]),
+         "weights must be >= 0, got -1"),
+        ("simulate", "config", lambda raw: raw["controllers"][1].update(weights=[0, 0.0]),
+         "weights must not both be 0, got [0, 0.0]"),
         ("optimize", "config", lambda raw: raw.update(polcy="min_f1"),
          "unknown optimize config key 'polcy'"),
         ("optimize", "config", lambda raw: raw.update(optimizer=None),
@@ -720,6 +724,10 @@ class TestRejectedInputs:
          "motorized must be a list of integers, got '34'"),
         ("optimize", "queue", lambda q: q.update(timestamp_ms=True),
          "timestamp_ms must be a number, got True"),
+        ("optimize", "queue", lambda q: q.update(motorized=[1] * 4, non_motorized=[0] * 4),
+         "queue covers 4 links, config has 5"),
+        ("optimize", "queue", lambda q: q.update(motorized=[1] * 6, non_motorized=[0] * 6),
+         "queue covers 6 links, config has 5"),
     ])
     def test_exits_1(self, quick_scenario, tmp_path, capsys, monkeypatch,
                      command, target, edit, message):
@@ -748,6 +756,27 @@ class TestRejectedInputs:
         assert err.startswith("error: ") and message in err
         assert ran == []
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--pad", "-2"], "guidance_pad_s must be >= 0, got -2"),
+        (["--policy", "weighted", "--weights=-1,0"],
+         "weights must be >= 0, got -1.0"),
+        (["--policy", "weighted", "--weights=0,0"],
+         "weights must not both be 0, got [0.0, 0.0]"),
+    ])
+    def test_bad_planner_flags_exit_1(self, tmp_path, capsys, monkeypatch,
+                                      extra, message):
+        from greenlight import nsga2
+        ran = []
+        monkeypatch.setattr(nsga2, "run", lambda *a, **k: ran.append(a))
+        out = tmp_path / "o"
+        assert main(["optimize", "--config", str(ASSETS_DIR / "palashi5.json"),
+                     "--queue", str(ASSETS_DIR / "queue_sample.json"), *extra,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert ran == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "abc,1", "1", ""])
     def test_bad_weights_exit_1(self, tmp_path, capsys, monkeypatch, weights):

@@ -191,11 +191,8 @@ def reference_mutate(g, rng, cfg, mutation_prob):
     return tuple(out)
 
 
-def reference_run(queue, cfg, params, guidance_pad_s=0, queue_weighted_f2=False,
-                  on_generation=None):
-    evaluate = objectives.genome_evaluator(
-        queue, cfg, guidance_pad_s, queue_weighted_f2=queue_weighted_f2
-    )
+def reference_run(queue, cfg, params, guidance_pad_s=0, on_generation=None):
+    evaluate = objectives.genome_evaluator(queue, cfg, guidance_pad_s)
     rng = random.Random(params.rng_seed)
     L = cfg.num_links
     mut_prob = params.mutation_prob if params.mutation_prob is not None else 1.0 / L
@@ -668,12 +665,10 @@ class TestRun:
                 rng_seed=rng.randint(0, 10**6),
             )
             pad = rng.choice([0, 0, 1, 3])
-            weighted = rng.random() < 0.3
             # The second queue replays the script cached by the first run.
             for queue in (self.random_queue(rng, L), self.random_queue(rng, L)):
-                got = self.traced(nsga2.run, queue, cfg, params, pad, weighted)
-                want = self.traced(reference_run, queue, cfg, params, pad,
-                                   weighted)
+                got = self.traced(nsga2.run, queue, cfg, params, pad)
+                want = self.traced(reference_run, queue, cfg, params, pad)
                 assert got == want, trial
 
     def test_many_fronts_same_as_reference_run(self, monkeypatch):
@@ -698,9 +693,8 @@ class TestRun:
                      (rng.randint(0, 90), rng.randint(0, 30)))][:rng.randint(0, 1)]
             queue = clearing_queue(rng, cfg, busy)
             pad = rng.choice([0, 0, 1, 3])
-            weighted = rng.random() < 0.4
-            got = self.traced(nsga2.run, queue, cfg, params, pad, weighted)
-            want = self.traced(reference_run, queue, cfg, params, pad, weighted)
+            got = self.traced(nsga2.run, queue, cfg, params, pad)
+            want = self.traced(reference_run, queue, cfg, params, pad)
             assert got == want, trial
         assert reordered[0] > 0
 
@@ -740,9 +734,8 @@ def evolutions(monkeypatch):
     return count
 
 
-def front_of(queue, cfg, params, pad=0, weighted=False, memo=None):
-    return nsga2.run(queue, cfg, params, guidance_pad_s=pad,
-                     queue_weighted_f2=weighted, memo=memo)
+def front_of(queue, cfg, params, pad=0, memo=None):
+    return nsga2.run(queue, cfg, params, guidance_pad_s=pad, memo=memo)
 
 
 def random_setting(rng):
@@ -782,13 +775,12 @@ class TestFrontMemo:
         for trial in range(60):
             cfg, params = random_setting(rng)
             pad = rng.choice([0, 0, 2])
-            weighted = rng.random() < 0.3
             queues = [TestRun.random_queue(rng, cfg.num_links)
                       for _ in range(3)]
             memo = {}
             for queue in queues + queues[::-1]:
-                want = front_of(queue, cfg, params, pad, weighted)
-                got = front_of(queue, cfg, params, pad, weighted, memo)
+                want = front_of(queue, cfg, params, pad)
+                got = front_of(queue, cfg, params, pad, memo)
                 assert got == want, trial
                 assert canonical_json([i.to_dict() for i in got]) == (
                     canonical_json([i.to_dict() for i in want])), trial
@@ -808,23 +800,6 @@ class TestFrontMemo:
                 b, cfg, params), trial
             assert evolutions[0] == before + 1, trial  # only the memo-less run
 
-    def test_weighted_f2_keeps_equal_tables_with_other_weights_apart(
-            self, evolutions):
-        rng = random.Random(13)
-        for trial in range(60):
-            cfg, params = random_setting(rng)
-            a = clearing_queue(rng, cfg)
-            b = clearing_queue(rng, cfg)
-            if [m + n for m, n in zip(a.motorized, a.non_motorized)] == [
-                    m + n for m, n in zip(b.motorized, b.non_motorized)]:
-                continue
-            memo = {}
-            front_of(a, cfg, params, weighted=True, memo=memo)
-            before = evolutions[0]
-            got = front_of(b, cfg, params, weighted=True, memo=memo)
-            assert evolutions[0] == before + 1, trial
-            assert got == front_of(b, cfg, params, weighted=True), trial
-
     def test_settings_sharing_a_memo_keep_their_fronts(self):
         rng = random.Random(17)
         for trial in range(60):
@@ -839,7 +814,7 @@ class TestFrontMemo:
                 other_cfg = dataclasses.replace(
                     cfg, min_green_s=cfg.min_green_s + 1,
                     max_green_s=cfg.max_green_s + 1)
-            elif change == "float":  # f2 prints as 3.0, not 3
+            elif change == "float":  # loads as the int it equals
                 other_cfg = dataclasses.replace(
                     cfg, inter_green_s=float(cfg.inter_green_s))
             else:

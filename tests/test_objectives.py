@@ -77,10 +77,6 @@ class TestRedTimes:
     def test_symmetric(self):
         assert objectives.red_times(plan_of([10, 10])) == [10, 10]
 
-    def test_exclude_inter_green(self):
-        plan = plan_of([10, 20, 30], inter_green=3)
-        assert objectives.red_times(plan, include_inter_green=False) == [50, 40, 30]
-
 
 class TestF2:
     def test_hand_example(self):
@@ -128,14 +124,6 @@ class TestEvaluate:
                 assert obj.f1 <= prev_f1
                 assert obj.f2 >= prev_f2
             prev_f1, prev_f2 = obj.f1, obj.f2
-
-    def test_queue_weighted_variant(self):
-        cfg = make_cfg()
-        q = QueueState(motorized=(10, 0), non_motorized=(0, 0))
-        plan = plan_of([10, 20], inter_green=0)
-        obj = objectives.evaluate(plan, q, cfg, queue_weighted_f2=True)
-        # link 0 red for 20 s weighted by 10 vehicles; link 1 red 10 s, weight 0
-        assert obj.f2 == 200
 
 
 link_counts = st.integers(2, 5)
@@ -226,15 +214,10 @@ def test_genome_evaluator_matches_evaluate():
             non_motorized=tuple(rng.randint(0, 30) for _ in range(L)),
         )
         pad = rng.choice([0, 1, 2, 5])
-        weighted = rng.random() < 0.5
-        evaluate = objectives.genome_evaluator(
-            q, cfg, pad, queue_weighted_f2=weighted)
+        evaluate = objectives.genome_evaluator(q, cfg, pad)
         for _ in range(10):
-            genome = tuple(rng.randint(0, int(cfg.max_green_s)) for _ in range(L))
-            want = objectives.evaluate(
-                plan_from_genome(genome, cfg, pad), q, cfg,
-                queue_weighted_f2=weighted,
-            )
+            genome = tuple(rng.randint(0, cfg.max_green_s) for _ in range(L))
+            want = objectives.evaluate(plan_from_genome(genome, cfg, pad), q, cfg)
             got = ObjectiveVector(*evaluate(genome))
             assert got == want, (trial, genome)
             assert type(got.f1) is type(want.f1), trial

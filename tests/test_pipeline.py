@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from greenlight import nsga2
 from greenlight.cli import main
 from greenlight.core import DetectionRecord
 from greenlight.pipeline import (
@@ -280,19 +281,40 @@ class TestRunPipeline:
         # Both cameras deliver during a slow first optimization, so the
         # second collect returns at once and a quick optimization follows;
         # the second cycle must still hold the samples of its records.
-        optimize = orchestrator._optimize
+        plan = nsga2.Planner.__call__
         calls = []
 
-        def uneven(*args):
+        def uneven(planner, queue):
             calls.append(None)
             if len(calls) == 1:
                 time.sleep(0.2)
-            return optimize(*args)
+            return plan(planner, queue)
 
-        monkeypatch.setattr(orchestrator, "_optimize", uneven)
+        monkeypatch.setattr(nsga2.Planner, "__call__", uneven)
         result = run_pipeline(pipeline_config(), 3)
+        assert len(calls) == 3
         for c in result.cycles:
             assert c.latency.inference_samples, c.cycle_id
+
+    def test_only_sim_timing_reuses_fronts(self, monkeypatch):
+        # Constant camera counts give every cycle one objective map. Real
+        # timing charges the measured optimizer time, so it must evolve a
+        # front every cycle; sim timing charges a nominal time and may not.
+        draw_script, evolved = nsga2._draw_script, []
+
+        def evolving(*args):
+            evolved.append(None)
+            return draw_script(*args)
+
+        monkeypatch.setattr(nsga2, "_draw_script", evolving)
+        runs = {}
+        for timing in ("real", "sim"):
+            evolved.clear()
+            result = run_pipeline(pipeline_config(timing=timing), 4)
+            assert len({c.queue.motorized for c in result.cycles}) == 1
+            runs[timing] = (len(result.cycles), len(evolved))
+        assert runs["real"] == (4, 4)
+        assert runs["sim"] == (4, 1)
 
     def test_sim_mode_deterministic(self):
         cfg1 = pipeline_config(timing="sim")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -315,15 +317,35 @@ class TestAdaptiveController:
         simulate(palashi_cfg, demand, ctrl, 1800)
         assert 0 < counts["evolved"] < counts["plans"]
 
-    def test_stored_fronts_give_the_same_run(self, palashi_cfg):
+    def test_stored_fronts_give_the_same_run(self, palashi_cfg, monkeypatch):
         params = nsga2.OptimizerParams(population_size=12, generations=8)
         demand = ArrivalModel((0.06, 0.02, 0.02, 0.02, 0.02),
                               (0.01,) * 5, rng_seed=8)
+        counts = {"plans": 0, "evolved": 0}
+        draw_script = nsga2._draw_script
+        planner_call = nsga2.Planner.__call__
+
+        def evolving(*args):
+            counts["evolved"] += 1
+            return draw_script(*args)
+
+        def planning(planner, queue):
+            counts["plans"] += 1
+            return planner_call(planner, queue)
+
+        monkeypatch.setattr(nsga2, "_draw_script", evolving)
+        monkeypatch.setattr(nsga2.Planner, "__call__", planning)
         runs = []
         for memo in (True, False):
+            counts.update(plans=0, evolved=0)
             ctrl = simulator.AdaptiveController(palashi_cfg, params)
             if not memo:
-                ctrl._fronts = None
+                ctrl._planner = dataclasses.replace(ctrl._planner,
+                                                    reuse_fronts=False)
             metrics, steps = simulate(palashi_cfg, demand, ctrl, 1200)
             runs.append((metrics, [s.queues for s in steps]))
+            if memo:
+                assert 0 < counts["evolved"] < counts["plans"]
+            else:
+                assert counts["evolved"] == counts["plans"] > 0
         assert runs[0] == runs[1]

@@ -1,6 +1,8 @@
 """The benchmark's traced run (``perfbench/run.py --trace 1``) wraps these
 program attributes by name; a rename must fail here, not in the benchmark."""
 
+import json
+
 import pytest
 
 from greenlight import cli, nsga2, objectives, simulator
@@ -54,6 +56,46 @@ def test_run_calls_operators_through_the_module(monkeypatch, two_link_cfg):
     nsga2.run(QueueState((5, 2), (1, 0)), two_link_cfg, params)
     assert calls == {"tournament_select": 8 * 3, "crossover": 4 * 3,
                      "mutate": 8 * 3}
+
+
+@pytest.mark.parametrize("command", ["optimize", "simulate", "pipeline"])
+def test_module_wrappers_see_every_plan(monkeypatch, assets_dir, tmp_path,
+                                        command):
+    # The benchmark replaces nsga2.run to measure front quality, reading
+    # the optimizer setting from its third argument, and wraps
+    # select_operating_point for its selection span. A command that got its
+    # plans past the module would leave both silently empty.
+    calls = {"run": [], "select_operating_point": []}
+    for name in calls:
+        original = getattr(nsga2, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(nsga2, name, counted)
+    out = str(tmp_path / "o")
+    if command == "optimize":
+        assert cli.main(["optimize", "--config", str(assets_dir / "palashi5.json"),
+                         "--queue", str(assets_dir / "queue_sample.json"),
+                         "--out", out]) == 0
+    elif command == "simulate":
+        raw = json.loads((assets_dir / "scenario_asymmetric.json").read_text())
+        raw["intersection"] = str(assets_dir / "palashi5.json")
+        raw["horizon_s"] = 300
+        raw["controllers"] = [c for c in raw["controllers"]
+                              if c["type"] == "adaptive"]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        assert cli.main(["simulate", "--scenario", str(scenario), "--seed", "1",
+                         "--out", out]) == 0
+    else:
+        raw = json.loads((assets_dir / "pipeline_demo.json").read_text())
+        raw["intersection"] = str(assets_dir / "palashi5.json")
+        run_pipeline(PipelineConfig.from_dict(dict(raw, timing="sim")), 3)
+    assert len(calls["run"]) == len(calls["select_operating_point"]) > 0
+    assert all(isinstance(args[2], nsga2.OptimizerParams)
+               for args in calls["run"])
 
 
 def test_class_wrappers_see_every_submit_and_collect(monkeypatch):
