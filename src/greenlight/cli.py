@@ -140,10 +140,10 @@ def _build_controller(spec: dict, cfg: IntersectionConfig,
                 **{k: v for k, v in spec.items() if k not in ("type", "name")})
 
 
-def _write_timeseries(path: Path, steps: simulator.SimTrace, L: int) -> None:
+def _write_timeseries(path: Path, trace: simulator.SimTrace, L: int) -> None:
     states = simulator.PHASE_STATES
-    rows = zip(steps.queues.tolist(), steps.active_link.tolist(),
-               steps.phase.tolist())
+    rows = zip(trace.queues.tolist(), trace.active_link.tolist(),
+               trace.phase.tolist())
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -183,15 +183,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               f"(baseline: {base})")
     else:
         name = next(iter(controllers))
-        demand_seeded = simulator.ArrivalModel(
-            demand.motorized_rates, demand.non_motorized_rates, rng_seed=seeds[0]
-        )
-        metrics, steps = simulator.simulate(
-            cfg, demand_seeded, controllers[name], horizon, options
+        metrics, trace = simulator.simulate(
+            cfg, dataclasses.replace(demand, rng_seed=seeds[0]), controllers[name],
+            horizon, options
         )
         out.mkdir(parents=True, exist_ok=True)
         dump_json(metrics.to_dict(), out / "metrics.json")
-        _write_timeseries(out / "timeseries.csv", steps, cfg.num_links)
+        _write_timeseries(out / "timeseries.csv", trace, cfg.num_links)
         artifacts += ["metrics.json", "timeseries.csv"]
         print(
             f"{name}: overall_avg={metrics.overall_avg:.3f} "

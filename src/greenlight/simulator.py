@@ -8,15 +8,16 @@ blackouts. Runs are bit-reproducible from their seeds.
 A run draws all its arrivals in one ``poisson(rates, size=(horizon, L, 2))``
 call, which yields the same stream as one draw per second, link and class,
 and marks blackout seconds in a mask before the first step. It then
-advances a stretch of constant signal state at a time and keeps queues,
-arrivals, discharge and phase state as per-second columns (``SimTrace``).
+advances a stretch of constant signal state at a time. Its trace
+(``SimTrace``) is five per-second columns: queues, arrivals and discharge
+per link, the served link, and the phase state.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -195,57 +196,21 @@ GREEN, PAD, INTER_GREEN = 0, 1, 2
 PHASE_STATES = ("green", "pad", "inter_green")  # indexed by the codes above
 
 
-@dataclass
-class TimeStep:
-    t: int
-    queues: list[int]  # motorized + non-motorized per link
-    active_link: int  # -1 when no link is served (inter-green)
-    phase_state: str  # "green" | "pad" | "inter_green"
-    arrivals: list[int]
-    discharged: list[int]
-
-
-class SimTrace(Sequence):
+@dataclass(frozen=True, eq=False)  # a generated __eq__ would compare arrays
+class SimTrace:
     """The per-second columns of one run.
 
     ``queues``, ``arrivals`` and ``discharged`` are ``(horizon, L)`` int64
-    arrays (motorized + non-motorized), ``active_link`` and ``phase`` (a
-    code into ``PHASE_STATES``) ``(horizon,)`` arrays. Indexing, slicing
-    or iterating builds ``TimeStep`` rows of Python ints.
+    arrays (motorized + non-motorized); ``active_link`` (-1 when no link is
+    served) and ``phase`` (a code into ``PHASE_STATES``) are ``(horizon,)``
+    arrays.
     """
 
-    def __init__(self, queues: np.ndarray, arrivals: np.ndarray,
-                 discharged: np.ndarray, active_link: np.ndarray,
-                 phase: np.ndarray):
-        self.queues = queues
-        self.arrivals = arrivals
-        self.discharged = discharged
-        self.active_link = active_link
-        self.phase = phase
-
-    def __len__(self) -> int:
-        return len(self.phase)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[t] for t in range(len(self))[i]]
-        t = range(len(self))[i]
-        return TimeStep(
-            t=t,
-            queues=self.queues[t].tolist(),
-            active_link=int(self.active_link[t]),
-            phase_state=PHASE_STATES[self.phase[t]],
-            arrivals=self.arrivals[t].tolist(),
-            discharged=self.discharged[t].tolist(),
-        )
-
-    def __iter__(self):
-        rows = zip(self.queues.tolist(), self.active_link.tolist(),
-                   self.phase.tolist(), self.arrivals.tolist(),
-                   self.discharged.tolist())
-        for t, (queues, link, phase, arrivals, discharged) in enumerate(rows):
-            yield TimeStep(t, queues, link, PHASE_STATES[phase], arrivals,
-                           discharged)
+    queues: np.ndarray
+    arrivals: np.ndarray
+    discharged: np.ndarray
+    active_link: np.ndarray
+    phase: np.ndarray
 
 
 def apply_emergency_reorder(
@@ -361,8 +326,8 @@ def simulate(
     arrival_rng = np.random.default_rng(demand.rng_seed)
     noise_rng = np.random.default_rng(options.noise_seed)
 
-    initial = (options.initial_motorized or (0,) * L,
-               options.initial_non_motorized or (0,) * L)
+    initial = tuple((0,) * L if q is None else q for q in
+                    (options.initial_motorized, options.initial_non_motorized))
     if len(initial[0]) != L or len(initial[1]) != L:
         raise ConfigError("initial queues must have one entry per link")
 
@@ -507,11 +472,7 @@ def compare_controllers(
 
     per_ctrl: dict[str, list[SimMetrics]] = {name: [] for name in controllers}
     for seed in seeds:
-        paired = ArrivalModel(
-            motorized_rates=demand.motorized_rates,
-            non_motorized_rates=demand.non_motorized_rates,
-            rng_seed=seed,
-        )
+        paired = replace(demand, rng_seed=seed)
         for name, ctrl in controllers.items():
             m, _ = simulate(cfg, paired, ctrl, horizon_s, options)
             per_ctrl[name].append(m)

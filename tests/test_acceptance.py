@@ -435,15 +435,17 @@ class TestCriterion8ConservationStability:
         demand = ArrivalModel((0.1, 0.05, 0.2), (0.02, 0.01, 0.04), rng_seed=3)
         opts = SimOptions(initial_motorized=(5, 0, 9),
                           initial_non_motorized=(1, 0, 2))
-        metrics, steps = simulate(cfg, demand, ctrl, 1200, opts)
+        metrics, trace = simulate(cfg, demand, ctrl, 1200, opts)
         prev = [6, 0, 11]
         discharged_total = 0
-        for s in steps:
+        for queues, arrivals, discharged in zip(trace.queues.tolist(),
+                                                trace.arrivals.tolist(),
+                                                trace.discharged.tolist()):
             for i in range(3):
-                assert s.queues[i] == prev[i] + s.arrivals[i] - s.discharged[i]
-                assert s.queues[i] >= 0
-            discharged_total += sum(s.discharged)
-            prev = s.queues
+                assert queues[i] == prev[i] + arrivals[i] - discharged[i]
+                assert queues[i] >= 0
+            discharged_total += sum(discharged)
+            prev = queues
         assert metrics.throughput_total == discharged_total
 
     def test_undersaturated_link_bounded_over_10000s(self):
@@ -452,8 +454,8 @@ class TestCriterion8ConservationStability:
                                  inter_green_s=3, sat_flow_motorized=1.0)
         ctrl = FixedTimeController([30, 5], cfg)
         demand = ArrivalModel((0.3, 0.0), (0.0, 0.0), rng_seed=11)
-        metrics, steps = simulate(cfg, demand, ctrl, 10_000)
-        totals = np.array([sum(s.queues) for s in steps])
+        metrics, trace = simulate(cfg, demand, ctrl, 10_000)
+        totals = trace.queues.sum(axis=1)
         slope = np.polyfit(np.arange(len(totals)), totals, 1)[0]
         assert abs(slope) < 0.005  # no drift over the full horizon
         first, second = totals[:5000].mean(), totals[5000:].mean()
@@ -488,26 +490,26 @@ class TestCriterion9EmergencyReordering:
                                    link=rng.randrange(L))
             opts = SimOptions(emergency_events=[event], guidance_pad_s=pad)
             horizon = event.time_s + 2 * cycle + 10
-            _, steps = simulate(cfg, ArrivalModel((0.0,) * L, (0.0,) * L),
+            _, trace = simulate(cfg, ArrivalModel((0.0,) * L, (0.0,) * L),
                                 ctrl, horizon, opts)
-            active = steps[event.time_s].active_link
+            active = trace.active_link[event.time_s]
             if active == event.link:
                 continue  # already being served
             if active == -1:
                 # mid-clearance: the phase that just ended may be the
                 # emergency link itself, which counts as served
                 t_back = event.time_s
-                while t_back > 0 and steps[t_back].active_link == -1:
+                while t_back > 0 and trace.active_link[t_back] == -1:
                     t_back -= 1
-                if steps[t_back].active_link == event.link:
+                if trace.active_link[t_back] == event.link:
                     continue
             # walk through the active-phase remainder and one clearance;
             # the next link shown must be the emergency link
             t = event.time_s
-            while steps[t].active_link in (active, -1):
+            while trace.active_link[t] in (active, -1):
                 t += 1
                 assert t < horizon, f"trial {trial}: never served"
-            assert steps[t].active_link == event.link, f"trial {trial}"
+            assert trace.active_link[t] == event.link, f"trial {trial}"
             bound = cycle  # remainder + clearance is always under one cycle
             assert t - event.time_s <= bound
         announce(9, "100 randomized events served within remainder + clearance")

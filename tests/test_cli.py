@@ -757,6 +757,22 @@ class TestRejectedInputs:
         assert ran == []
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["initial_motorized", "initial_non_motorized"])
+    def test_empty_initial_queue_exits_1(self, quick_scenario, tmp_path, capsys,
+                                         key):
+        # An empty list is a queue for no link, not the all-zero default;
+        # simulate rejects it before its first step.
+        raw = read_json(quick_scenario)
+        raw.setdefault("options", {})[key] = []
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "initial queues must have one entry per link" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra, message", [
         (["--pad", "-2"], "guidance_pad_s must be >= 0, got -2"),
         (["--policy", "weighted", "--weights=-1,0"],

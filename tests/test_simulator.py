@@ -59,9 +59,9 @@ class TestSimulate:
         cfg = cfg_of()
         ctrl = FixedTimeController([20, 20], cfg)
         opts = SimOptions(initial_motorized=(8, 4), initial_non_motorized=(1, 0))
-        metrics, steps = simulate(cfg, zero_demand(2), ctrl, 300, opts)
+        metrics, trace = simulate(cfg, zero_demand(2), ctrl, 300, opts)
         assert metrics.throughput_total == 13
-        assert steps[-1].queues == [0, 0]
+        assert trace.queues[-1].tolist() == [0, 0]
 
     def test_zero_demand_zero_queue_all_zero(self):
         cfg = cfg_of()
@@ -76,8 +76,8 @@ class TestSimulate:
         cfg = cfg_of(sat_flow_motorized=1.0)
         ctrl = FixedTimeController([30, 5], cfg)
         demand = ArrivalModel((0.2, 0.0), (0.0, 0.0), rng_seed=4)
-        _, steps = simulate(cfg, demand, ctrl, 10_000)
-        totals = np.array([sum(s.queues) for s in steps])
+        _, trace = simulate(cfg, demand, ctrl, 10_000)
+        totals = trace.queues.sum(axis=1)
         t = np.arange(len(totals))
         slope = np.polyfit(t, totals, 1)[0]
         assert abs(slope) < 0.005  # no drift over 10k seconds
@@ -98,13 +98,10 @@ class TestSimulate:
         cfg = cfg_of(L=3)
         ctrl = FixedTimeController([15, 10, 25], cfg)
         demand = ArrivalModel((0.1, 0.05, 0.2), (0.02, 0.0, 0.05), rng_seed=9)
-        _, steps = simulate(cfg, demand, ctrl, 500)
-        prev = [0, 0, 0]
-        for s in steps:
-            for i in range(3):
-                assert s.queues[i] == prev[i] + s.arrivals[i] - s.discharged[i]
-                assert s.queues[i] >= 0
-            prev = s.queues
+        _, trace = simulate(cfg, demand, ctrl, 500)
+        assert (np.diff(trace.queues, axis=0, prepend=0)
+                == trace.arrivals - trace.discharged).all()
+        assert (trace.queues >= 0).all()
 
     def test_reproducible_bit_exact(self):
         cfg = cfg_of()
@@ -113,7 +110,9 @@ class TestSimulate:
         m1, s1 = simulate(cfg, demand, ctrl, 400)
         m2, s2 = simulate(cfg, demand, ctrl, 400)
         assert m1.to_dict() == m2.to_dict()
-        assert [vars(a) for a in s1] == [vars(b) for b in s2]
+        for column in dataclasses.fields(s1):
+            np.testing.assert_array_equal(getattr(s1, column.name),
+                                          getattr(s2, column.name))
 
     def test_guidance_pad_lengthens_cycle(self):
         cfg = cfg_of()
@@ -126,18 +125,17 @@ class TestSimulate:
         assert objectives.f2(padded._plan) > objectives.f2(plain._plan)
         # pads display green but do not discharge
         opts = SimOptions(initial_motorized=(10, 0), guidance_pad_s=4)
-        _, steps = simulate(cfg, zero_demand(2), padded, 50, opts)
-        for s in steps:
-            if s.phase_state == "pad":
-                assert s.discharged == [0, 0]
+        _, trace = simulate(cfg, zero_demand(2), padded, 50, opts)
+        pad = trace.phase == simulator.PHASE_STATES.index("pad")
+        assert pad.any() and not trace.discharged[pad].any()
 
     def test_blackout_stops_discharge(self):
         cfg = cfg_of()
         ctrl = FixedTimeController([20, 20], cfg)
         opts = SimOptions(initial_motorized=(20, 20), blackouts=[(0, 30)])
-        _, steps = simulate(cfg, zero_demand(2), ctrl, 60, opts)
-        assert all(s.discharged == [0, 0] for s in steps[:30])
-        assert any(sum(s.discharged) > 0 for s in steps[30:])
+        _, trace = simulate(cfg, zero_demand(2), ctrl, 60, opts)
+        assert not trace.discharged[:30].any()
+        assert trace.discharged[30:].any()
 
     def test_observation_noise_thins_counts(self):
         cfg = cfg_of()
@@ -211,8 +209,8 @@ class TestArrivalStream:
         ctrl = FixedTimeController([15, 10, 25], cfg)
         for seed in range(6):
             demand = ArrivalModel(*rates, rng_seed=seed)
-            _, steps = simulate(cfg, demand, ctrl, horizon)
-            assert [s.arrivals for s in steps] == [
+            _, trace = simulate(cfg, demand, ctrl, horizon)
+            assert trace.arrivals.tolist() == [
                 [m + nm for m, nm in row]
                 for row in scalar_arrivals(demand, horizon)
             ]
@@ -224,21 +222,21 @@ class TestEmergencyInSimulation:
         ctrl = FixedTimeController([20, 20, 20, 20], cfg)
         event = EmergencyEvent(time_s=5, link=2)
         opts = SimOptions(emergency_events=[event])
-        _, steps = simulate(cfg, zero_demand(4), ctrl, 200, opts)
-        active_at = steps[event.time_s].active_link
+        _, trace = simulate(cfg, zero_demand(4), ctrl, 200, opts)
+        active_at = trace.active_link[event.time_s]
         # service must start right after the active phase and one clearance
         t = event.time_s
-        while steps[t].active_link in (active_at, -1):
+        while trace.active_link[t] in (active_at, -1):
             t += 1
-        assert steps[t].active_link == event.link
+        assert trace.active_link[t] == event.link
 
     def test_emergency_for_active_link_noop(self):
         cfg = cfg_of(L=3)
         ctrl = FixedTimeController([20, 20, 20], cfg)
         opts = SimOptions(emergency_events=[EmergencyEvent(time_s=2, link=0)])
-        _, steps = simulate(cfg, zero_demand(3), ctrl, 100, opts)
+        _, trace = simulate(cfg, zero_demand(3), ctrl, 100, opts)
         baseline = simulate(cfg, zero_demand(3), ctrl, 100)[1]
-        assert [s.active_link for s in steps] == [s.active_link for s in baseline]
+        assert trace.active_link.tolist() == baseline.active_link.tolist()
 
 
 class TestCompareControllers:
@@ -342,8 +340,8 @@ class TestAdaptiveController:
             if not memo:
                 ctrl._planner = dataclasses.replace(ctrl._planner,
                                                     reuse_fronts=False)
-            metrics, steps = simulate(palashi_cfg, demand, ctrl, 1200)
-            runs.append((metrics, [s.queues for s in steps]))
+            metrics, trace = simulate(palashi_cfg, demand, ctrl, 1200)
+            runs.append((metrics, trace.queues.tolist()))
             if memo:
                 assert 0 < counts["evolved"] < counts["plans"]
             else:
