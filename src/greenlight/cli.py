@@ -111,15 +111,17 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dump_json([ind.to_dict() for ind in front], out / "pareto_front.json")
     dump_json(plan.to_dict(), out / "selected_plan.json")
+    config = {
+        "intersection": cfg.to_dict(),
+        "optimizer": params.to_dict(),
+        "policy": planner.policy,
+        "guidance_pad_s": planner.guidance_pad_s,
+        "queue": queue.to_dict(),
+    }
+    if planner.policy == "weighted":  # the one policy that reads them
+        config["weights"] = list(planner.weights)
     _write_manifest(
-        out, "optimize",
-        {
-            "intersection": cfg.to_dict(),
-            "optimizer": params.to_dict(),
-            "policy": planner.policy,
-            "guidance_pad_s": planner.guidance_pad_s,
-            "queue": queue.to_dict(),
-        },
+        out, "optimize", config,
         [params.rng_seed],
         ["pareto_front.json", "selected_plan.json"],
         started,
@@ -237,15 +239,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     _write_manifest(
         out, "pipeline",
-        {"pipeline": {
-            "intersection": cfg.intersection.to_dict(),
-            "cameras": cfg.cameras,
-            "detector": cfg.detector,
-            "window_ms": cfg.window_ms,
-            "timing": cfg.timing,
-            "policy": cfg.policy,
-            "seed": cfg.seed,
-        }},
+        {"pipeline": cfg.to_dict()},
         [cfg.seed], artifacts, started,
     )
     summary = result.breakdown.summary()

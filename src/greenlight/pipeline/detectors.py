@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import dataclass
 from typing import Protocol
 
-from ..core import DetectionRecord
+from ..core import REAL, DetectionRecord, Section, setting
 from .buffers import Frame
 
 
@@ -19,33 +20,28 @@ class DetectorAdapter(Protocol):
     def detect(self, frame: Frame) -> tuple[DetectionRecord, float]: ...
 
 
-class SyntheticDetector:
+@dataclass(eq=False)
+class SyntheticDetector(Section):
     """Emulated detector: fixed delay with jitter, miss/false-count noise.
 
-    ``time_scale`` scales the real sleep only; the reported inference
-    sample is always the emulated delay, so latency ledgers reflect the
-    modeled detector regardless of how fast the test host runs.
+    The ``setting`` fields are the keys of a pipeline config's
+    ``detector`` entry; the pipeline supplies the others. ``time_scale``
+    scales the real sleep only; the reported inference sample is always
+    the emulated delay, so latency ledgers reflect the modeled detector
+    regardless of how fast the test host runs.
     """
 
-    def __init__(
-        self,
-        delay_ms: float = 0.0,
-        jitter_ms: float = 0.0,
-        miss_rate: float = 0.0,
-        false_rate: float = 0.0,
-        time_scale: float = 1.0,
-        seed: int = 0,
-        fail_every: int = 0,
-    ):
-        if not (0.0 <= miss_rate <= 1.0):
-            raise ValueError("miss_rate must be in [0, 1]")
-        self.delay_ms = delay_ms
-        self.jitter_ms = jitter_ms
-        self.miss_rate = miss_rate
-        self.false_rate = false_rate
-        self.time_scale = time_scale
-        self.fail_every = fail_every
-        self._rng = random.Random(seed)
+    delay_ms: float = setting(REAL, 0.0, low=0)
+    jitter_ms: float = setting(REAL, 0.0, low=0)
+    miss_rate: float = setting(REAL, 0.0, low=0, high=1)
+    false_rate: float = setting(REAL, 0.0, low=0)
+    time_scale: float = 1.0
+    seed: int = 0
+    fail_every: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._rng = random.Random(self.seed)
         self._n = 0
 
     def _noisy(self, count: int) -> int:

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .. import nsga2
 from ..core import (
-    REAL,
     ConfigError,
     DetectionRecord,
     IntersectionConfig,
@@ -37,8 +36,8 @@ from ..core import (
     QueueState,
     Section,
     SignalPlan,
-    Spec,
     setting,
+    table,
 )
 from .buffers import Frame, FrameSlot
 from .detectors import DetectorAdapter, ReplayDetector, SyntheticDetector
@@ -238,33 +237,12 @@ class Aggregator:
             return queue, stale_links
 
 
-# Camera and detector entries stay JSON objects: the manifest records them
-# as written (a replay log's relative path joined to the config file's
-# directory), and the keys given are the arguments of the stage they build
-# (SyntheticCamera or ReplaySource, SyntheticDetector), so an absent key
-# takes that class's default.
-FPS = Spec(REAL, above=0)
-SYNTHETIC_CAMERA = {
-    "fps": FPS,
-    **{key: Spec(int, low=0) for key in (
-        "motorized_in", "non_motorized_in", "motorized_out", "non_motorized_out")},
-    "extract_delay_ms": Spec(REAL, low=0),
-    "jitter_ms": Spec(REAL, low=0),
-    "n_frames": Spec(int, low=0, nullable=True),
-}
-REPLAY_CAMERA = {
-    "path": Spec(str, required=True, path=True,
-                 error="a replay camera needs a 'path' string"),
-    "fps": FPS,
-}
-CAMERA = OneOf("type", {"synthetic": SYNTHETIC_CAMERA, "replay": REPLAY_CAMERA},
-               default="synthetic")
-DETECTOR = {
-    "delay_ms": Spec(REAL, low=0),
-    "jitter_ms": Spec(REAL, low=0),
-    "miss_rate": Spec(REAL, low=0, high=1),
-    "false_rate": Spec(REAL, low=0),
-}
+# Camera and detector entries stay JSON objects, so the manifest records
+# them as written (a replay log's relative path joined to the config file's
+# directory). Their keys are the ``setting`` fields of the stage classes
+# they build, which declare each key's kind, bound and default once.
+CAMERA = OneOf("type", {"synthetic": table(SyntheticCamera),
+                        "replay": table(ReplaySource)}, default="synthetic")
 
 
 @dataclass
@@ -275,7 +253,7 @@ class PipelineConfig(Section):
     cameras: tuple[dict, ...] = setting(
         ListOf(CAMERA, nonempty=True, entry="camera"),
         error="pipeline config needs a non-empty 'cameras' list")
-    detector: dict = setting(DETECTOR, factory=dict)
+    detector: dict = setting(table(SyntheticDetector), factory=dict)
     window_ms: float = setting(float, 500.0, low=0)
     max_stale_windows: int = setting(int, 2, low=0)
     optimizer: nsga2.OptimizerParams = setting(

@@ -13,10 +13,11 @@ import os
 import random
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from ..core import ConfigError, DetectionRecord
+from ..core import REAL, ConfigError, DetectionRecord, Section, setting
 from .buffers import Frame
 
 
@@ -49,47 +50,40 @@ class VirtualClock(Clock):
         self._ms += ms
 
 
-class SyntheticCamera:
+@dataclass(eq=False)
+class SyntheticCamera(Section):
     """Emits frames of a (possibly constant) ground-truth count scene.
 
-    The frame payload is a dict of the four class counts visible to the
-    camera. ``extract_delay_ms`` is slept (scaled) and recorded on the
-    frame as the extraction-stage latency sample.
+    The ``setting`` fields are the keys of a synthetic camera entry; the
+    pipeline supplies the others when it builds the camera. The frame
+    payload is a dict of the four class counts visible to the camera.
+    ``extract_delay_ms`` is slept (scaled) and recorded on the frame as
+    the extraction-stage latency sample.
     """
 
-    def __init__(
-        self,
-        camera_id: int,
-        fps: float = 10.0,
-        motorized_in: int = 0,
-        non_motorized_in: int = 0,
-        motorized_out: int = 0,
-        non_motorized_out: int = 0,
-        extract_delay_ms: float = 5.0,
-        jitter_ms: float = 0.0,
-        n_frames: Optional[int] = None,
-        time_scale: float = 1.0,
-        seed: int = 0,
-        fail_after: Optional[int] = None,
-        clock: Clock = Clock(),
-    ):
-        if fps <= 0:
-            raise ValueError("fps must be > 0")
-        self.camera_id = camera_id
-        self.fps = fps
+    camera_id: int
+    fps: float = setting(REAL, 10.0, above=0)
+    motorized_in: int = setting(int, 0, low=0)
+    non_motorized_in: int = setting(int, 0, low=0)
+    motorized_out: int = setting(int, 0, low=0)
+    non_motorized_out: int = setting(int, 0, low=0)
+    extract_delay_ms: float = setting(REAL, 5.0, low=0)
+    jitter_ms: float = setting(REAL, 0.0, low=0)
+    n_frames: Optional[int] = setting(int, None, low=0)
+    time_scale: float = 1.0
+    seed: int = 0
+    fail_after: Optional[int] = None
+    clock: Clock = Clock()
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         self.counts = {
-            "motorized_in": motorized_in,
-            "non_motorized_in": non_motorized_in,
-            "motorized_out": motorized_out,
-            "non_motorized_out": non_motorized_out,
+            "motorized_in": self.motorized_in,
+            "non_motorized_in": self.non_motorized_in,
+            "motorized_out": self.motorized_out,
+            "non_motorized_out": self.non_motorized_out,
         }
-        self.extract_delay_ms = extract_delay_ms
-        self.jitter_ms = jitter_ms
-        self.n_frames = n_frames
-        self.time_scale = time_scale
-        self.fail_after = fail_after
-        self.clock = clock
-        self._rng = random.Random((seed << 8) ^ camera_id)
+        self._rng = random.Random((self.seed << 8) ^ self.camera_id)
 
     def __iter__(self) -> Iterator[Frame]:
         period_s = 1.0 / self.fps
@@ -112,38 +106,43 @@ class SyntheticCamera:
             seq += 1
 
 
-class ReplaySource:
-    """Replays a line-delimited JSON detection log as frames.
+@dataclass(eq=False)
+class ReplaySource(Section):
+    """Replays camera ``camera_id``'s records of a line-delimited JSON
+    detection log as frames.
 
-    Each frame's payload is the logged DetectionRecord; pair with the
-    replay detector, which passes it through verbatim. A log that is not a
-    readable file is a ``ConfigError`` when the source is built, before
-    the pipeline starts any thread.
+    The ``setting`` fields are the keys of a replay camera entry; the
+    pipeline supplies the others. Each frame's payload is the logged
+    DetectionRecord; pair with the replay detector, which passes it through
+    verbatim. A log that is not a readable file is a ``ConfigError`` when
+    the source is built, before the pipeline starts any thread.
     """
 
-    def __init__(self, path: str | Path, camera_id: Optional[int] = None,
-                 time_scale: float = 0.0, fps: float = 10.0,
-                 clock: Clock = Clock()):
-        self.path = Path(path)
-        if not (self.path.is_file() and os.access(self.path, os.R_OK)):
+    camera_id: int
+    path: str = setting(str, path=True,
+                        error="a replay camera needs a 'path' string")
+    fps: float = setting(REAL, 10.0, above=0)
+    time_scale: float = 0.0
+    clock: Clock = Clock()
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        path = Path(self.path)
+        if not (path.is_file() and os.access(path, os.R_OK)):
             raise ConfigError(
-                f"replay log {self.path.name!r} is not a readable file in "
-                f"{str(self.path.parent)!r}")
-        self.camera_id = camera_id
-        self.time_scale = time_scale
-        self.fps = fps
-        self.clock = clock
+                f"replay log {path.name!r} is not a readable file in "
+                f"{str(path.parent)!r}")
 
     def __iter__(self) -> Iterator[Frame]:
         period_s = 1.0 / self.fps
         seq = 0
-        with self.path.open() as fh:
+        with open(self.path) as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
                 record = DetectionRecord.from_dict(json.loads(line))
-                if self.camera_id is not None and record.camera_id != self.camera_id:
+                if record.camera_id != self.camera_id:
                     continue
                 if self.time_scale > 0:
                     time.sleep(period_s * self.time_scale)

@@ -75,8 +75,6 @@ class EmergencyEvent(Section):
 class FixedTimeController:
     """Returns the same cycle every time; the manual-control stand-in."""
 
-    name = "fixed"
-
     def __init__(self, greens: Sequence[int], cfg: IntersectionConfig,
                  guidance_pad_s: int = 0, order: Optional[Sequence[int]] = None):
         order = list(order) if order is not None else list(range(cfg.num_links))
@@ -96,8 +94,6 @@ class FixedTimeController:
 
 class AdaptiveController:
     """Re-optimizes the cycle from the observed queue before each cycle."""
-
-    name = "adaptive"
 
     def __init__(self, cfg: IntersectionConfig,
                  optimizer: nsga2.OptimizerParams = nsga2.OptimizerParams(),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -119,6 +120,19 @@ class TestOptimizeCommand:
         manifest = read_json(tmp_path / "o" / "manifest.json")
         del manifest["started_at"], manifest["finished_at"]
         assert sha256(canonical_json(manifest).encode()) == digest
+
+    def test_weighted_manifest_records_weights(self, assets_dir, tmp_path):
+        # Two weightings pick different plans, so their manifests differ.
+        configs = []
+        for i, weights in enumerate(["0.9,0.1", "0.1,0.9"]):
+            out = tmp_path / f"w{i}"
+            assert self.run_optimize(assets_dir, out, [
+                "--policy", "weighted", "--weights", weights]) == 0
+            configs.append(read_json(out / "manifest.json")["config"])
+        assert configs[0] != configs[1]
+        assert [c["weights"] for c in configs] == [[0.9, 0.1], [0.1, 0.9]]
+        del configs[0]["weights"], configs[1]["weights"]
+        assert configs[0] == configs[1]
 
 
 def sha256(data: bytes) -> str:
@@ -348,6 +362,19 @@ class TestSimulateCommand:
         assert "emergency events must name a link" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("compare", [False, True])
+    def test_demand_for_too_few_links_exits_1(self, quick_scenario, tmp_path,
+                                              capsys, compare):
+        def edit(raw):
+            for key in ("motorized_rates", "non_motorized_rates"):
+                raw["demand"][key] = raw["demand"][key][:3]
+
+        assert self.simulate_with(quick_scenario, tmp_path, edit, compare) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "demand rates must cover every link" in err
+        assert not (tmp_path / "x").exists()
+
     def test_same_seed_identical_csv(self, quick_scenario, tmp_path):
         for name in ("a", "b"):
             assert main(["simulate", "--scenario", str(quick_scenario),
@@ -450,6 +477,44 @@ class TestPipelineCommand:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "p").exists()
+
+    def test_zero_cycles_exits_1(self, pipeline_cfg_path, tmp_path, capsys):
+        out = tmp_path / "p"
+        assert main(["pipeline", "--config", str(pipeline_cfg_path),
+                     "--cycles", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cycles must be >= 1" in err
+        assert not out.exists()
+
+    def test_manifest_holds_the_config_that_ran(self, assets_dir, tmp_path):
+        from greenlight.pipeline import PipelineConfig
+        shutil.copy(assets_dir / "detections_sample.ndjson", tmp_path)
+        raw = read_json(assets_dir / "pipeline_demo.json")
+        raw.update(
+            intersection=str(assets_dir / "palashi5.json"),
+            optimizer={"population_size": 12, "generations": 6, "rng_seed": 3,
+                       "mutation_prob": 0.3},
+            max_stale_windows=1, time_scale=0.5, guidance_pad_s=2,
+            nominal_optimization_ms=120.0, timing="real")
+        raw["cameras"][0] = {"type": "replay", "path": "detections_sample.ndjson"}
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "p"
+        assert main(["pipeline", "--config", str(config), "--timing", "sim",
+                     "--cycles", "3", "--seed", "4", "--out", str(out)]) == 0
+
+        recorded = read_json(out / "manifest.json")["config"]["pipeline"]
+        ran = PipelineConfig.load(config)
+        ran.timing, ran.seed = "sim", 4
+        ran.optimizer = dataclasses.replace(ran.optimizer, rng_seed=4)
+        assert PipelineConfig.from_dict(recorded) == ran
+        # The recorded config alone reruns the same plans and ledger.
+        config.write_text(json.dumps(recorded))
+        again = tmp_path / "again"
+        assert main(["pipeline", "--config", str(config), "--cycles", "3",
+                     "--out", str(again)]) == 0
+        for name in ("plans.ndjson", "latency_ledger.ndjson"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
 
     def test_plans_pass_validation(self, pipeline_cfg_path, tmp_path, assets_dir):
         out = tmp_path / "p2"

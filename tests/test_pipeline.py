@@ -8,7 +8,7 @@ import pytest
 
 from greenlight import nsga2
 from greenlight.cli import main
-from greenlight.core import DetectionRecord
+from greenlight.core import ConfigError, DetectionRecord
 from greenlight.pipeline import (
     Aggregator,
     CameraStatus,
@@ -157,6 +157,39 @@ class TestSyntheticDetectorNoise:
                                               "non_motorized_in": 4}))
         assert rec.motorized_in == 17
         assert rec.non_motorized_in == 4
+
+    def test_false_rate_adds_poisson_counts(self):
+        det = SyntheticDetector(false_rate=2.0, seed=0)
+        true = {"motorized_in": 5, "non_motorized_in": 1}
+        recs = [det.detect(frame(i, payload=true))[0] for i in range(2000)]
+        assert min(r.motorized_in for r in recs) >= 5
+        assert min(r.non_motorized_in for r in recs) >= 1
+        mean_added = sum(r.motorized_in for r in recs) / len(recs) - 5
+        assert mean_added == pytest.approx(2.0, abs=0.15)
+
+
+class TestStageSettings:
+    """A stage built in code is checked by the table of its config keys."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SyntheticCamera(0, fps=0), "fps must be > 0, got 0"),
+        (lambda: SyntheticDetector(miss_rate=1.5),
+         "miss_rate must be in [0, 1], got 1.5"),
+    ])
+    def test_direct_construction_raises_config_error(self, build, message):
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_replay_skips_blank_lines(self, tmp_path):
+        records = [DetectionRecord(camera_id=c, frame_ts_ms=t, motorized_in=m)
+                   for c, t, m in ((0, 0, 3), (1, 5, 9), (0, 10, 4))]
+        log = tmp_path / "replay.ndjson"
+        log.write_text("\n" + "\n  \n".join(
+            json.dumps(r.to_dict()) for r in records) + "\n\n")
+        frames = list(ReplaySource(0, str(log)))
+        assert [(f.seq, f.payload) for f in frames] == [
+            (0, records[0]), (1, records[2])]
 
 
 class TestAggregator:
