@@ -279,8 +279,8 @@ def load_section(section: Any, d: Any, label: str, noun: str = "", *,
 
 
 def _from_base(specs: dict, d: dict, base_dir: Path) -> dict:
-    """``d`` with each relative file path its table declares, those in list
-    entries included, taken from ``base_dir``."""
+    """``d`` with each relative file path its table declares, those in
+    tagged list entries included, taken from ``base_dir``."""
     out = dict(d)
     for k, v in d.items():
         spec = specs.get(k)  # an unknown key in a list entry is caught later
@@ -289,19 +289,17 @@ def _from_base(specs: dict, d: dict, base_dir: Path) -> dict:
         if spec.path and isinstance(v, str):
             out[k] = str(Path(base_dir, v))
         elif (isinstance(spec.kind, ListOf) and isinstance(v, list)
-              and isinstance(spec.kind.kind, (dict, OneOf))):
+              and isinstance(spec.kind.kind, OneOf)):
             out[k] = [_from_base(_entry_table(spec.kind.kind, x), x, base_dir)
                       if isinstance(x, dict) else x for x in v]
     return out
 
 
-def _entry_table(item: Any, d: dict) -> dict:
+def _entry_table(item: OneOf, d: dict) -> dict:
     """The table of list entry ``d``; an unknown tag gives an empty one,
     which the entry's own load rejects."""
-    if isinstance(item, OneOf):
-        tag = d.get(item.tag, item.default)
-        return item.variants.get(tag, {}) if isinstance(tag, str) else {}
-    return item
+    tag = d.get(item.tag, item.default)
+    return item.variants.get(tag, {}) if isinstance(tag, str) else {}
 
 
 def dump(value: Any) -> Any:
@@ -333,7 +331,8 @@ class IntersectionConfig(Section):
     num_links: int = setting(int, low=2, high=100)
     link_names: tuple[str, ...] = setting(ListOf(str), ())
     min_green_s: int = setting(int, 10, low=1)
-    max_green_s: int = setting(int, 60, low=1)
+    # The optimizer keeps max_green_s + 1 residuals per link: an hour caps it.
+    max_green_s: int = setting(int, 60, low=1, high=3600)
     inter_green_s: int = setting(int, 3, low=0)
     sat_flow_motorized: float = setting(REAL, 0.5, above=0)
     sat_flow_non_motorized: float = setting(REAL, 0.25, above=0)

@@ -1,6 +1,6 @@
 from .buffers import Frame, FrameSlot
 from .detectors import DetectorAdapter, ReplayDetector, SyntheticDetector
-from .latency import CycleLatency, LatencyBreakdown, LatencyRecorder
+from .latency import CycleLatency, LatencyBreakdown
 from .orchestrator import (
     Aggregator,
     AllCamerasStale,
@@ -21,7 +21,6 @@ __all__ = [
     "Frame",
     "FrameSlot",
     "LatencyBreakdown",
-    "LatencyRecorder",
     "PipelineConfig",
     "PipelineResult",
     "ReplayDetector",

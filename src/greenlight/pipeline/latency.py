@@ -7,7 +7,6 @@ time, and the run-level T_latency is the mean over cycles.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 
@@ -65,30 +64,3 @@ class LatencyBreakdown:
                 [c.optimization_ms for c in self.cycles]
             ),
         }
-
-
-class LatencyRecorder:
-    """Thread-safe collector of per-frame stage samples.
-
-    Workers append; the orchestrator drains once per cycle so each sample
-    lands in exactly one cycle entry.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._extraction: list[float] = []
-        self._inference: list[float] = []
-
-    def add_extraction(self, ms: float) -> None:
-        with self._lock:
-            self._extraction.append(ms)
-
-    def add_inference(self, ms: float) -> None:
-        with self._lock:
-            self._inference.append(ms)
-
-    def drain(self) -> tuple[list[float], list[float]]:
-        with self._lock:
-            ext, self._extraction = self._extraction, []
-            inf, self._inference = self._inference, []
-            return ext, inf

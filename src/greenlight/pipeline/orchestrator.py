@@ -2,20 +2,22 @@
 
 Per camera, ``extract_one`` moves the next frame into a latest-only slot
 and ``infer_one`` turns the slot's frame into a DetectionRecord for the
-aggregator. Each cycle of ``run_pipeline`` collects one window of records
-into a QueueState, drains the stage samples, invokes the optimizer and
-appends a latency-ledger entry.
+aggregator, and both steps report their stage samples to it. A snapshot
+is one ``Aggregator.collect``: under the aggregator's lock it takes one
+window of records as a QueueState, hands over the stage samples recorded
+since the last snapshot that produced a queue, and releases each camera's
+next detection. Each cycle of ``run_pipeline`` takes one snapshot, invokes
+the optimizer and appends a latency-ledger entry.
 
 Both timings detect one frame per live camera per snapshot.
 ``timing="real"`` runs the steps against the wall clock in one extraction
 thread per camera, which captures without pause like an RTSP feed, and
-one detection thread per camera. Taking a snapshot releases each camera's
-next detection, on its first frame captured after the release, so
-detection overlaps the optimizer and a snapshot's records were captured
-close together. ``timing="sim"`` starts no thread: before each collect
-the loop moves one frame per live camera through the same steps, and the
-aggregator and sources read a virtual clock, so every output (including
-the ledger) is deterministic.
+one detection thread per camera, which detects on its first frame
+captured after the release, so detection overlaps the optimizer and a
+snapshot's records were captured close together. ``timing="sim"`` starts
+no thread: before each collect the loop moves one frame per live camera
+through the same steps, and the aggregator and sources read a virtual
+clock, so every output (including the ledger) is deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .. import nsga2
 from ..core import (
@@ -41,7 +43,7 @@ from ..core import (
 )
 from .buffers import Frame, FrameSlot
 from .detectors import DetectorAdapter, ReplayDetector, SyntheticDetector
-from .latency import CycleLatency, LatencyBreakdown, LatencyRecorder
+from .latency import CycleLatency, LatencyBreakdown
 from .sources import Clock, ReplaySource, SyntheticCamera, VirtualClock
 
 log = logging.getLogger(__name__)
@@ -56,7 +58,7 @@ class CameraStatus:
 
 
 def extract_one(frames: Iterator[Frame], slot: FrameSlot,
-                recorder: LatencyRecorder, status: CameraStatus) -> bool:
+                aggregator: Aggregator, status: CameraStatus) -> bool:
     """Move the next frame into the slot, newest-wins; False once the
     source has ended or failed, which marks the camera dead."""
     try:
@@ -68,15 +70,15 @@ def extract_one(frames: Iterator[Frame], slot: FrameSlot,
     if frame is None:
         status.alive = False
         return False
-    recorder.add_extraction(frame.extraction_ms)
+    aggregator.add_extraction(frame.extraction_ms)
     status.frames += 1
     slot.put(frame)
     return True
 
 
 def infer_one(slot: FrameSlot, detector: DetectorAdapter,
-              sink: Callable[[DetectionRecord], None], recorder: LatencyRecorder,
-              status: CameraStatus, timeout: Optional[float]) -> None:
+              aggregator: Aggregator, status: CameraStatus,
+              timeout: Optional[float]) -> None:
     """Detect on the slot's frame, if one comes within ``timeout``; exactly
     one record per frame the detector does not fail on."""
     frame = slot.take(timeout)
@@ -88,53 +90,21 @@ def infer_one(slot: FrameSlot, detector: DetectorAdapter,
         status.detector_errors += 1
         log.warning("detector failed on frame %s: %s", frame.seq, exc)
         return
-    recorder.add_inference(inference_ms)
-    sink(record)
+    aggregator.add_inference(inference_ms)
+    aggregator.submit(record)
 
 
 def run_extraction_worker(
     source: Iterable[Frame],
     slot: FrameSlot,
-    recorder: LatencyRecorder,
-    stop: threading.Event,
+    aggregator: Aggregator,
     status: CameraStatus,
 ) -> None:
-    """Feed every frame of ``source`` into the slot until it ends or stop."""
+    """Feed every frame of ``source`` into the slot until it ends or the
+    aggregator closes."""
     frames = iter(source)
-    while not stop.is_set() and extract_one(frames, slot, recorder, status):
+    while not aggregator.closed and extract_one(frames, slot, aggregator, status):
         pass
-
-
-class SnapshotGate:
-    """Counts the snapshots the cycle loop takes, for the detection threads.
-
-    ``release`` counts one and stamps it on the pipeline clock. ``wait``
-    blocks until a snapshot after the ``seen``-th, or ``close``; it returns
-    that (count, stamp in ms), or None once closed.
-    """
-
-    def __init__(self, clock: Clock):
-        self._clock = clock
-        self._cond = threading.Condition()
-        self._count = 0
-        self._at_ms = 0.0
-        self._closed = False
-
-    def release(self) -> None:
-        with self._cond:
-            self._count += 1
-            self._at_ms = self._clock.now_ms()
-            self._cond.notify_all()
-
-    def wait(self, seen: int) -> Optional[tuple[int, float]]:
-        with self._cond:
-            self._cond.wait_for(lambda: self._closed or self._count > seen)
-            return None if self._closed else (self._count, self._at_ms)
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
 
 
 class _CapturedSince:
@@ -155,41 +125,57 @@ class _CapturedSince:
 def run_detection_worker(
     slot: FrameSlot,
     detector: DetectorAdapter,
-    sink: Callable[[DetectionRecord], None],
-    recorder: LatencyRecorder,
+    aggregator: Aggregator,
     status: CameraStatus,
-    gate: SnapshotGate,
 ) -> None:
-    """Detect once per released snapshot, on the slot's first frame
-    captured after the release, until the gate closes. A camera still
-    detecting when a snapshot is released serves it as soon as it is done;
-    a dead camera waits on its slot until the slot closes."""
+    """Detect once per release, on the slot's first frame captured after
+    the release, until the aggregator closes. A camera still detecting
+    when a snapshot is taken serves its release as soon as it is done; a
+    dead camera waits on its slot until the slot closes."""
     seen = 0
-    while (released := gate.wait(seen)) is not None:
+    while (released := aggregator.wait_release(seen)) is not None:
         seen, since_ms = released
-        infer_one(_CapturedSince(slot, since_ms), detector, sink, recorder,
+        infer_one(_CapturedSince(slot, since_ms), detector, aggregator,
                   status, timeout=None)
 
 
 class Aggregator:
-    """Collects the latest DetectionRecord per camera into a QueueState.
+    """Collects the latest DetectionRecord per camera into a QueueState, and
+    owns the cycle boundary: one ``collect`` is one snapshot.
 
     A window completes when every camera has delivered a record since the
     previous window; on timeout, cameras missing for at most
     ``max_stale_windows`` consecutive windows reuse their last counts,
     older ones fall back to zero. Either way the link is flagged stale.
-    Waits and queue timestamps use ``clock``.
+    The stage steps add their samples here, and each snapshot that
+    produces a queue hands over the samples added since the last one. Every
+    collect, and creation, releases the cameras' next detections
+    (``wait_release``). Waits, queue timestamps and release stamps use
+    ``clock``.
     """
 
     def __init__(self, num_cameras: int, max_stale_windows: int = 2,
                  clock: Clock = Clock()):
         self.num_cameras = num_cameras
         self.max_stale_windows = max_stale_windows
+        self.closed = False
         self._clock = clock
         self._cond = threading.Condition()
         self._latest: list[Optional[DetectionRecord]] = [None] * num_cameras
         self._fresh = [False] * num_cameras  # delivered since the last collect
         self._stale_streak = [0] * num_cameras
+        self._extraction: list[float] = []
+        self._inference: list[float] = []
+        self._released = 1  # before any capture: every first frame counts
+        self._released_ms = clock.now_ms()
+
+    def add_extraction(self, ms: float) -> None:
+        with self._cond:
+            self._extraction.append(ms)
+
+    def add_inference(self, ms: float) -> None:
+        with self._cond:
+            self._inference.append(ms)
 
     def submit(self, record: DetectionRecord) -> None:
         if not (0 <= record.camera_id < self.num_cameras):
@@ -199,13 +185,16 @@ class Aggregator:
             self._fresh[record.camera_id] = True
             self._cond.notify_all()
 
-    def collect(self, window_ms: float) -> Optional[tuple[QueueState, list[int]]]:
-        """Wait for one window; returns (queue, stale_links) or None if every
-        camera is stale beyond the reuse budget.
+    def collect(self, window_ms: float) -> Optional[
+            tuple[QueueState, list[int], list[float], list[float]]]:
+        """Take one snapshot; returns (queue, stale_links, extraction
+        samples, inference samples), or None if every camera is stale
+        beyond the reuse budget, which keeps the samples for the next one.
 
         A camera is fresh when it has delivered a record since the previous
         collect; missing cameras are waited on for up to ``window_ms``
-        before the stale policy applies.
+        before the stale policy applies. Every collect releases the
+        cameras' next detections.
         """
         deadline = self._clock.now_ms() + window_ms
         with self._cond:
@@ -227,14 +216,31 @@ class Aggregator:
                 motorized.append(rec.motorized_in if rec else 0)
                 non_motorized.append(rec.non_motorized_in if rec else 0)
             self._fresh = [False] * self.num_cameras
+            self._released += 1
+            self._released_ms = now = self._clock.now_ms()
+            self._cond.notify_all()
             if usable == 0:
                 return None
             queue = QueueState(
                 motorized=tuple(motorized),
                 non_motorized=tuple(non_motorized),
-                timestamp_ms=int(self._clock.now_ms()),
+                timestamp_ms=int(now),
             )
-            return queue, stale_links
+            ext, self._extraction = self._extraction, []
+            inf, self._inference = self._inference, []
+            return queue, stale_links, ext, inf
+
+    def wait_release(self, seen: int) -> Optional[tuple[int, float]]:
+        """Block until a release after the ``seen``-th, or ``close``; returns
+        that release's (count, stamp in ms), or None once closed."""
+        with self._cond:
+            self._cond.wait_for(lambda: self.closed or self._released > seen)
+            return None if self.closed else (self._released, self._released_ms)
+
+    def close(self) -> None:
+        with self._cond:
+            self.closed = True
+            self._cond.notify_all()
 
 
 # Camera and detector entries stay JSON objects, so the manifest records
@@ -261,7 +267,7 @@ class PipelineConfig(Section):
     policy: str = setting(nsga2.POLICIES, "knee")
     guidance_pad_s: int = setting(int, 0, low=0)
     timing: str = setting(("real", "sim"), "real")
-    time_scale: float = setting(float, 1.0, low=0)
+    time_scale: float = setting(float, 1.0, above=0)
     nominal_optimization_ms: float = setting(float, 250.0, low=0)
     seed: int = setting(int, 0)
 
@@ -317,13 +323,13 @@ def _build_stage(
 
 
 def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
-    """Run ``cycles`` cycles of collect, drain, optimize and ledger entry.
+    """Run ``cycles`` cycles of snapshot, optimize and ledger entry.
 
-    Each live camera detects one frame per snapshot. In ``real`` timing a
-    snapshot releases the cameras' next detections right after its
-    collect returns (a skipped collect releases too), and each detects
-    its first frame captured after the release, while the optimizer runs.
-    A camera still detecting serves the release once it is done.
+    Each live camera detects one frame per snapshot. In ``real`` timing
+    each collect (a skipped one too) releases the cameras' next
+    detections, and each detects its first frame captured after the
+    release, while the optimizer runs. A camera still detecting serves the
+    release once it is done.
 
     Every cycle's plan comes from one ``nsga2.Planner`` built for the run.
     In ``sim`` timing the virtual clock advances by each cycle's ledger
@@ -342,25 +348,21 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
     planner = nsga2.Planner(cfg.intersection, cfg.optimizer, cfg.policy,
                             cfg.guidance_pad_s, reuse_fronts=sim)
     n = len(cfg.cameras)
-    recorder = LatencyRecorder()
-    aggregator = Aggregator(n, cfg.max_stale_windows, clock)
-    stop = threading.Event()
-    gate = SnapshotGate(clock)
     statuses = [CameraStatus() for _ in range(n)]
     slots = [FrameSlot() for _ in range(n)]
     stages = [_build_stage(spec, i, cfg, 0.0 if sim else cfg.time_scale, clock)
               for i, spec in enumerate(cfg.cameras)]
+    aggregator = Aggregator(n, cfg.max_stale_windows, clock)
     threads = [] if sim else [
         threading.Thread(target=target, args=args, name=f"{name}-{i}", daemon=True)
         for i, (frames, detector) in enumerate(stages)
         for name, target, args in (
             ("extract", run_extraction_worker,
-             (frames, slots[i], recorder, stop, statuses[i])),
+             (frames, slots[i], aggregator, statuses[i])),
             ("infer", run_detection_worker,
-             (slots[i], detector, aggregator.submit, recorder, statuses[i], gate)),
+             (slots[i], detector, aggregator, statuses[i])),
         )
     ]
-    gate.release()  # before any capture: every camera's first frame counts
     for t in threads:
         t.start()
 
@@ -371,12 +373,11 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
             # In sim, one frame per live camera goes through the stage steps.
             for i, (frames, detector) in enumerate(stages):
                 if sim and statuses[i].alive and extract_one(
-                        frames, slots[i], recorder, statuses[i]):
-                    infer_one(slots[i], detector, aggregator.submit, recorder,
-                              statuses[i], timeout=0.0)
+                        frames, slots[i], aggregator, statuses[i]):
+                    infer_one(slots[i], detector, aggregator, statuses[i],
+                              timeout=0.0)
             collected = aggregator.collect(cfg.window_ms)
             if collected is None:
-                gate.release()
                 skipped += 1
                 misses += 1
                 log.warning("cycle skipped: all cameras stale")
@@ -384,13 +385,7 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
                     raise AllCamerasStale("no camera delivered any record")
                 continue
             misses = 0
-            queue, stale_links = collected
-            # Drained before the next detections are released, so the
-            # cycle holds the samples of the records that fed its snapshot:
-            # a record delivered while the optimizer runs feeds the next
-            # snapshot, not this one.
-            ext, inf = recorder.drain()
-            gate.release()
+            queue, stale_links, ext, inf = collected
             t0 = time.monotonic()
             _, plan, chosen = planner(queue)
             opt_ms = (time.monotonic() - t0) * 1000.0
@@ -404,8 +399,7 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
                                        chosen.objectives.to_dict(), entry))
             clock.advance(entry.t_latency_ms)
     finally:
-        stop.set()
-        gate.close()
+        aggregator.close()
         for s in slots:
             s.close()
         for t in threads:

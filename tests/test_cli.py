@@ -781,6 +781,8 @@ class TestRejectedInputs:
          "optimizer must be a JSON object, got None"),
         ("optimize", "config", lambda raw: raw["optimizer"].update(mutation_prob=float("nan")),
          "mutation_prob must be a finite number, got nan"),
+        ("optimize", "config", lambda raw: raw["intersection"].update(max_green_s=3601),
+         "max_green_s must be in [1, 3600]"),
         ("optimize", "queue", lambda q: q.update(motorized=None),
          "motorized must be a list of integers, got None"),
         ("optimize", "queue", lambda q: q.update(motorized=[1.5, "3", 0, 0, 0]),
@@ -896,5 +898,24 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and (
             "replay log 'no_such_log.ndjson' is not a readable file" in err)
+        assert started == []
+        assert not out.exists()
+
+    def test_zero_time_scale_exits_1(self, pipeline_cfg_path, tmp_path, capsys,
+                                     monkeypatch):
+        # At 0 a synthetic camera captures without sleeping, so real timing
+        # would spin; the scale must be positive.
+        import threading
+        started = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread.name))
+        raw = read_json(pipeline_cfg_path)
+        raw["time_scale"] = 0
+        pipeline_cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(pipeline_cfg_path),
+                     "--timing", "real", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "time_scale must be > 0, got 0.0" in err
         assert started == []
         assert not out.exists()

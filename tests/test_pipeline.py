@@ -16,7 +16,6 @@ from greenlight.pipeline import (
     Frame,
     FrameSlot,
     LatencyBreakdown,
-    LatencyRecorder,
     PipelineConfig,
     ReplayDetector,
     ReplaySource,
@@ -63,16 +62,22 @@ class TestFrameSlot:
         t.join()
 
 
+def handed_over(agg):
+    # The stage samples that the next snapshot with a queue hands over.
+    for cam in range(agg.num_cameras):
+        agg.submit(DetectionRecord(camera_id=cam, frame_ts_ms=0, motorized_in=1))
+    _, _, ext, inf = agg.collect(window_ms=0)
+    return ext, inf
+
+
 class TestExtractionWorker:
     def test_slow_consumer_sees_fresh_frames(self):
         source = SyntheticCamera(camera_id=0, fps=100, motorized_in=3,
                                  n_frames=100, time_scale=1.0)
         slot = FrameSlot()
-        recorder = LatencyRecorder()
-        stop = threading.Event()
         status = CameraStatus()
         t = threading.Thread(target=run_extraction_worker,
-                             args=(source, slot, recorder, stop, status))
+                             args=(source, slot, Aggregator(1), status))
         t.start()
         seen = []
         while t.is_alive() or not slot.peek_empty():
@@ -88,37 +93,48 @@ class TestExtractionWorker:
 
     def test_empty_source_exits_cleanly(self):
         slot = FrameSlot()
-        recorder = LatencyRecorder()
+        agg = Aggregator(1)
         status = CameraStatus()
-        run_extraction_worker(iter(()), slot, recorder, threading.Event(), status)
+        run_extraction_worker(iter(()), slot, agg, status)
         assert status.alive is False
         assert status.error is None
-        assert recorder.drain() == ([], [])
+        assert handed_over(agg) == ([], [])
 
     def test_source_failure_marks_camera_stale(self):
         source = SyntheticCamera(camera_id=0, fps=1000, motorized_in=1,
                                  fail_after=5, time_scale=0.0)
         slot = FrameSlot()
-        recorder = LatencyRecorder()
+        agg = Aggregator(1)
         status = CameraStatus()
-        run_extraction_worker(source, slot, recorder, threading.Event(), status)
+        run_extraction_worker(source, slot, agg, status)
         assert status.alive is False
         assert "stream lost" in status.error
-        ext, _ = recorder.drain()
+        ext, _ = handed_over(agg)
         assert len(ext) == 5
+
+
+class RecordingAggregator(Aggregator):
+    """Keeps every record submitted, not only the latest per camera."""
+
+    def __init__(self, num_cameras):
+        super().__init__(num_cameras)
+        self.records = []
+
+    def submit(self, record):
+        self.records.append(record)
+        super().submit(record)
 
 
 def drive_inference(frames, detector):
     # One frame at a time through the inference step.
     slot = FrameSlot()
-    recorder = LatencyRecorder()
+    agg = RecordingAggregator(1)
     status = CameraStatus()
-    records = []
     for f in frames:
         slot.put(f)
-        orchestrator.infer_one(slot, detector, records.append, recorder, status,
-                               timeout=0.0)
-    _, inf = recorder.drain()
+        orchestrator.infer_one(slot, detector, agg, status, timeout=0.0)
+    records = list(agg.records)
+    _, inf = handed_over(agg)
     return records, inf, status
 
 
@@ -201,7 +217,7 @@ class TestAggregator:
         agg = Aggregator(3)
         for cam, m in enumerate([5, 7, 9]):
             agg.submit(self.record(cam, m, nm=cam))
-        queue, stale = agg.collect(window_ms=50)
+        queue, stale, *_ = agg.collect(window_ms=50)
         assert queue.motorized == (5, 7, 9)
         assert queue.non_motorized == (0, 1, 2)
         assert stale == []
@@ -211,7 +227,7 @@ class TestAggregator:
         agg.submit(self.record(0, 5))
         agg.submit(self.record(0, 9, ts=1))
         agg.submit(self.record(1, 1))
-        queue, _ = agg.collect(window_ms=50)
+        queue, *_ = agg.collect(window_ms=50)
         assert queue.motorized[0] == 9
 
     def test_stale_camera_reuses_last_counts(self):
@@ -220,7 +236,7 @@ class TestAggregator:
         agg.submit(self.record(1, 7))
         agg.collect(window_ms=10)
         agg.submit(self.record(0, 4))  # camera 1 goes silent
-        queue, stale = agg.collect(window_ms=10)
+        queue, stale, *_ = agg.collect(window_ms=10)
         assert queue.motorized == (4, 7)
         assert stale == [1]
 
@@ -231,7 +247,7 @@ class TestAggregator:
         agg.collect(window_ms=10)
         for _ in range(2):
             agg.submit(self.record(0, 4))
-            queue, stale = agg.collect(window_ms=10)
+            queue, stale, *_ = agg.collect(window_ms=10)
         assert queue.motorized == (4, 0)
         assert stale == [1]
 
@@ -244,11 +260,11 @@ class TestAggregator:
         agg = Aggregator(2, clock=clock)
         agg.submit(self.record(0, 3))
         agg.submit(self.record(1, 7))
-        queue, stale = agg.collect(window_ms=400)
+        queue, stale, *_ = agg.collect(window_ms=400)
         assert (queue.timestamp_ms, stale) == (0, [])
         clock.advance(250.5)
         agg.submit(self.record(0, 4))
-        queue, stale = agg.collect(window_ms=400)
+        queue, stale, *_ = agg.collect(window_ms=400)
         assert (queue.timestamp_ms, stale) == (650, [1])
 
     def test_fresh_without_time_passing(self):
@@ -257,8 +273,48 @@ class TestAggregator:
         for _ in range(3):
             agg.submit(self.record(0, 3))
             agg.submit(self.record(1, 7))
-            queue, stale = agg.collect(window_ms=400)
+            queue, stale, *_ = agg.collect(window_ms=400)
             assert (queue.timestamp_ms, stale) == (0, [])
+
+    def test_skipped_collect_releases_and_keeps_samples(self):
+        agg = Aggregator(1, clock=VirtualClock())
+        agg.add_extraction(2.0)
+        agg.add_inference(30.0)
+        assert agg.collect(window_ms=400) is None
+        assert agg.wait_release(1) == (2, 400.0)
+        agg.add_extraction(3.0)
+        agg.submit(self.record(0, 5))
+        queue, stale, ext, inf = agg.collect(window_ms=400)
+        assert (queue.motorized, stale) == ((5,), [])
+        assert (ext, inf) == ([2.0, 3.0], [30.0])
+        assert agg.wait_release(2) == (3, 400.0)
+
+    def test_sample_after_collect_lands_in_next_snapshot(self):
+        agg = Aggregator(1, clock=VirtualClock())
+        agg.add_inference(30.0)
+        agg.submit(self.record(0, 5))
+        assert agg.collect(window_ms=400)[2:] == ([], [30.0])
+        # A detection that ends while the optimizer runs.
+        agg.add_inference(31.0)
+        agg.submit(self.record(0, 6))
+        queue, _, ext, inf = agg.collect(window_ms=400)
+        assert (queue.motorized, ext, inf) == ((6,), [], [31.0])
+
+    def test_creation_releases_and_close_ends_waits(self):
+        clock = VirtualClock()
+        clock.advance(7.0)
+        agg = Aggregator(2, clock=clock)
+        assert agg.wait_release(0) == (1, 7.0)
+        waited = []
+        waiter = threading.Thread(
+            target=lambda: waited.append(agg.wait_release(1)))
+        waiter.start()
+        time.sleep(0.05)  # let the waiter block
+        agg.close()
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert waited == [None]
+        assert agg.wait_release(0) is None
 
 
 class TestLatencyLedger:
@@ -454,16 +510,16 @@ class TestRealReleaseRule:
         for c in result.cycles:
             assert len(c.latency.inference_samples) == 3 - len(c.stale_links)
 
-    def test_gate_serves_the_latest_snapshot_once_under_contention(self):
+    def test_release_serves_the_latest_snapshot_once_under_contention(self):
         # More waiters than cores and a short switch interval: a lost
         # wake-up leaves a waiter short of the last snapshot, a repeated
         # one serves a snapshot twice.
-        gate = orchestrator.SnapshotGate(orchestrator.Clock())
+        agg = Aggregator(1)
         served = [[] for _ in range(8)]
 
         def waiter(i):
             seen = 0
-            while (snapshot := gate.wait(seen)) is not None:
+            while (snapshot := agg.wait_release(seen)) is not None:
                 seen = snapshot[0]
                 served[i].append(snapshot)
 
@@ -474,18 +530,18 @@ class TestRealReleaseRule:
                        for i in range(len(served))]
             for t in threads:
                 t.start()
-            # Bursts of releases, each followed by a wait until every waiter
-            # has served the latest one, so waiters are asleep at a release.
+            # Bursts of collects, each followed by a wait until every waiter
+            # has served the latest release, so waiters are asleep at one.
             deadline = time.monotonic() + 10.0
-            released = 0
+            released = 1  # creation releases
             for burst in range(300):
                 for _ in range(1 + burst % 7):
-                    gate.release()
+                    assert agg.collect(window_ms=0) is None
                     released += 1
                 while (any(not s or s[-1][0] < released for s in served)
                        and time.monotonic() < deadline):
                     time.sleep(0.0002)
-            gate.close()
+            agg.close()
             for t in threads:
                 t.join(timeout=5.0)
         finally:
