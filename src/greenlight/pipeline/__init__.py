@@ -1,5 +1,5 @@
 from .buffers import Frame, FrameSlot
-from .detectors import DetectorAdapter, ReplayDetector, SyntheticDetector
+from .detectors import SyntheticDetector
 from .latency import CycleLatency, LatencyBreakdown
 from .orchestrator import (
     Aggregator,
@@ -17,13 +17,11 @@ __all__ = [
     "AllCamerasStale",
     "CameraStatus",
     "CycleLatency",
-    "DetectorAdapter",
     "Frame",
     "FrameSlot",
     "LatencyBreakdown",
     "PipelineConfig",
     "PipelineResult",
-    "ReplayDetector",
     "ReplaySource",
     "SyntheticCamera",
     "SyntheticDetector",

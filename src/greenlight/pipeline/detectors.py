@@ -1,8 +1,10 @@
-"""Detector adapters converting frames to DetectionRecords.
+"""The detector stage: turns a frame's four class counts into a
+DetectionRecord.
 
-``detect`` returns (record, inference_ms). The synthetic adapter emulates a
-model with a characteristic per-frame delay and configurable count noise;
-the replay adapter passes logged records through verbatim.
+``SyntheticDetector`` is the one detector for every camera, synthetic or
+replay: ``detect`` returns (record, inference_ms). It emulates a model with
+a characteristic per-frame delay and configurable count noise, whatever
+source the counts came from.
 """
 
 from __future__ import annotations
@@ -10,14 +12,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Protocol
 
 from ..core import REAL, DetectionRecord, Section, setting
 from .buffers import Frame
-
-
-class DetectorAdapter(Protocol):
-    def detect(self, frame: Frame) -> tuple[DetectionRecord, float]: ...
 
 
 @dataclass(eq=False)
@@ -34,7 +31,9 @@ class SyntheticDetector(Section):
     delay_ms: float = setting(REAL, 0.0, low=0)
     jitter_ms: float = setting(REAL, 0.0, low=0)
     miss_rate: float = setting(REAL, 0.0, low=0, high=1)
-    false_rate: float = setting(REAL, 0.0, low=0)
+    # The Poisson draw stops at exp(-false_rate), which must stay a normal
+    # double (up to ~708); past that, every rate draws the same ~745.
+    false_rate: float = setting(REAL, 0.0, low=0, high=700)
     time_scale: float = 1.0
     seed: int = 0
     fail_every: int = 0
@@ -50,7 +49,7 @@ class SyntheticDetector(Section):
                 1 for _ in range(count) if self._rng.random() >= self.miss_rate
             )
         if self.false_rate > 0:
-            # Poisson draw via inversion; rates are small.
+            # Poisson draw via inversion.
             L = self.false_rate
             k, p, thresh = 0, 1.0, pow(2.718281828459045, -L)
             while True:
@@ -80,15 +79,3 @@ class SyntheticDetector(Section):
         )
         return record, inference_ms
 
-
-class ReplayDetector:
-    """Passes a logged DetectionRecord payload through unchanged."""
-
-    def __init__(self, delay_ms: float = 0.0):
-        self.delay_ms = float(delay_ms)
-
-    def detect(self, frame: Frame) -> tuple[DetectionRecord, float]:
-        record = frame.payload
-        if not isinstance(record, DetectionRecord):
-            raise TypeError("replay detector expects DetectionRecord payloads")
-        return record, self.delay_ms

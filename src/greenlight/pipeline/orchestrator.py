@@ -1,13 +1,15 @@
 """Pipeline orchestration: stage steps, windowed aggregation, cycle loop.
 
 Per camera, ``extract_one`` moves the next frame into a latest-only slot
-and ``infer_one`` turns the slot's frame into a DetectionRecord for the
-aggregator, and both steps report their stage samples to it. A snapshot
-is one ``Aggregator.collect``: under the aggregator's lock it takes one
-window of records as a QueueState, hands over the stage samples recorded
-since the last snapshot that produced a queue, and releases each camera's
-next detection. Each cycle of ``run_pipeline`` takes one snapshot, invokes
-the optimizer and appends a latency-ledger entry.
+and ``infer_one`` turns a frame taken from the slot into a DetectionRecord
+for the aggregator, and both steps report their stage samples to it. Every
+camera, synthetic or replay, has a ``SyntheticDetector`` built from the
+config's one ``detector`` entry. A snapshot is one ``Aggregator.collect``:
+under the aggregator's lock it takes one window of records as a
+QueueState, hands over the stage samples recorded since the last snapshot
+that produced a queue, and releases each camera's next detection. Each
+cycle of ``run_pipeline`` takes one snapshot, invokes the optimizer and
+appends a latency-ledger entry.
 
 Both timings detect one frame per live camera per snapshot.
 ``timing="real"`` runs the steps against the wall clock in one extraction
@@ -42,7 +44,7 @@ from ..core import (
     table,
 )
 from .buffers import Frame, FrameSlot
-from .detectors import DetectorAdapter, ReplayDetector, SyntheticDetector
+from .detectors import SyntheticDetector
 from .latency import CycleLatency, LatencyBreakdown
 from .sources import Clock, ReplaySource, SyntheticCamera, VirtualClock
 
@@ -76,14 +78,10 @@ def extract_one(frames: Iterator[Frame], slot: FrameSlot,
     return True
 
 
-def infer_one(slot: FrameSlot, detector: DetectorAdapter,
-              aggregator: Aggregator, status: CameraStatus,
-              timeout: Optional[float]) -> None:
-    """Detect on the slot's frame, if one comes within ``timeout``; exactly
-    one record per frame the detector does not fail on."""
-    frame = slot.take(timeout)
-    if frame is None:
-        return
+def infer_one(frame: Frame, detector: SyntheticDetector,
+              aggregator: Aggregator, status: CameraStatus) -> None:
+    """Detect on ``frame``; exactly one record per frame the detector does
+    not fail on."""
     try:
         record, inference_ms = detector.detect(frame)
     except Exception as exc:
@@ -107,24 +105,9 @@ def run_extraction_worker(
         pass
 
 
-class _CapturedSince:
-    """The frames of ``slot`` captured at or after ``since_ms``: ``take``
-    discards older ones."""
-
-    def __init__(self, slot: FrameSlot, since_ms: float):
-        self._slot = slot
-        self._since_ms = since_ms
-
-    def take(self, timeout: Optional[float]) -> Optional[Frame]:
-        frame = self._slot.take(timeout)
-        while frame is not None and frame.capture_ts_ms < self._since_ms:
-            frame = self._slot.take(timeout)
-        return frame
-
-
 def run_detection_worker(
     slot: FrameSlot,
-    detector: DetectorAdapter,
+    detector: SyntheticDetector,
     aggregator: Aggregator,
     status: CameraStatus,
 ) -> None:
@@ -135,8 +118,11 @@ def run_detection_worker(
     seen = 0
     while (released := aggregator.wait_release(seen)) is not None:
         seen, since_ms = released
-        infer_one(_CapturedSince(slot, since_ms), detector, aggregator,
-                  status, timeout=None)
+        frame = slot.take()
+        while frame is not None and frame.capture_ts_ms < since_ms:
+            frame = slot.take()
+        if frame is not None:
+            infer_one(frame, detector, aggregator, status)
 
 
 class Aggregator:
@@ -246,7 +232,8 @@ class Aggregator:
 # Camera and detector entries stay JSON objects, so the manifest records
 # them as written (a replay log's relative path joined to the config file's
 # directory). Their keys are the ``setting`` fields of the stage classes
-# they build, which declare each key's kind, bound and default once.
+# they build, which declare each key's kind, bound and default once. The
+# one detector entry builds every camera's detector, replay included.
 CAMERA = OneOf("type", {"synthetic": table(SyntheticCamera),
                         "replay": table(ReplaySource)}, default="synthetic")
 
@@ -305,21 +292,20 @@ class AllCamerasStale(RuntimeError):
 def _build_stage(
     spec: dict, camera_id: int, cfg: PipelineConfig, time_scale: float,
     clock: Clock,
-) -> tuple[Iterator[Frame], DetectorAdapter]:
+) -> tuple[Iterator[Frame], SyntheticDetector]:
     """Build the (frames, detector) pair for one camera slot; stage sleeps
     are scaled by ``time_scale``."""
     args = {key: value for key, value in spec.items() if key != "type"}
     if spec.get("type") == "replay":
         source = ReplaySource(camera_id=camera_id, time_scale=time_scale,
                               clock=clock, **args)
-        delay = {k: v for k, v in cfg.detector.items() if k == "delay_ms"}
-        return iter(source), ReplayDetector(**delay)
-    camera = SyntheticCamera(
-        camera_id, time_scale=time_scale, seed=cfg.seed, clock=clock, **args)
+    else:
+        source = SyntheticCamera(camera_id, time_scale=time_scale,
+                                 seed=cfg.seed, clock=clock, **args)
     detector = SyntheticDetector(
         time_scale=time_scale, seed=(cfg.seed << 8) ^ (camera_id + 1),
         **cfg.detector)
-    return iter(camera), detector
+    return iter(source), detector
 
 
 def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
@@ -374,8 +360,8 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
             for i, (frames, detector) in enumerate(stages):
                 if sim and statuses[i].alive and extract_one(
                         frames, slots[i], aggregator, statuses[i]):
-                    infer_one(slots[i], detector, aggregator, statuses[i],
-                              timeout=0.0)
+                    infer_one(slots[i].take(0.0), detector, aggregator,
+                              statuses[i])
             collected = aggregator.collect(cfg.window_ms)
             if collected is None:
                 skipped += 1

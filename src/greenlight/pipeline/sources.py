@@ -1,9 +1,10 @@
 """Frame sources: synthetic scene generators and detection-log replay.
 
-A source is an iterable of Frames. Synthetic cameras pace themselves with
-real sleeps (scaled by ``time_scale``) and carry the per-frame extraction
-delay on the frame itself. Every source stamps its frames with the
-pipeline's clock.
+A source is an iterable of Frames whose payload is the four class counts
+the camera sees, so one detector serves every source. Sources pace
+themselves with real sleeps (scaled by ``time_scale``); synthetic cameras
+carry the per-frame extraction delay on the frame itself. Every source
+stamps its frames with the pipeline's clock.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from typing import Iterator, Optional
 
 from ..core import REAL, ConfigError, DetectionRecord, Section, setting
 from .buffers import Frame
+
+# A frame's payload: the count of each detection class the camera sees.
+COUNTS = ("motorized_in", "non_motorized_in", "motorized_out",
+          "non_motorized_out")
 
 
 class Clock:
@@ -56,7 +61,7 @@ class SyntheticCamera(Section):
 
     The ``setting`` fields are the keys of a synthetic camera entry; the
     pipeline supplies the others when it builds the camera. The frame
-    payload is a dict of the four class counts visible to the camera.
+    payload is ``counts``, the four class counts visible to the camera.
     ``extract_delay_ms`` is slept (scaled) and recorded on the frame as
     the extraction-stage latency sample.
     """
@@ -77,12 +82,7 @@ class SyntheticCamera(Section):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self.counts = {
-            "motorized_in": self.motorized_in,
-            "non_motorized_in": self.non_motorized_in,
-            "motorized_out": self.motorized_out,
-            "non_motorized_out": self.non_motorized_out,
-        }
+        self.counts = {key: getattr(self, key) for key in COUNTS}
         self._rng = random.Random((self.seed << 8) ^ self.camera_id)
 
     def __iter__(self) -> Iterator[Frame]:
@@ -112,10 +112,11 @@ class ReplaySource(Section):
     detection log as frames.
 
     The ``setting`` fields are the keys of a replay camera entry; the
-    pipeline supplies the others. Each frame's payload is the logged
-    DetectionRecord; pair with the replay detector, which passes it through
-    verbatim. A log that is not a readable file is a ``ConfigError`` when
-    the source is built, before the pipeline starts any thread.
+    pipeline supplies the others. Each frame's payload is the four class
+    counts of one validated record, and its capture stamp is the
+    pipeline's clock, not the logged ``frame_ts_ms``. A log that is not a
+    readable file is a ``ConfigError`` when the source is built, before
+    the pipeline starts any thread.
     """
 
     camera_id: int
@@ -150,7 +151,7 @@ class ReplaySource(Section):
                     camera_id=record.camera_id,
                     seq=seq,
                     capture_ts_ms=self.clock.now_ms(),
-                    payload=record,
+                    payload={key: getattr(record, key) for key in COUNTS},
                     extraction_ms=0.0,
                 )
                 seq += 1

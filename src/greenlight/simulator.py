@@ -172,7 +172,8 @@ class Scenario(Section):
 
     intersection: IntersectionConfig = setting(IntersectionConfig, path=True)
     demand: ArrivalModel = setting(ArrivalModel)
-    horizon_s: int = setting(int, low=1)
+    # A run holds about five (horizon, L, 2) int64 arrays: a day caps it.
+    horizon_s: int = setting(int, low=1, high=86400)
     controllers: tuple[dict, ...] = setting(
         ListOf(CONTROLLER, nonempty=True, entry="controller"))
     seeds: tuple[int, ...] = setting(

@@ -775,6 +775,9 @@ class TestRejectedInputs:
          "weights must be >= 0, got -1"),
         ("simulate", "config", lambda raw: raw["controllers"][1].update(weights=[0, 0.0]),
          "weights must not both be 0, got [0, 0.0]"),
+        # Each of ~5 (horizon, L, 2) arrays would be allocated before a step.
+        ("simulate", "config", lambda raw: raw.update(horizon_s=10**12),
+         "horizon_s must be in [1, 86400], got 1000000000000"),
         ("optimize", "config", lambda raw: raw.update(polcy="min_f1"),
          "unknown optimize config key 'polcy'"),
         ("optimize", "config", lambda raw: raw.update(optimizer=None),
@@ -918,4 +921,23 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "time_scale must be > 0, got 0.0" in err
         assert started == []
+        assert not out.exists()
+
+    def test_false_rate_above_ceiling_exits_1(self, pipeline_cfg_path, tmp_path,
+                                              capsys, monkeypatch):
+        # Past ~745 the Poisson draw of false counts is wrong for any rate.
+        import greenlight.cli
+        ran = []
+        monkeypatch.setattr(greenlight.cli, "run_pipeline",
+                            lambda *a, **k: ran.append(a))
+        raw = read_json(pipeline_cfg_path)
+        raw["detector"]["false_rate"] = 1000
+        pipeline_cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(pipeline_cfg_path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and (
+            "false_rate must be in [0, 700], got 1000" in err)
+        assert ran == []
         assert not out.exists()

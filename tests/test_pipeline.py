@@ -1,5 +1,6 @@
 import functools
 import json
+import random
 import sys
 import threading
 import time
@@ -17,7 +18,6 @@ from greenlight.pipeline import (
     FrameSlot,
     LatencyBreakdown,
     PipelineConfig,
-    ReplayDetector,
     ReplaySource,
     SyntheticCamera,
     SyntheticDetector,
@@ -127,12 +127,10 @@ class RecordingAggregator(Aggregator):
 
 def drive_inference(frames, detector):
     # One frame at a time through the inference step.
-    slot = FrameSlot()
     agg = RecordingAggregator(1)
     status = CameraStatus()
     for f in frames:
-        slot.put(f)
-        orchestrator.infer_one(slot, detector, agg, status, timeout=0.0)
+        orchestrator.infer_one(f, detector, agg, status)
     records = list(agg.records)
     _, inf = handed_over(agg)
     return records, inf, status
@@ -174,6 +172,14 @@ class TestSyntheticDetectorNoise:
         assert rec.motorized_in == 17
         assert rec.non_motorized_in == 4
 
+    def test_false_rate_at_its_ceiling_stays_poisson(self):
+        # Above ~745 the inversion ran until its product underflowed and
+        # every rate drew the same mean; 700 is the ceiling.
+        det = SyntheticDetector(false_rate=700, seed=0)
+        recs = [det.detect(frame(i))[0] for i in range(200)]
+        mean_added = sum(r.motorized_in for r in recs) / len(recs) - 1
+        assert mean_added == pytest.approx(700, abs=10)
+
     def test_false_rate_adds_poisson_counts(self):
         det = SyntheticDetector(false_rate=2.0, seed=0)
         true = {"motorized_in": 5, "non_motorized_in": 1}
@@ -204,8 +210,10 @@ class TestStageSettings:
         log.write_text("\n" + "\n  \n".join(
             json.dumps(r.to_dict()) for r in records) + "\n\n")
         frames = list(ReplaySource(0, str(log)))
+        counts = [{"motorized_in": m, "non_motorized_in": 0,
+                   "motorized_out": 0, "non_motorized_out": 0} for m in (3, 4)]
         assert [(f.seq, f.payload) for f in frames] == [
-            (0, records[0]), (1, records[2])]
+            (0, counts[0]), (1, counts[1])]
 
 
 class TestAggregator:
@@ -652,6 +660,40 @@ class TestSimFailurePolicies:
         result = run_pipeline(pipeline_config(timing="sim"), 4)
         assert [(s.alive, s.frames, s.detector_errors, s.error)
                 for s in result.camera_status] == [(True, 4, 0, None)] * 2
+
+
+class TestReplayDetection:
+    """A replay camera's logged counts go through the config's one
+    detector entry, like a synthetic camera's frames."""
+
+    @staticmethod
+    def replay_config(assets_dir, **detector):
+        return PipelineConfig.from_dict({
+            "intersection": str(assets_dir / "palashi5.json"),
+            "cameras": [{"type": "replay",
+                         "path": str(assets_dir / "detections_sample.ndjson")}
+                        for _ in range(5)],
+            "detector": detector,
+            "optimizer": {"population_size": 12, "generations": 5},
+            "timing": "sim",
+        })
+
+    def test_miss_rate_thins_logged_counts(self, assets_dir):
+        queues = {}
+        for rate in (0, 0.5):
+            result = run_pipeline(self.replay_config(assets_dir, miss_rate=rate), 4)
+            queues[rate] = [c.queue.motorized for c in result.cycles]
+        assert queues[0][0] == (41, 8, 26, 6, 19)
+        assert all(sum(thinned) < sum(logged)
+                   for thinned, logged in zip(queues[0.5], queues[0]))
+
+    def test_ledger_holds_delay_and_jitter_draws(self, assets_dir):
+        result = run_pipeline(
+            self.replay_config(assets_dir, delay_ms=100, jitter_ms=10), 3)
+        # Camera i's detector draws from seed (seed << 8) ^ (i + 1), seed 0.
+        rngs = [random.Random(i + 1) for i in range(5)]
+        assert [c.latency.inference_samples for c in result.cycles] == [
+            [100 + rng.uniform(-10, 10) for rng in rngs] for _ in range(3)]
 
 
 def test_bad_replay_record_kills_its_camera(tmp_path):
