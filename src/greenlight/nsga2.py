@@ -88,8 +88,11 @@ class Individual:
 class OptimizerParams(Section):
     NAME = "optimizer"
 
-    population_size: int = setting(int, 60, low=4)
-    generations: int = setting(int, 100, low=1)
+    # The draw script and a run's point cache grow as P*G. At 1000 x 1000
+    # on palashi5 (2-CPU x86-64 host) the script builds in ~6 s and holds
+    # ~91 MB, and a whole run takes ~16 s at a peak RSS of ~210 MB.
+    population_size: int = setting(int, 60, low=4, high=1000)
+    generations: int = setting(int, 100, low=1, high=1000)
     crossover_prob: float = setting(float, 0.9, low=0, high=1)
     # None -> 1/L. Kept as written: optimize manifests record a 1 as 1.
     mutation_prob: Optional[float] = setting(REAL, None, low=0, high=1)

@@ -11,6 +11,10 @@ and marks blackout seconds in a mask before the first step. It then
 advances a stretch of constant signal state at a time. Its trace
 (``SimTrace``) is five per-second columns: queues, arrivals and discharge
 per link, the served link, and the phase state.
+
+numpy loads on the first ``simulate`` (or ``compare_controllers``) call,
+not on import: ``cli`` imports this module, and ``optimize`` and
+``pipeline`` never run a simulation, so they start without it.
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ from __future__ import annotations
 import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import nsga2
 from .core import (
@@ -37,6 +39,9 @@ from .core import (
     setting,
     validate_plan,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -310,6 +315,8 @@ def simulate(
     served one adds up its arrivals; the served link of a lit green follows
     Lindley's recursion q_t = max(0, q_{t-1} + a_t - c_t).
     """
+    import numpy as np
+
     if options is None:
         options = SimOptions()
     L = cfg.num_links
@@ -462,6 +469,8 @@ def compare_controllers(
     Returns mean metrics per controller plus percentage deltas of each
     controller against the first (baseline) one.
     """
+    import numpy as np
+
     if len(controllers) < 2:
         raise ValueError("need at least two controllers to compare")
     if not seeds:

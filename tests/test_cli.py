@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -542,6 +545,47 @@ class TestParser:
 ASSETS_DIR = Path(__file__).resolve().parents[1] / "src" / "greenlight" / "assets"
 
 
+class TestColdStart:
+    """Only a simulation loads numpy, so ``optimize`` and ``pipeline`` start
+    without paying for it. Each check runs in a fresh interpreter, because
+    this one has numpy loaded already."""
+
+    def loads_numpy(self, tmp_path, code: str) -> bool:
+        paths = [str(ASSETS_DIR.parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        code += "\nimport sys\nprint('numpy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1] == "True"
+
+    def main_loads_numpy(self, tmp_path, argv: list[str]) -> bool:
+        code = f"from greenlight.cli import main\nassert main({argv!r}) == 0"
+        return self.loads_numpy(tmp_path, code)
+
+    def test_imports_and_pipeline_config_load_skip_numpy(self, tmp_path):
+        code = ("import greenlight.cli, greenlight.simulator, greenlight.pipeline\n"
+                "greenlight.pipeline.PipelineConfig.load("
+                f"{str(ASSETS_DIR / 'pipeline_demo.json')!r})")
+        assert not self.loads_numpy(tmp_path, code)
+
+    def test_optimize_skips_numpy(self, tmp_path):
+        assert not self.main_loads_numpy(tmp_path, [
+            "optimize", "--config", str(ASSETS_DIR / "palashi5.json"),
+            "--queue", str(ASSETS_DIR / "queue_sample.json"), "--seed", "7",
+            "--out", str(tmp_path / "o")])
+
+    def test_pipeline_skips_numpy(self, tmp_path):
+        assert not self.main_loads_numpy(tmp_path, [
+            "pipeline", "--config", str(ASSETS_DIR / "pipeline_demo.json"),
+            "--timing", "sim", "--cycles", "2", "--out", str(tmp_path / "p")])
+
+    def test_simulate_loads_numpy(self, quick_scenario, tmp_path):
+        assert self.main_loads_numpy(tmp_path, [
+            "simulate", "--scenario", str(quick_scenario),
+            "--out", str(tmp_path / "s")])
+
+
 class TestLoadTimeChecks:
     """Numbers, policies and weights are checked when a config loads: a bad
     value exits 1, runs nothing and leaves no output directory."""
@@ -778,12 +822,23 @@ class TestRejectedInputs:
         # Each of ~5 (horizon, L, 2) arrays would be allocated before a step.
         ("simulate", "config", lambda raw: raw.update(horizon_s=10**12),
          "horizon_s must be in [1, 86400], got 1000000000000"),
+        # The draw script and the point cache grow as population x generations.
+        ("simulate", "config", lambda raw: raw["controllers"][1]["optimizer"].update(
+            population_size=10**6),
+         "controller 1: population_size must be in [4, 1000], got 1000000"),
+        ("simulate", "config", lambda raw: raw["controllers"][1]["optimizer"].update(
+            generations=1001),
+         "controller 1: generations must be in [1, 1000], got 1001"),
         ("optimize", "config", lambda raw: raw.update(polcy="min_f1"),
          "unknown optimize config key 'polcy'"),
         ("optimize", "config", lambda raw: raw.update(optimizer=None),
          "optimizer must be a JSON object, got None"),
         ("optimize", "config", lambda raw: raw["optimizer"].update(mutation_prob=float("nan")),
          "mutation_prob must be a finite number, got nan"),
+        ("optimize", "config", lambda raw: raw["optimizer"].update(population_size=10**6),
+         "population_size must be in [4, 1000], got 1000000"),
+        ("optimize", "config", lambda raw: raw["optimizer"].update(generations=1001),
+         "generations must be in [1, 1000], got 1001"),
         ("optimize", "config", lambda raw: raw["intersection"].update(max_green_s=3601),
          "max_green_s must be in [1, 3600]"),
         ("optimize", "queue", lambda q: q.update(motorized=None),
