@@ -32,6 +32,10 @@ LinkId = int
 # The kind of a number kept as written: a JSON 1 stays an int, 0.5 a float.
 REAL = numbers.Real
 
+# The ceiling of the pipeline's millisecond settings: an hour, as
+# ``max_green_s`` has. Far larger ones overflow the run's clock or a wait.
+HOUR_MS = 3_600_000
+
 
 class ConfigError(ValueError):
     """Raised when a config or input file fails validation."""

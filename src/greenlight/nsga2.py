@@ -12,9 +12,9 @@ returns (front, plan, chosen ``Individual``).
 A run keeps its population as flat per-slot lists (genomes, (f1, f2)
 tuples, ranks, crowding distances); an ``Individual`` with an
 ``ObjectiveVector`` is built only for what leaves ``run``: the returned
-front, the memo entries and the ``on_generation`` archives.
-``fast_non_dominated_sort`` and ``crowding_distance`` are adapters over
-Individuals for the point-based ``sort_points`` and ``crowding_points``.
+front and the memo entries. ``fast_non_dominated_sort`` and
+``crowding_distance`` are adapters over Individuals for the point-based
+``sort_points`` and ``crowding_points``.
 
 Fronts come from a sort-and-sweep over (f1, f2) (Jensen 2003, IEEE TEC
 7(5)) that ranks by bisection in O(n log n), not from pairwise comparison;
@@ -25,11 +25,12 @@ each front, and every random draw are those of the textbook O(n^2) sort and
 archive rescan (Deb et al. 2002), so fronts and artifacts are byte-identical
 to that version.
 
-No random draw depends on the queue: the initial genomes, tournament
-candidates, crossover swap masks and mutation redraws are a function of the
-optimizer setting alone. ``_draw_script`` makes them once per setting, on
-first use, from ``random.Random(rng_seed)`` in the order a run drawing as it
-goes would, and keeps the last few settings; ``run`` replays the script, and
+A run's setting is one value, ``(params, num_links, min_green_s,
+max_green_s)``, and no random draw depends on the queue: ``_draw_script``
+makes the initial genomes, tournament candidates, crossover swap masks and
+mutation redraws once per setting, on first use, from
+``random.Random(rng_seed)`` in the order a run drawing as it goes would, and
+keeps the last few settings; ``run`` replays the script, and
 ``tournament_select``, ``crossover`` and ``mutate`` apply draws they are
 given. The adaptive controller, which reruns one setting before every cycle,
 pays for its draws once.
@@ -38,8 +39,8 @@ Survival reads only the fronts that fill the next population, so the
 generation loop's sort orders no front past them. A ``Planner`` built with
 ``reuse_fronts`` owns a ``FrontMemo`` that it passes to every ``run``: light
 queues that clear at min green give many cycles one objective map, and a
-run on a map the memo holds returns the stored front instead of evolving it
-again. There is no module-level front cache.
+run on a setting and map the memo holds returns the stored front instead of
+evolving it again. There is no module-level front cache.
 """
 
 from __future__ import annotations
@@ -104,11 +105,6 @@ class OptimizerParams(Section):
         if self.population_size % 2 != 0:
             raise ConfigError(
                 f"population_size must be even, got {self.population_size}")
-
-
-def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
-    """True iff a is no worse in both objectives and strictly better in one."""
-    return a.f1 <= b.f1 and a.f2 <= b.f2 and (a.f1 < b.f1 or a.f2 < b.f2)
 
 
 def sort_points(
@@ -282,26 +278,20 @@ class _DrawScript:
 
 @lru_cache(maxsize=8)
 def _draw_script(
-    rng_seed: int,
-    population_size: int,
-    generations: int,
-    tournament_size: int,
-    crossover_prob: float,
-    mutation_prob: float,
-    num_links: int,
-    min_green_s: int,
-    max_green_s: int,
+    params: OptimizerParams, num_links: int, min_green_s: int, max_green_s: int
 ) -> _DrawScript:
-    """Make a run's draws from ``random.Random(rng_seed)``.
-
-    No draw depends on the queue or on the population's objectives, so
-    every run with the same setting replays one script. The draw order is
-    that of drawing inside the generation loop: per pair, two tournament
-    samples, the crossover coin and per-gene swap coins, then each child's
-    per-gene mutation coin, each followed by its redraw when it fires.
+    """The draws of every run with this setting, cached on the setting,
+    from ``random.Random(params.rng_seed)``; a ``mutation_prob`` of None is
+    1/L. The draw order is that of drawing inside the generation loop: per
+    pair, two tournament samples, the crossover coin and per-gene swap
+    coins, then each child's per-gene mutation coin, each followed by its
+    redraw when it fires.
     """
-    rng = random.Random(rng_seed)
-    P, L = population_size, num_links
+    rng = random.Random(params.rng_seed)
+    P, L = params.population_size, num_links
+    mutation_prob = params.mutation_prob
+    if mutation_prob is None:
+        mutation_prob = 1.0 / L
     shared: dict = {}
 
     def redraws() -> tuple:
@@ -317,16 +307,16 @@ def _draw_script(
         tuple(rng.randint(min_green_s, max_green_s) for _ in range(L))
         for _ in range(P)
     )
-    k = min(tournament_size, P)
+    k = min(params.tournament_size, P)
     script = []
-    for _ in range(generations):
+    for _ in range(params.generations):
         steps: list = []
         for _ in range(P // 2):
             for _ in range(2):
                 candidates = tuple(rng.sample(range(P), k))
                 steps.append(shared.setdefault(candidates, candidates))
             swap = 0
-            if rng.random() < crossover_prob:
+            if rng.random() < params.crossover_prob:
                 for i in range(L):
                     if rng.random() < 0.5:
                         swap |= 1 << i
@@ -359,13 +349,6 @@ class _Archive:
 
     points: list[tuple] = field(default_factory=list)
     members: list[dict[Genome, None]] = field(default_factory=list)
-
-    def individuals(self) -> list[Individual]:
-        return [
-            Individual(g, ObjectiveVector(*p))
-            for p, group in zip(self.points, self.members)
-            for g in group
-        ]
 
 
 def _update_archive(
@@ -414,41 +397,30 @@ def run(
     cfg: IntersectionConfig,
     params: OptimizerParams,
     guidance_pad_s: int = 0,
-    on_generation: Optional[Callable[[int, list[Individual]], None]] = None,
     memo: Optional[FrontMemo] = None,
 ) -> list[Individual]:
     """Evolve green-time plans against ``queue``; return the Pareto front.
 
     The returned front is the non-dominated archive over all evaluated
-    individuals, sorted by (f1, f2, genome) for reproducible output.
-    ``on_generation`` is invoked with (generation, archive front so far)
-    after each generation, mainly for instrumentation in tests.
+    individuals, sorted by (f1, f2, genome) for reproducible output; the
+    module's ``_update_archive`` fills it from the initial population, then
+    once per generation.
 
-    A run is a pure function of its setting (``params``, L, the green
-    bounds) and of the objective map on in-bounds genomes (the evaluator's
-    ``key``). With a ``memo``, a run whose setting and map it holds returns
-    fresh rank-0 individuals built from the stored front without evolving,
-    unless ``on_generation`` is set; any other run stores its front,
-    evicting the oldest entry once the memo holds ``FRONT_MEMO_SIZE``.
+    A run is a pure function of its setting, ``(params, L, min_green_s,
+    max_green_s)``, and of the objective map on in-bounds genomes (the
+    evaluator's ``key``). A ``memo`` holding ``(*setting, key)`` gives back
+    fresh rank-0 individuals built from the stored front without evolving;
+    any other run stores its front there, evicting the oldest entry once
+    the memo holds ``FRONT_MEMO_SIZE``.
     """
     evaluate = objectives.genome_evaluator(queue, cfg, guidance_pad_s)
-    L = cfg.num_links
+    setting = (params, cfg.num_links, cfg.min_green_s, cfg.max_green_s)
     if memo is not None:
-        key = (params, L, cfg.min_green_s, cfg.max_green_s, evaluate.key)
-        stored = memo.get(key) if on_generation is None else None
+        key = (*setting, evaluate.key)
+        stored = memo.get(key)
         if stored is not None:
             return [Individual(g, obj, rank=0) for g, obj in stored]
-    script = _draw_script(
-        params.rng_seed,
-        params.population_size,
-        params.generations,
-        params.tournament_size,
-        params.crossover_prob,
-        params.mutation_prob if params.mutation_prob is not None else 1.0 / L,
-        L,
-        cfg.min_green_s,
-        cfg.max_green_s,
-    )
+    script = _draw_script(*setting)
     P = params.population_size
 
     # The population is a table of slots: genome, (f1, f2) point, rank and
@@ -465,7 +437,7 @@ def run(
     archive = _Archive()
     _update_archive(archive, [(points[i], genomes[i]) for i in fronts[0]])
 
-    for gen, steps in enumerate(script.generations):
+    for steps in script.generations:
         # Offspring take slots P..2P-1 after their parents.
         draws = iter(steps)
         for candidates1, candidates2, swap, redraws1, redraws2 in zip(
@@ -498,8 +470,6 @@ def run(
         genomes = [genomes[i] for i in chosen]
         points = [points[i] for i in chosen]
         ranks = [all_ranks[i] for i in chosen]
-        if on_generation is not None:
-            on_generation(gen, archive.individuals())
 
     # The staircase is in (f1, f2) order, and each point's genomes sorted.
     front = [

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from ..core import REAL, DetectionRecord, Section, setting
+from ..core import HOUR_MS, REAL, DetectionRecord, Section, setting
 from .buffers import Frame
 
 
@@ -28,8 +28,8 @@ class SyntheticDetector(Section):
     regardless of how fast the test host runs.
     """
 
-    delay_ms: float = setting(REAL, 0.0, low=0)
-    jitter_ms: float = setting(REAL, 0.0, low=0)
+    delay_ms: float = setting(REAL, 0.0, low=0, high=HOUR_MS)
+    jitter_ms: float = setting(REAL, 0.0, low=0, high=HOUR_MS)
     miss_rate: float = setting(REAL, 0.0, low=0, high=1)
     # The Poisson draw stops at exp(-false_rate), which must stay a normal
     # double (up to ~708); past that, every rate draws the same ~745.

@@ -32,6 +32,7 @@ from typing import Iterable, Iterator, Optional
 
 from .. import nsga2
 from ..core import (
+    HOUR_MS,
     ConfigError,
     DetectionRecord,
     IntersectionConfig,
@@ -247,7 +248,7 @@ class PipelineConfig(Section):
         ListOf(CAMERA, nonempty=True, entry="camera"),
         error="pipeline config needs a non-empty 'cameras' list")
     detector: dict = setting(table(SyntheticDetector), factory=dict)
-    window_ms: float = setting(float, 500.0, low=0)
+    window_ms: float = setting(float, 500.0, low=0, high=HOUR_MS)
     max_stale_windows: int = setting(int, 2, low=0)
     optimizer: nsga2.OptimizerParams = setting(
         nsga2.OptimizerParams, factory=nsga2.OptimizerParams)
@@ -255,7 +256,8 @@ class PipelineConfig(Section):
     guidance_pad_s: int = setting(int, 0, low=0)
     timing: str = setting(("real", "sim"), "real")
     time_scale: float = setting(float, 1.0, above=0)
-    nominal_optimization_ms: float = setting(float, 250.0, low=0)
+    nominal_optimization_ms: float = setting(float, 250.0, low=0,
+                                             high=HOUR_MS)
     seed: int = setting(int, 0)
 
     def __post_init__(self) -> None:

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from ..core import REAL, ConfigError, DetectionRecord, Section, setting
+from ..core import (
+    HOUR_MS,
+    REAL,
+    ConfigError,
+    DetectionRecord,
+    Section,
+    setting,
+)
 from .buffers import Frame
 
 # A frame's payload: the count of each detection class the camera sees.
@@ -72,8 +79,8 @@ class SyntheticCamera(Section):
     non_motorized_in: int = setting(int, 0, low=0)
     motorized_out: int = setting(int, 0, low=0)
     non_motorized_out: int = setting(int, 0, low=0)
-    extract_delay_ms: float = setting(REAL, 5.0, low=0)
-    jitter_ms: float = setting(REAL, 0.0, low=0)
+    extract_delay_ms: float = setting(REAL, 5.0, low=0, high=HOUR_MS)
+    jitter_ms: float = setting(REAL, 0.0, low=0, high=HOUR_MS)
     n_frames: Optional[int] = setting(int, None, low=0)
     time_scale: float = 1.0
     seed: int = 0

@@ -185,6 +185,16 @@ class Scenario(Section):
         ListOf(int, nonempty=True, entry="seed"), (0,), low=0)
     options: SimOptions = setting(SimOptions, factory=SimOptions)
 
+    @classmethod
+    def from_dict(cls, d, base_dir=None) -> Scenario:
+        scenario = super().from_dict(d, base_dir)
+        # Each run draws its arrivals from one of ``seeds``, so a demand
+        # seed would be read and then ignored.
+        if "rng_seed" in d["demand"]:
+            raise ConfigError("demand.rng_seed is not used: simulate draws "
+                              "arrivals from the scenario's seeds or --seed")
+        return scenario
+
     def __post_init__(self) -> None:
         super().__post_init__()
         names = [spec.setdefault("name", f"controller_{i}")

@@ -784,6 +784,10 @@ class TestRejectedInputs:
          "unknown scenario key 'seed'"),
         ("simulate", "config", lambda raw: raw["demand"].update(rng_sed=3),
          "unknown demand key 'rng_sed'"),
+        # Arrivals are drawn from the scenario's seeds or --seed.
+        ("simulate", "config", lambda raw: raw["demand"].update(rng_seed=5),
+         "demand.rng_seed is not used: simulate draws arrivals from the "
+         "scenario's seeds or --seed"),
         ("simulate", "config", lambda raw: raw["controllers"][1].update(polcy="min_f1"),
          "unknown controller 1 key 'polcy'"),
         ("simulate", "config", lambda raw: raw["controllers"][0].update(gren=[30] * 5),
@@ -934,6 +938,44 @@ class TestRejectedInputs:
             f"--weights expects two comma-separated finite numbers, got '{weights}'"
             in err)
         assert ran == []
+        assert not out.exists()
+
+    # Past about 1e300 ms the sim clock overflows to inf at cycle 2 or 3,
+    # and a real wait overflows the platform's time_t.
+    @pytest.mark.parametrize("timing, edit, message", [
+        ("sim", lambda raw: raw.update(nominal_optimization_ms=1e308),
+         "nominal_optimization_ms must be in [0, 3600000], got 1e+308"),
+        ("sim", lambda raw: raw["detector"].update(delay_ms=1e308),
+         "delay_ms must be in [0, 3600000], got 1e+308"),
+        ("sim", lambda raw: raw["detector"].update(jitter_ms=1e308),
+         "jitter_ms must be in [0, 3600000], got 1e+308"),
+        ("sim", lambda raw: raw["cameras"][0].update(extract_delay_ms=1e308),
+         "extract_delay_ms must be in [0, 3600000], got 1e+308"),
+        ("sim", lambda raw: raw["cameras"][2].update(jitter_ms=3600001),
+         "jitter_ms must be in [0, 3600000], got 3600001"),
+        ("real", lambda raw: raw.update(window_ms=1e300),
+         "window_ms must be in [0, 3600000], got 1e+300"),
+    ])
+    def test_millisecond_setting_past_an_hour_exits_1(
+            self, tmp_path, capsys, monkeypatch, timing, edit, message):
+        import threading
+
+        from greenlight import nsga2
+        started, ran = [], []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread.name))
+        monkeypatch.setattr(nsga2, "run", lambda *a, **k: ran.append(a))
+        raw = read_json(ASSETS_DIR / "pipeline_demo.json")
+        raw["intersection"] = str(ASSETS_DIR / "palashi5.json")
+        edit(raw)
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(config), "--timing", timing,
+                     "--cycles", "4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert started == [] and ran == []
         assert not out.exists()
 
     @pytest.mark.parametrize("timing", ["sim", "real"])

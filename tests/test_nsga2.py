@@ -25,7 +25,6 @@ from greenlight.nsga2 import (
     OptimizerParams,
     crossover,
     crowding_distance,
-    dominates,
     fast_non_dominated_sort,
     mutate,
     plan_from_genome,
@@ -36,6 +35,36 @@ from greenlight.nsga2 import (
 
 def ind(f1, f2, genome=(0,)):
     return Individual(genome=tuple(genome), objectives=ObjectiveVector(f1=f1, f2=f2))
+
+
+def dominates(a, b):
+    """True iff objective vector a is no worse in both objectives and
+    strictly better in one."""
+    return a.f1 <= b.f1 and a.f2 <= b.f2 and (a.f1 < b.f1 or a.f2 < b.f2)
+
+
+def archive_members(archive):
+    """The (genome, objectives) pairs an ``nsga2._Archive`` holds, in
+    staircase order and each point's insertion order."""
+    return [(g, ObjectiveVector(*p))
+            for p, group in zip(archive.points, archive.members)
+            for g in group]
+
+
+def archives_of(monkeypatch, *args):
+    """``nsga2.run(*args)`` and a copy of its archive after each
+    ``nsga2._update_archive`` call: the initial population's, then one per
+    generation."""
+    archives, update = [], nsga2._update_archive
+
+    def recording(archive, front):
+        update(archive, front)
+        archives.append(archive_members(archive))
+
+    with monkeypatch.context() as m:
+        m.setattr(nsga2, "_update_archive", recording)
+        front = nsga2.run(*args)
+    return front, archives
 
 
 def reference_sort(pop):
@@ -258,13 +287,8 @@ def reference_run(queue, cfg, params, guidance_pad_s=0, on_generation=None):
 
 def script_of(params, cfg):
     """The draw script ``nsga2.run`` replays for ``params`` on ``cfg``."""
-    L = cfg.num_links
-    return nsga2._draw_script(
-        params.rng_seed, params.population_size, params.generations,
-        params.tournament_size, params.crossover_prob,
-        params.mutation_prob if params.mutation_prob is not None else 1.0 / L,
-        L, cfg.min_green_s, cfg.max_green_s,
-    )
+    return nsga2._draw_script(params, cfg.num_links, cfg.min_green_s,
+                              cfg.max_green_s)
 
 
 def script_steps(script):
@@ -297,19 +321,6 @@ def brute_force_front(queue, cfg):
         for o in vals
         if not any(dominates(other, o) for other in vals)
     }
-
-
-class TestDominates:
-    def test_strict_improvement(self):
-        assert dominates(ObjectiveVector(1, 2), ObjectiveVector(2, 3))
-
-    def test_equal_does_not_dominate(self):
-        assert not dominates(ObjectiveVector(1, 2), ObjectiveVector(1, 2))
-
-    def test_incomparable(self):
-        a, b = ObjectiveVector(1, 3), ObjectiveVector(2, 1)
-        assert not dominates(a, b)
-        assert not dominates(b, a)
 
 
 class TestFastNonDominatedSort:
@@ -424,9 +435,9 @@ class TestTournamentSelect:
         crowding_distance(pop)
         params = OptimizerParams(population_size=6, generations=5,
                                  tournament_size=3, rng_seed=9)
-        key = (9, 6, 5, 3, 0.9, 1 / 3, 3, 10, 30)
         # Built afresh, not taken from the cache: the same seed, the same draws.
-        fresh = [nsga2._draw_script.__wrapped__(*key) for _ in range(2)]
+        fresh = [nsga2._draw_script.__wrapped__(params, 3, 10, 30)
+                 for _ in range(2)]
         assert fresh[0] == fresh[1] == script_of(params, cfg)
         winners = [
             [pop[select(pop, c)] for s in script_steps(script)
@@ -575,9 +586,9 @@ class TestArchive:
                     ((i.objectives.f1, i.objectives.f2), i.genome)
                     for i in batch])
                 reference_update_archive(ref, batch)
-                got = archive.individuals()
+                got = archive_members(archive)
                 assert len(got) == len(ref), trial
-                assert {(i.genome, i.objectives) for i in got} == {
+                assert set(got) == {
                     (i.genome, i.objectives) for i in ref.values()
                 }, trial
 
@@ -624,27 +635,27 @@ class TestRun:
             for b in front:
                 assert not dominates(a.objectives, b.objectives) or a is b
 
-    def test_hypervolume_non_decreasing(self):
+    def test_hypervolume_non_decreasing(self, monkeypatch):
         cfg = IntersectionConfig(num_links=2, min_green_s=10, max_green_s=30,
                                  inter_green_s=3)
         queue = QueueState(motorized=(50, 20), non_motorized=(10, 4))
         ref = (200.0, 500.0)  # dominated by every feasible objective vector
 
-        def hypervolume(front):
-            pts = sorted({(i.objectives.f1, i.objectives.f2) for i in front})
+        def hypervolume(archive):
+            pts = sorted({(o.f1, o.f2) for _, o in archive})
             hv, prev_f2 = 0.0, ref[1]
             for p1, p2 in pts:
                 hv += max(0.0, ref[0] - p1) * max(0.0, prev_f2 - p2)
                 prev_f2 = min(prev_f2, p2)
             return hv
 
-        hvs = []
         params = OptimizerParams(population_size=24, generations=40, rng_seed=7)
-        nsga2.run(queue, cfg, params,
-                  on_generation=lambda gen, front: hvs.append(hypervolume(front)))
+        _, archives = archives_of(monkeypatch, queue, cfg, params)
+        assert len(archives) == params.generations + 1
+        hvs = [hypervolume(a) for a in archives]
         assert all(b >= a - 1e-9 for a, b in zip(hvs, hvs[1:]))
 
-    def test_same_fronts_and_archives_as_reference_run(self):
+    def test_same_fronts_and_archives_as_reference_run(self, monkeypatch):
         rng = random.Random(2002)
         for trial in range(300):
             L = rng.randint(2, 6)
@@ -667,8 +678,8 @@ class TestRun:
             pad = rng.choice([0, 0, 1, 3])
             # The second queue replays the script cached by the first run.
             for queue in (self.random_queue(rng, L), self.random_queue(rng, L)):
-                got = self.traced(nsga2.run, queue, cfg, params, pad)
-                want = self.traced(reference_run, queue, cfg, params, pad)
+                got = self.traced(monkeypatch, queue, cfg, params, pad)
+                want = self.reference_traced(queue, cfg, params, pad)
                 assert got == want, trial
 
     def test_many_fronts_same_as_reference_run(self, monkeypatch):
@@ -693,17 +704,26 @@ class TestRun:
                      (rng.randint(0, 90), rng.randint(0, 30)))][:rng.randint(0, 1)]
             queue = clearing_queue(rng, cfg, busy)
             pad = rng.choice([0, 0, 1, 3])
-            got = self.traced(nsga2.run, queue, cfg, params, pad)
-            want = self.traced(reference_run, queue, cfg, params, pad)
+            got = self.traced(monkeypatch, queue, cfg, params, pad)
+            want = self.reference_traced(queue, cfg, params, pad)
             assert got == want, trial
         assert reordered[0] > 0
 
     @staticmethod
-    def traced(run, *args):
-        """The front and every per-generation archive, as (genome, objectives)."""
+    def traced(monkeypatch, *args):
+        """The front of ``nsga2.run`` and its archive after every generation,
+        as (genome, objectives)."""
+        front, archives = archives_of(monkeypatch, *args)
+        return ([(i.genome, i.objectives) for i in front],
+                list(enumerate(archives[1:])))
+
+    @staticmethod
+    def reference_traced(*args):
+        """``traced`` for ``reference_run``, through its own hook."""
         archives = []
-        front = run(*args, on_generation=lambda gen, archive: archives.append(
-            (gen, [(i.genome, i.objectives) for i in archive])))
+        front = reference_run(*args, on_generation=lambda gen, archive:
+                              archives.append((gen, [(i.genome, i.objectives)
+                                                     for i in archive])))
         return [(i.genome, i.objectives) for i in front], archives
 
     @staticmethod
@@ -862,17 +882,6 @@ class TestFrontMemo:
             front[0].rank, front[0].crowding = 5, 1.0
             front.pop()
         assert front_of(queue, two_link_cfg, params, memo=memo) == want
-
-    def test_on_generation_skips_the_lookup(self, two_link_cfg, evolutions):
-        queue = QueueState((30, 5), (4, 1))
-        params = OptimizerParams(population_size=12, generations=6)
-        memo = {}
-        front_of(queue, two_link_cfg, params, memo=memo)
-        seen = []
-        nsga2.run(queue, two_link_cfg, params, memo=memo,
-                  on_generation=lambda gen, archive: seen.append(gen))
-        assert seen == list(range(params.generations))
-        assert evolutions[0] == 2
 
 
 class TestSelectOperatingPoint:

@@ -58,6 +58,24 @@ def test_run_calls_operators_through_the_module(monkeypatch, two_link_cfg):
                      "mutate": 8 * 3}
 
 
+def test_run_updates_one_archive_through_the_module(monkeypatch,
+                                                    two_link_cfg):
+    # The archive wrapper (nsga2.archive) and the tests that read every
+    # generation's archive see the initial population's update, then one
+    # per generation, all on the run's one archive.
+    archives, update = [], nsga2._update_archive
+
+    def recording(archive, front):
+        archives.append(archive)
+        return update(archive, front)
+
+    monkeypatch.setattr(nsga2, "_update_archive", recording)
+    params = nsga2.OptimizerParams(population_size=8, generations=5)
+    nsga2.run(QueueState((5, 2), (1, 0)), two_link_cfg, params)
+    assert len(archives) == params.generations + 1
+    assert all(a is archives[0] for a in archives)
+
+
 @pytest.mark.parametrize("command", ["optimize", "simulate", "pipeline"])
 def test_module_wrappers_see_every_plan(monkeypatch, assets_dir, tmp_path,
                                         command):
