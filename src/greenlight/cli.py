@@ -164,7 +164,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = simulator.Scenario.from_dict(raw, base_dir=Path(args.scenario).parent)
     cfg, demand, options = scenario.intersection, scenario.demand, scenario.options
     horizon = scenario.horizon_s
-    seeds = [args.seed] if args.seed is not None else list(scenario.seeds)
+    seeds = list(scenario.seeds)
+    if args.seed is not None:
+        # --seed replaces the scenario's seeds, so it takes their bound.
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        seeds = [args.seed]
     controllers = {spec["name"]: _build_controller(spec, cfg, options)
                    for spec in scenario.controllers}
 

@@ -36,6 +36,11 @@ REAL = numbers.Real
 # ``max_green_s`` has. Far larger ones overflow the run's clock or a wait.
 HOUR_MS = 3_600_000
 
+# The ceiling of a per-frame vehicle count. The emulated detector thins a
+# count one vehicle at a time: ~15 ms per detection at this ceiling with a
+# miss rate (2-CPU x86-64 host), ~41 h at 10**12.
+MAX_COUNT = 100_000
+
 
 class ConfigError(ValueError):
     """Raised when a config or input file fails validation."""
@@ -216,6 +221,7 @@ def _number(spec: Spec, kind: Any, key: str, v: Any) -> Any:
     low, high = spec.low, spec.high
     if (low is not None and v < low) or (high is not None and v > high):
         _fail(spec, f"{key} must be >= {low}, got {v!r}" if high is None
+              else f"{key} must be <= {high}, got {v!r}" if low is None
               else f"{key} must be in [{low}, {high}], got {v!r}")
     if spec.above is not None and v <= spec.above:
         _fail(spec, f"{key} must be > {spec.above}, got {v!r}")
@@ -424,10 +430,10 @@ class DetectionRecord(Section):
 
     camera_id: LinkId = setting(int, low=0)
     frame_ts_ms: int = setting(int, low=0)
-    motorized_in: int = setting(int, low=0)
-    motorized_out: int = setting(int, 0, low=0)
-    non_motorized_in: int = setting(int, 0, low=0)
-    non_motorized_out: int = setting(int, 0, low=0)
+    motorized_in: int = setting(int, low=0, high=MAX_COUNT)
+    motorized_out: int = setting(int, 0, low=0, high=MAX_COUNT)
+    non_motorized_in: int = setting(int, 0, low=0, high=MAX_COUNT)
+    non_motorized_out: int = setting(int, 0, low=0, high=MAX_COUNT)
 
 
 @dataclass(frozen=True, order=True)

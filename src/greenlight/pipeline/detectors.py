@@ -3,18 +3,18 @@ DetectionRecord.
 
 ``SyntheticDetector`` is the one detector for every camera, synthetic or
 replay: ``detect`` returns (record, inference_ms). It emulates a model with
-a characteristic per-frame delay and configurable count noise, whatever
-source the counts came from.
+a characteristic per-frame delay, paced on the run's ``Clock``, and
+configurable count noise, whatever source the counts came from.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 
-from ..core import HOUR_MS, REAL, DetectionRecord, Section, setting
+from ..core import HOUR_MS, MAX_COUNT, REAL, DetectionRecord, Section, setting
 from .buffers import Frame
+from .sources import Clock
 
 
 @dataclass(eq=False)
@@ -22,10 +22,10 @@ class SyntheticDetector(Section):
     """Emulated detector: fixed delay with jitter, miss/false-count noise.
 
     The ``setting`` fields are the keys of a pipeline config's
-    ``detector`` entry; the pipeline supplies the others. ``time_scale``
-    scales the real sleep only; the reported inference sample is always
-    the emulated delay, so latency ledgers reflect the modeled detector
-    regardless of how fast the test host runs.
+    ``detector`` entry; the pipeline supplies the others. The delay is
+    paced on ``clock``, which sets how long it really takes; the reported
+    inference sample is always the emulated delay, so latency ledgers
+    reflect the modeled detector regardless of how fast the host runs.
     """
 
     delay_ms: float = setting(REAL, 0.0, low=0, high=HOUR_MS)
@@ -34,7 +34,7 @@ class SyntheticDetector(Section):
     # The Poisson draw stops at exp(-false_rate), which must stay a normal
     # double (up to ~708); past that, every rate draws the same ~745.
     false_rate: float = setting(REAL, 0.0, low=0, high=700)
-    time_scale: float = 1.0
+    clock: Clock = Clock()
     seed: int = 0
     fail_every: int = 0
 
@@ -58,7 +58,8 @@ class SyntheticDetector(Section):
                     break
                 k += 1
             count += k
-        return count
+        # False counts saturate at a record's ceiling rather than fail it.
+        return min(count, MAX_COUNT)
 
     def detect(self, frame: Frame) -> tuple[DetectionRecord, float]:
         self._n += 1
@@ -66,8 +67,7 @@ class SyntheticDetector(Section):
             raise RuntimeError("detector failure (synthetic)")
         jitter = self._rng.uniform(-self.jitter_ms, self.jitter_ms)
         inference_ms = max(0.0, self.delay_ms + jitter)
-        if inference_ms > 0 and self.time_scale > 0:
-            time.sleep(inference_ms / 1000.0 * self.time_scale)
+        self.clock.pace(inference_ms)
         counts = frame.payload
         record = DetectionRecord(
             camera_id=frame.camera_id,

@@ -18,15 +18,15 @@ one detection thread per camera, which detects on its first frame
 captured after the release, so detection overlaps the optimizer and a
 snapshot's records were captured close together. ``timing="sim"`` starts
 no thread: before each collect the loop moves one frame per live camera
-through the same steps, and the aggregator and sources read a virtual
-clock, so every output (including the ledger) is deterministic.
+through the same steps. Every stage paces and stamps on the run's one
+``Clock``: the wall clock at ``time_scale`` in ``real`` timing, a virtual
+clock in ``sim``, so every output (including the ledger) is deterministic.
 """
 
 from __future__ import annotations
 
 import logging
 import threading
-import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -255,7 +255,9 @@ class PipelineConfig(Section):
     policy: str = setting(nsga2.POLICIES, "knee")
     guidance_pad_s: int = setting(int, 0, low=0)
     timing: str = setting(("real", "sim"), "real")
-    time_scale: float = setting(float, 1.0, above=0)
+    # A pacing sleep stays one the platform takes: at most 100 s of frame
+    # period plus two hours of extraction delay and jitter, times 100.
+    time_scale: float = setting(float, 1.0, above=0, high=100)
     nominal_optimization_ms: float = setting(float, 250.0, low=0,
                                              high=HOUR_MS)
     seed: int = setting(int, 0)
@@ -292,21 +294,17 @@ class AllCamerasStale(RuntimeError):
 
 
 def _build_stage(
-    spec: dict, camera_id: int, cfg: PipelineConfig, time_scale: float,
-    clock: Clock,
+    spec: dict, camera_id: int, cfg: PipelineConfig, clock: Clock,
 ) -> tuple[Iterator[Frame], SyntheticDetector]:
-    """Build the (frames, detector) pair for one camera slot; stage sleeps
-    are scaled by ``time_scale``."""
+    """Build the (frames, detector) pair for one camera slot; both stages
+    pace on ``clock``."""
     args = {key: value for key, value in spec.items() if key != "type"}
     if spec.get("type") == "replay":
-        source = ReplaySource(camera_id=camera_id, time_scale=time_scale,
-                              clock=clock, **args)
+        source = ReplaySource(camera_id=camera_id, clock=clock, **args)
     else:
-        source = SyntheticCamera(camera_id, time_scale=time_scale,
-                                 seed=cfg.seed, clock=clock, **args)
+        source = SyntheticCamera(camera_id, seed=cfg.seed, clock=clock, **args)
     detector = SyntheticDetector(
-        time_scale=time_scale, seed=(cfg.seed << 8) ^ (camera_id + 1),
-        **cfg.detector)
+        clock=clock, seed=(cfg.seed << 8) ^ (camera_id + 1), **cfg.detector)
     return iter(source), detector
 
 
@@ -332,14 +330,13 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
     if cycles < 1:
         raise ConfigError("cycles must be >= 1")
     sim = cfg.timing == "sim"
-    clock = VirtualClock() if sim else Clock()
+    clock = VirtualClock() if sim else Clock(cfg.time_scale)
     planner = nsga2.Planner(cfg.intersection, cfg.optimizer, cfg.policy,
                             cfg.guidance_pad_s, reuse_fronts=sim)
     n = len(cfg.cameras)
     statuses = [CameraStatus() for _ in range(n)]
     slots = [FrameSlot() for _ in range(n)]
-    stages = [_build_stage(spec, i, cfg, 0.0 if sim else cfg.time_scale, clock)
-              for i, spec in enumerate(cfg.cameras)]
+    stages = [_build_stage(spec, i, cfg, clock) for i, spec in enumerate(cfg.cameras)]
     aggregator = Aggregator(n, cfg.max_stale_windows, clock)
     threads = [] if sim else [
         threading.Thread(target=target, args=args, name=f"{name}-{i}", daemon=True)
@@ -374,14 +371,14 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
                 continue
             misses = 0
             queue, stale_links, ext, inf = collected
-            t0 = time.monotonic()
+            t0 = clock.now_ms()
             _, plan, chosen = planner(queue)
-            opt_ms = (time.monotonic() - t0) * 1000.0
             entry = CycleLatency(
                 cycle_id=len(results),
                 extraction_samples=ext,
                 inference_samples=inf,
-                optimization_ms=cfg.nominal_optimization_ms if sim else opt_ms,
+                optimization_ms=(cfg.nominal_optimization_ms if sim
+                                 else clock.now_ms() - t0),
             )
             results.append(CycleResult(entry.cycle_id, queue, stale_links, plan,
                                        chosen.objectives.to_dict(), entry))

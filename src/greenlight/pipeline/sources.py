@@ -1,10 +1,10 @@
 """Frame sources: synthetic scene generators and detection-log replay.
 
 A source is an iterable of Frames whose payload is the four class counts
-the camera sees, so one detector serves every source. Sources pace
-themselves with real sleeps (scaled by ``time_scale``); synthetic cameras
-carry the per-frame extraction delay on the frame itself. Every source
-stamps its frames with the pipeline's clock.
+the camera sees, so one detector serves every source. Every source feeds
+one framing loop that paces each frame on the run's ``Clock`` (a frame
+period plus the extraction delay, which a synthetic camera also records
+on the frame), stamps its capture on that clock and numbers it.
 """
 
 from __future__ import annotations
@@ -15,11 +15,13 @@ import random
 import threading
 import time
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 from typing import Iterator, Optional
 
 from ..core import (
     HOUR_MS,
+    MAX_COUNT,
     REAL,
     ConfigError,
     DetectionRecord,
@@ -32,12 +34,24 @@ from .buffers import Frame
 COUNTS = ("motorized_in", "non_motorized_in", "motorized_out",
           "non_motorized_out")
 
+# The lowest frame rate: at most 100 s between frames, so a frame's pacing
+# stays a sleep the platform takes at any ``time_scale``.
+MIN_FPS = 0.01
+
 
 class Clock:
-    """Monotonic wall time in ms; a wait blocks on the caller's condition."""
+    """Monotonic wall time in ms; a wait blocks on the caller's condition,
+    and ``pace`` sleeps ``time_scale`` times an emulated stage delay."""
+
+    def __init__(self, time_scale: float = 1.0) -> None:
+        self.time_scale = time_scale
 
     def now_ms(self) -> float:
         return time.monotonic() * 1000.0
+
+    def pace(self, ms: float) -> None:
+        if ms > 0:
+            time.sleep(ms * self.time_scale / 1000.0)
 
     def wait_until(self, cond: threading.Condition, deadline_ms: float) -> None:
         cond.wait(max(0.0, deadline_ms - self.now_ms()) / 1000.0)
@@ -55,6 +69,9 @@ class VirtualClock(Clock):
     def now_ms(self) -> float:
         return self._ms
 
+    def pace(self, ms: float) -> None:
+        """Pacing takes no time."""
+
     def wait_until(self, cond: threading.Condition, deadline_ms: float) -> None:
         self._ms = max(self._ms, deadline_ms)
 
@@ -62,29 +79,41 @@ class VirtualClock(Clock):
         self._ms += ms
 
 
+class _Source(Section):
+    """The framing loop of every source: per (counts, extraction ms) sample
+    of ``_samples``, pace a frame period plus the extraction on ``clock``,
+    then stamp and number the frame."""
+
+    def __iter__(self) -> Iterator[Frame]:
+        clock, period_ms = self.clock, 1000.0 / self.fps
+        for seq, (counts, extraction_ms) in enumerate(self._samples()):
+            clock.pace(period_ms + extraction_ms)
+            yield Frame(camera_id=self.camera_id, seq=seq,
+                        capture_ts_ms=clock.now_ms(), payload=counts,
+                        extraction_ms=extraction_ms)
+
+
 @dataclass(eq=False)
-class SyntheticCamera(Section):
+class SyntheticCamera(_Source):
     """Emits frames of a (possibly constant) ground-truth count scene.
 
     The ``setting`` fields are the keys of a synthetic camera entry; the
     pipeline supplies the others when it builds the camera. The frame
     payload is ``counts``, the four class counts visible to the camera.
-    ``extract_delay_ms`` is slept (scaled) and recorded on the frame as
-    the extraction-stage latency sample.
+    ``extract_delay_ms`` (with jitter) is paced and recorded on the frame
+    as the extraction-stage latency sample.
     """
 
     camera_id: int
-    fps: float = setting(REAL, 10.0, above=0)
-    motorized_in: int = setting(int, 0, low=0)
-    non_motorized_in: int = setting(int, 0, low=0)
-    motorized_out: int = setting(int, 0, low=0)
-    non_motorized_out: int = setting(int, 0, low=0)
+    fps: float = setting(REAL, 10.0, low=MIN_FPS)
+    motorized_in: int = setting(int, 0, low=0, high=MAX_COUNT)
+    non_motorized_in: int = setting(int, 0, low=0, high=MAX_COUNT)
+    motorized_out: int = setting(int, 0, low=0, high=MAX_COUNT)
+    non_motorized_out: int = setting(int, 0, low=0, high=MAX_COUNT)
     extract_delay_ms: float = setting(REAL, 5.0, low=0, high=HOUR_MS)
     jitter_ms: float = setting(REAL, 0.0, low=0, high=HOUR_MS)
     n_frames: Optional[int] = setting(int, None, low=0)
-    time_scale: float = 1.0
     seed: int = 0
-    fail_after: Optional[int] = None
     clock: Clock = Clock()
 
     def __post_init__(self) -> None:
@@ -92,45 +121,29 @@ class SyntheticCamera(Section):
         self.counts = {key: getattr(self, key) for key in COUNTS}
         self._rng = random.Random((self.seed << 8) ^ self.camera_id)
 
-    def __iter__(self) -> Iterator[Frame]:
-        period_s = 1.0 / self.fps
-        seq = 0
-        while self.n_frames is None or seq < self.n_frames:
-            if self.fail_after is not None and seq >= self.fail_after:
-                raise RuntimeError(f"camera {self.camera_id} stream lost")
+    def _samples(self) -> Iterator[tuple[dict, float]]:
+        for _ in count() if self.n_frames is None else range(self.n_frames):
             jitter = self._rng.uniform(-self.jitter_ms, self.jitter_ms)
-            extraction_ms = max(0.0, self.extract_delay_ms + jitter)
-            sleep_s = (period_s + extraction_ms / 1000.0) * self.time_scale
-            if sleep_s > 0:
-                time.sleep(sleep_s)
-            yield Frame(
-                camera_id=self.camera_id,
-                seq=seq,
-                capture_ts_ms=self.clock.now_ms(),
-                payload=dict(self.counts),
-                extraction_ms=extraction_ms,
-            )
-            seq += 1
+            yield dict(self.counts), max(0.0, self.extract_delay_ms + jitter)
 
 
 @dataclass(eq=False)
-class ReplaySource(Section):
+class ReplaySource(_Source):
     """Replays camera ``camera_id``'s records of a line-delimited JSON
-    detection log as frames.
+    detection log as frames, one per frame period.
 
     The ``setting`` fields are the keys of a replay camera entry; the
     pipeline supplies the others. Each frame's payload is the four class
-    counts of one validated record, and its capture stamp is the
-    pipeline's clock, not the logged ``frame_ts_ms``. A log that is not a
-    readable file is a ``ConfigError`` when the source is built, before
-    the pipeline starts any thread.
+    counts of one validated record, and its capture stamp is the clock's,
+    not the logged ``frame_ts_ms``. A log that is not a readable file is a
+    ``ConfigError`` when the source is built, before the pipeline starts
+    any thread.
     """
 
     camera_id: int
     path: str = setting(str, path=True,
                         error="a replay camera needs a 'path' string")
-    fps: float = setting(REAL, 10.0, above=0)
-    time_scale: float = 0.0
+    fps: float = setting(REAL, 10.0, low=MIN_FPS)
     clock: Clock = Clock()
 
     def __post_init__(self) -> None:
@@ -141,24 +154,12 @@ class ReplaySource(Section):
                 f"replay log {path.name!r} is not a readable file in "
                 f"{str(path.parent)!r}")
 
-    def __iter__(self) -> Iterator[Frame]:
-        period_s = 1.0 / self.fps
-        seq = 0
+    def _samples(self) -> Iterator[tuple[dict, float]]:
         with open(self.path) as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
                 record = DetectionRecord.from_dict(json.loads(line))
-                if record.camera_id != self.camera_id:
-                    continue
-                if self.time_scale > 0:
-                    time.sleep(period_s * self.time_scale)
-                yield Frame(
-                    camera_id=record.camera_id,
-                    seq=seq,
-                    capture_ts_ms=self.clock.now_ms(),
-                    payload={key: getattr(record, key) for key in COUNTS},
-                    extraction_ms=0.0,
-                )
-                seq += 1
+                if record.camera_id == self.camera_id:
+                    yield {key: getattr(record, key) for key in COUNTS}, 0.0

@@ -462,11 +462,11 @@ class TestPipelineCommand:
          "unknown camera 0 key 'motorised_in'"),
         (lambda raw: dict(raw, detector={"delay": 5}), "unknown detector key 'delay'"),
         (lambda raw: with_camera0(raw, dict(raw["cameras"][0], motorized_in=-3)),
-         "camera 0: motorized_in must be >= 0, got -3"),
+         "camera 0: motorized_in must be in [0, 100000], got -3"),
         (lambda raw: with_camera0(raw, {"type": "thermal"}),
          "camera 0: unknown type 'thermal'"),
         (lambda raw: with_camera0(raw, {"type": "replay", "path": "x", "fps": 0}),
-         "camera 0: fps must be > 0, got 0"),
+         "camera 0: fps must be >= 0.01, got 0"),
         (lambda raw: dict(raw, cameras={"0": {}}),
          "pipeline config needs a non-empty 'cameras' list"),
         (lambda raw: dict(raw, detector=dict(raw["detector"], jitter_ms=True)),
@@ -833,6 +833,9 @@ class TestRejectedInputs:
         ("simulate", "config", lambda raw: raw["controllers"][1]["optimizer"].update(
             generations=1001),
          "controller 1: generations must be in [1, 1000], got 1001"),
+        # --seed replaces the scenario's seeds; demand.rng_seed is refused.
+        ("simulate", "argv", lambda argv: argv.extend(["--seed", "-1"]),
+         "--seed must be >= 0, got -1"),
         ("optimize", "config", lambda raw: raw.update(polcy="min_f1"),
          "unknown optimize config key 'polcy'"),
         ("optimize", "config", lambda raw: raw.update(optimizer=None),
@@ -870,16 +873,16 @@ class TestRejectedInputs:
             raw.setdefault("options", {})
         else:
             raw = {"intersection": dict(PALASHI), "optimizer": {"generations": 5}}
-        edit(queue if target == "queue" else raw)
         config, queue_path = tmp_path / "config.json", tmp_path / "queue.json"
-        config.write_text(json.dumps(raw))
-        queue_path.write_text(json.dumps(queue))
         out = str(tmp_path / "o")
         if command == "simulate":
             argv = ["simulate", "--scenario", str(config), "--compare", "--out", out]
         else:
             argv = ["optimize", "--config", str(config), "--queue", str(queue_path),
                     "--out", out]
+        edit({"queue": queue, "config": raw, "argv": argv}[target])
+        config.write_text(json.dumps(raw))
+        queue_path.write_text(json.dumps(queue))
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
@@ -940,9 +943,9 @@ class TestRejectedInputs:
         assert ran == []
         assert not out.exists()
 
-    # Past about 1e300 ms the sim clock overflows to inf at cycle 2 or 3,
-    # and a real wait overflows the platform's time_t.
     @pytest.mark.parametrize("timing, edit, message", [
+        # Past about 1e300 ms the sim clock overflows to inf at cycle 2 or 3,
+        # and a real wait overflows the platform's time_t.
         ("sim", lambda raw: raw.update(nominal_optimization_ms=1e308),
          "nominal_optimization_ms must be in [0, 3600000], got 1e+308"),
         ("sim", lambda raw: raw["detector"].update(delay_ms=1e308),
@@ -955,8 +958,24 @@ class TestRejectedInputs:
          "jitter_ms must be in [0, 3600000], got 3600001"),
         ("real", lambda raw: raw.update(window_ms=1e300),
          "window_ms must be in [0, 3600000], got 1e+300"),
+        # The longest pacing sleep, (1000/fps + extract_delay_ms + jitter_ms)
+        # x time_scale, must stay one time.sleep takes: fps 1e-300 made every
+        # camera's first sleep overflow the platform's time_t.
+        ("real", lambda raw: raw.update(time_scale=1e300),
+         "time_scale must be <= 100, got 1e+300"),
+        ("real", lambda raw: raw["cameras"][0].update(fps=1e-300),
+         "camera 0: fps must be >= 0.01, got 1e-300"),
+        ("real", lambda raw: raw["cameras"].__setitem__(1, {
+            "type": "replay", "fps": 0.005,
+            "path": str(ASSETS_DIR / "detections_sample.ndjson")}),
+         "camera 1: fps must be >= 0.01, got 0.005"),
+        # Detection thins a count one vehicle at a time: 10**12 would hang it.
+        ("sim", lambda raw: raw["cameras"][3].update(motorized_in=1e12),
+         "camera 3: motorized_in must be in [0, 100000], got 1000000000000"),
+        ("real", lambda raw: raw["cameras"][2].update(non_motorized_out=100001),
+         "camera 2: non_motorized_out must be in [0, 100000], got 100001"),
     ])
-    def test_millisecond_setting_past_an_hour_exits_1(
+    def test_pipeline_setting_out_of_range_exits_1(
             self, tmp_path, capsys, monkeypatch, timing, edit, message):
         import threading
 

@@ -25,7 +25,7 @@ from greenlight.pipeline import (
     run_extraction_worker,
     run_pipeline,
 )
-from greenlight.pipeline.sources import VirtualClock
+from greenlight.pipeline.sources import Clock, VirtualClock
 
 
 def frame(seq, camera_id=0, payload=None, extraction_ms=0.0):
@@ -73,7 +73,7 @@ def handed_over(agg):
 class TestExtractionWorker:
     def test_slow_consumer_sees_fresh_frames(self):
         source = SyntheticCamera(camera_id=0, fps=100, motorized_in=3,
-                                 n_frames=100, time_scale=1.0)
+                                 n_frames=100, clock=Clock())
         slot = FrameSlot()
         status = CameraStatus()
         t = threading.Thread(target=run_extraction_worker,
@@ -101,12 +101,15 @@ class TestExtractionWorker:
         assert handed_over(agg) == ([], [])
 
     def test_source_failure_marks_camera_stale(self):
-        source = SyntheticCamera(camera_id=0, fps=1000, motorized_in=1,
-                                 fail_after=5, time_scale=0.0)
+        def source():
+            yield from SyntheticCamera(camera_id=0, fps=1000, motorized_in=1,
+                                       n_frames=5, clock=VirtualClock())
+            raise RuntimeError("camera 0 stream lost")
+
         slot = FrameSlot()
         agg = Aggregator(1)
         status = CameraStatus()
-        run_extraction_worker(source, slot, agg, status)
+        run_extraction_worker(source(), slot, agg, status)
         assert status.alive is False
         assert "stream lost" in status.error
         ext, _ = handed_over(agg)
@@ -138,7 +141,7 @@ def drive_inference(frames, detector):
 
 class TestInferenceWorker:
     def test_reports_characteristic_delay(self):
-        detector = SyntheticDetector(delay_ms=1994.8, time_scale=0.0, seed=1)
+        detector = SyntheticDetector(delay_ms=1994.8, clock=VirtualClock(), seed=1)
         records, samples, _ = drive_inference([frame(i) for i in range(4)], detector)
         assert len(records) == 4
         assert all(s == pytest.approx(1994.8) for s in samples)
@@ -180,6 +183,12 @@ class TestSyntheticDetectorNoise:
         mean_added = sum(r.motorized_in for r in recs) / len(recs) - 1
         assert mean_added == pytest.approx(700, abs=10)
 
+    def test_false_counts_saturate_at_the_count_ceiling(self):
+        det = SyntheticDetector(false_rate=5, seed=0)
+        rec, _ = det.detect(frame(0, payload={"motorized_in": 100_000,
+                                              "non_motorized_in": 99_999}))
+        assert (rec.motorized_in, rec.non_motorized_in) == (100_000, 100_000)
+
     def test_false_rate_adds_poisson_counts(self):
         det = SyntheticDetector(false_rate=2.0, seed=0)
         true = {"motorized_in": 5, "non_motorized_in": 1}
@@ -194,7 +203,7 @@ class TestStageSettings:
     """A stage built in code is checked by the table of its config keys."""
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: SyntheticCamera(0, fps=0), "fps must be > 0, got 0"),
+        (lambda: SyntheticCamera(0, fps=0), "fps must be >= 0.01, got 0"),
         (lambda: SyntheticDetector(miss_rate=1.5),
          "miss_rate must be in [0, 1], got 1.5"),
     ])
@@ -214,6 +223,64 @@ class TestStageSettings:
                    "motorized_out": 0, "non_motorized_out": 0} for m in (3, 4)]
         assert [(f.seq, f.payload) for f in frames] == [
             (0, counts[0]), (1, counts[1])]
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Every time.sleep of the run, in seconds, in place of sleeping."""
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    return slept
+
+
+class TestClockPacing:
+    """Every stage paces on the run's clock: the wall clock sleeps
+    ``time_scale`` times each emulated delay, the virtual clock never."""
+
+    def test_camera_paces_period_plus_extraction(self, sleeps):
+        camera = SyntheticCamera(0, fps=8, extract_delay_ms=12, jitter_ms=4,
+                                 n_frames=4, clock=Clock(0.5))
+        frames = list(camera)
+        assert len(frames) == 4 and len({f.extraction_ms for f in frames}) == 4
+        assert sleeps == pytest.approx(
+            [(125 + f.extraction_ms) * 0.5 / 1000 for f in frames])
+
+    def test_replay_paces_its_frame_period(self, sleeps, assets_dir):
+        replay = ReplaySource(2, str(assets_dir / "detections_sample.ndjson"),
+                              fps=20, clock=Clock(0.5))
+        frames = list(replay)
+        assert len(frames) == 12
+        assert sleeps == pytest.approx([50 * 0.5 / 1000] * 12)
+
+    def test_detector_paces_its_delay(self, sleeps):
+        detector = SyntheticDetector(delay_ms=100, jitter_ms=10, seed=3,
+                                     clock=Clock(0.5))
+        delays = [detector.detect(frame(i))[1] for i in range(5)]
+        assert len(set(delays)) == 5
+        assert sleeps == pytest.approx([d * 0.5 / 1000 for d in delays])
+
+    def test_zero_delay_sleeps_nothing(self, sleeps):
+        SyntheticDetector(clock=Clock(0.5)).detect(frame(0))
+        assert sleeps == []
+
+    def test_sim_run_sleeps_nothing(self, sleeps, assets_dir):
+        cfg = PipelineConfig.load(assets_dir / "pipeline_demo.json")
+        cfg.timing = "sim"
+        result = run_pipeline(cfg, 3)
+        assert len(result.cycles) == 3
+        assert result.breakdown.t_latency_ms > 2000
+        assert sleeps == []
+
+    def test_stages_pace_on_the_run_clock(self, sleeps, assets_dir):
+        cfg = pipeline_config(cameras=[
+            sim_cameras()[0],
+            {"type": "replay", "fps": 25,
+             "path": str(assets_dir / "detections_sample.ndjson")}])
+        for i, spec in enumerate(cfg.cameras):
+            frames, detector = orchestrator._build_stage(spec, i, cfg, Clock(0.25))
+            detector.detect(next(frames))
+        # 50 fps plus 2 ms extraction, then 25 fps; 30 ms of detection each.
+        assert sleeps == pytest.approx([ms * 0.25 / 1000 for ms in (22, 30, 40, 30)])
 
 
 class TestAggregator:
@@ -696,19 +763,24 @@ class TestReplayDetection:
             [100 + rng.uniform(-10, 10) for rng in rngs] for _ in range(3)]
 
 
-def test_bad_replay_record_kills_its_camera(tmp_path):
+@pytest.mark.parametrize("count, message", [
     # A fractional count is a source failure, not a count of 2.
+    (2.7, "motorized_in must be an integer, got 2.7"),
+    # Detection thins a count one vehicle at a time: 10**12 would hang it.
+    (10**12, "motorized_in must be in [0, 100000], got 1000000000000"),
+])
+def test_bad_replay_record_kills_its_camera(tmp_path, count, message):
     log = tmp_path / "replay.ndjson"
     log.write_text("".join(json.dumps(r) + "\n" for r in (
         {"camera_id": 1, "frame_ts_ms": 0, "motorized_in": 3},
-        {"camera_id": 1, "frame_ts_ms": 100, "motorized_in": 2.7},
+        {"camera_id": 1, "frame_ts_ms": 100, "motorized_in": count},
     )))
     cfg = pipeline_config(timing="sim", cameras=[
         sim_cameras()[0], {"type": "replay", "path": str(log)}])
     result = run_pipeline(cfg, 4)
     replay = result.camera_status[1]
     assert not replay.alive
-    assert "motorized_in must be an integer, got 2.7" in replay.error
+    assert message in replay.error
     assert [c.stale_links for c in result.cycles] == [[], [1], [1], [1]]
     # Last counts reused for max_stale_windows windows, then zero.
     assert [c.queue.motorized[1] for c in result.cycles] == [3, 3, 3, 0]
