@@ -86,8 +86,17 @@ def _parse_weights(s: str) -> tuple[float, float]:
     return weights
 
 
+def _seed_flag(args: argparse.Namespace) -> Optional[int]:
+    """``--seed``, checked before any run: it takes the floor of the seeds
+    it replaces."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     started = _utcnow()
+    seed = _seed_flag(args)
     weights = (_parse_weights(args.weights) if args.weights is not None
                else (0.5, 0.5))
     raw = read_json(args.config)
@@ -96,8 +105,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         conf = OptimizeConfig(IntersectionConfig.from_dict(raw))
     cfg, params = conf.intersection, conf.optimizer
-    if args.seed is not None:
-        params = dataclasses.replace(params, rng_seed=args.seed)
+    if seed is not None:
+        params = dataclasses.replace(params, rng_seed=seed)
     planner = nsga2.Planner(cfg, params, args.policy or conf.policy, args.pad,
                             weights)
     queue = QueueState.from_dict(read_json(args.queue))
@@ -165,11 +174,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg, demand, options = scenario.intersection, scenario.demand, scenario.options
     horizon = scenario.horizon_s
     seeds = list(scenario.seeds)
-    if args.seed is not None:
-        # --seed replaces the scenario's seeds, so it takes their bound.
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        seeds = [args.seed]
+    seed = _seed_flag(args)
+    if seed is not None:
+        seeds = [seed]
     controllers = {spec["name"]: _build_controller(spec, cfg, options)
                    for spec in scenario.controllers}
 
@@ -214,12 +221,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     started = _utcnow()
+    seed = _seed_flag(args)
     cfg = PipelineConfig.load(args.config)
     if args.timing:
         cfg.timing = args.timing
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.optimizer = dataclasses.replace(cfg.optimizer, rng_seed=args.seed)
+    if seed is not None:
+        cfg.seed = seed
+        cfg.optimizer = dataclasses.replace(cfg.optimizer, rng_seed=seed)
 
     result = run_pipeline(cfg, args.cycles)
     out = Path(args.out)

@@ -17,13 +17,17 @@ front and the memo entries. ``fast_non_dominated_sort`` and
 ``sort_points`` and ``crowding_points``.
 
 Fronts come from a sort-and-sweep over (f1, f2) (Jensen 2003, IEEE TEC
-7(5)) that ranks by bisection in O(n log n), not from pairwise comparison;
-genomes are scored from a per-link residual table
-(``objectives.genome_evaluator``); the non-dominated archive is a sorted
-(f1, f2) staircase updated by bisection. Ranks, the order of members within
-each front, and every random draw are those of the textbook O(n^2) sort and
-archive rescan (Deb et al. 2002), so fronts and artifacts are byte-identical
-to that version.
+7(5)) that ranks by bisection in O(n log n), not from pairwise comparison,
+and genomes are scored from a per-link residual table
+(``objectives.genome_evaluator``). Ranks, the order of members within each
+front, and every random draw are those of the textbook O(n^2) sort (Deb et
+al. 2002), so fronts and artifacts are byte-identical to that version.
+
+A run's front is front 0 of every point it evaluated. Each evaluated genome
+sits in the initial or a combined population, so that set is exactly what a
+non-dominated archive updated from each generation's front 0 would end
+with; the run takes it once, from its point cache, after the last
+generation.
 
 A run's setting is one value, ``(params, num_links, min_green_s,
 max_green_s)``, and no random draw depends on the queue: ``_draw_script``
@@ -48,7 +52,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -98,7 +102,7 @@ class OptimizerParams(Section):
     # None -> 1/L. Kept as written: optimize manifests record a 1 as 1.
     mutation_prob: Optional[float] = setting(REAL, None, low=0, high=1)
     tournament_size: int = setting(int, 2, low=2)
-    rng_seed: int = setting(int, 0)
+    rng_seed: int = setting(int, 0, low=0)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -338,38 +342,20 @@ def plan_from_genome(
     )
 
 
-@dataclass
-class _Archive:
-    """Non-dominated archive as a staircase.
+def _update_archive(points: dict[Genome, tuple]) -> list[Individual]:
+    """Front 0 of a run's (f1, f2) points by genome, as rank-0 Individuals
+    sorted by (f1, f2, genome).
 
-    ``points`` holds the distinct (f1, f2) points, sorted, so f1 rises and
-    f2 falls along it; ``members[j]`` holds the genomes reaching
-    ``points[j]`` as dict keys, in insertion order.
+    ``run`` calls it once, on its point cache, after the last generation.
+    The benchmark (``perfbench/run.py``) installs its ``nsga2.archive``
+    span on this name, so the name stays.
     """
-
-    points: list[tuple] = field(default_factory=list)
-    members: list[dict[Genome, None]] = field(default_factory=list)
-
-
-def _update_archive(
-    archive: _Archive, front: Iterable[tuple[tuple, Genome]]
-) -> None:
-    """Insert each (point, genome) pair unless an archived point dominates
-    it, and drop the archived points it dominates."""
-    points, members = archive.points, archive.members
-    for p, genome in front:
-        j = bisect_left(points, p)
-        if j < len(points) and points[j] == p:
-            members[j][genome] = None
-            continue
-        # points[j-1] has f1 <= p's and the lowest f2 of all such points.
-        if j and points[j - 1][1] <= p[1]:
-            continue
-        end = j
-        while end < len(points) and points[end][1] >= p[1]:
-            end += 1
-        points[j:end] = [p]
-        members[j:end] = [{genome: None}]
+    # Many genomes share a point, so only the distinct points are sorted.
+    distinct = list(set(points.values()))
+    fronts, _ = sort_points(distinct, 1)
+    front = {distinct[i] for i in fronts[0]}
+    return [Individual(g, ObjectiveVector(*p), rank=0)
+            for p, g in sorted((p, g) for g, p in points.items() if p in front)]
 
 
 class _PointCache(dict):
@@ -401,10 +387,10 @@ def run(
 ) -> list[Individual]:
     """Evolve green-time plans against ``queue``; return the Pareto front.
 
-    The returned front is the non-dominated archive over all evaluated
-    individuals, sorted by (f1, f2, genome) for reproducible output; the
-    module's ``_update_archive`` fills it from the initial population, then
-    once per generation.
+    The returned front is front 0 of every genome the run evaluated, sorted
+    by (f1, f2, genome) for reproducible output; the module's
+    ``_update_archive`` takes it once from the point cache, after the last
+    generation.
 
     A run is a pure function of its setting, ``(params, L, min_green_s,
     max_green_s)``, and of the objective map on in-bounds genomes (the
@@ -434,8 +420,6 @@ def run(
     for f in fronts:
         for i, d in zip(f, crowding_points([points[i] for i in f])):
             crowding[i] = d
-    archive = _Archive()
-    _update_archive(archive, [(points[i], genomes[i]) for i in fronts[0]])
 
     for steps in script.generations:
         # Offspring take slots P..2P-1 after their parents.
@@ -452,7 +436,6 @@ def run(
             points += point[c1], point[c2]
 
         fronts, all_ranks = sort_points(points, P)
-        _update_archive(archive, [(points[i], genomes[i]) for i in fronts[0]])
         chosen: list[int] = []
         crowding = []
         for f in fronts:
@@ -471,12 +454,7 @@ def run(
         points = [points[i] for i in chosen]
         ranks = [all_ranks[i] for i in chosen]
 
-    # The staircase is in (f1, f2) order, and each point's genomes sorted.
-    front = [
-        Individual(g, ObjectiveVector(*p), rank=0)
-        for p, group in zip(archive.points, archive.members)
-        for g in sorted(group)
-    ]
+    front = _update_archive(point)
     if memo is not None and key not in memo:
         if len(memo) >= FRONT_MEMO_SIZE:
             del memo[next(iter(memo))]

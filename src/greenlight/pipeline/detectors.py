@@ -36,12 +36,10 @@ class SyntheticDetector(Section):
     false_rate: float = setting(REAL, 0.0, low=0, high=700)
     clock: Clock = Clock()
     seed: int = 0
-    fail_every: int = 0
 
     def __post_init__(self) -> None:
         super().__post_init__()
         self._rng = random.Random(self.seed)
-        self._n = 0
 
     def _noisy(self, count: int) -> int:
         if self.miss_rate > 0:
@@ -62,9 +60,6 @@ class SyntheticDetector(Section):
         return min(count, MAX_COUNT)
 
     def detect(self, frame: Frame) -> tuple[DetectionRecord, float]:
-        self._n += 1
-        if self.fail_every and self._n % self.fail_every == 0:
-            raise RuntimeError("detector failure (synthetic)")
         jitter = self._rng.uniform(-self.jitter_ms, self.jitter_ms)
         inference_ms = max(0.0, self.delay_ms + jitter)
         self.clock.pace(inference_ms)

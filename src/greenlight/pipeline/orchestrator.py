@@ -260,7 +260,7 @@ class PipelineConfig(Section):
     time_scale: float = setting(float, 1.0, above=0, high=100)
     nominal_optimization_ms: float = setting(float, 250.0, low=0,
                                              high=HOUR_MS)
-    seed: int = setting(int, 0)
+    seed: int = setting(int, 0, low=0)
 
     def __post_init__(self) -> None:
         super().__post_init__()

@@ -144,8 +144,9 @@ def sha256(data: bytes) -> str:
 
 class TestGoldenArtifacts:
     """Artifact digests recorded with the O(n^2) sort, per-plan evaluation
-    and archive rescan that the sweep sort, residual table and staircase
-    archive replaced; the optimizer must reproduce them byte for byte."""
+    and per-generation archive rescan that the sweep sort, residual table
+    and one front taken from the point cache replaced; the optimizer must
+    reproduce them byte for byte."""
 
     @pytest.mark.parametrize("extra, front, plan", [
         (["--seed", "0"],
@@ -833,6 +834,10 @@ class TestRejectedInputs:
         ("simulate", "config", lambda raw: raw["controllers"][1]["optimizer"].update(
             generations=1001),
          "controller 1: generations must be in [1, 1000], got 1001"),
+        # random.Random(-n) draws what random.Random(n) draws.
+        ("simulate", "config", lambda raw: raw["controllers"][1]["optimizer"].update(
+            rng_seed=-1),
+         "controller 1: rng_seed must be >= 0, got -1"),
         # --seed replaces the scenario's seeds; demand.rng_seed is refused.
         ("simulate", "argv", lambda argv: argv.extend(["--seed", "-1"]),
          "--seed must be >= 0, got -1"),
@@ -846,6 +851,10 @@ class TestRejectedInputs:
          "population_size must be in [4, 1000], got 1000000"),
         ("optimize", "config", lambda raw: raw["optimizer"].update(generations=1001),
          "generations must be in [1, 1000], got 1001"),
+        ("optimize", "config", lambda raw: raw["optimizer"].update(rng_seed=-1),
+         "rng_seed must be >= 0, got -1"),
+        ("optimize", "argv", lambda argv: argv.extend(["--seed", "-1"]),
+         "--seed must be >= 0, got -1"),
         ("optimize", "config", lambda raw: raw["intersection"].update(max_green_s=3601),
          "max_green_s must be in [1, 3600]"),
         ("optimize", "queue", lambda q: q.update(motorized=None),
@@ -974,6 +983,12 @@ class TestRejectedInputs:
          "camera 3: motorized_in must be in [0, 100000], got 1000000000000"),
         ("real", lambda raw: raw["cameras"][2].update(non_motorized_out=100001),
          "camera 2: non_motorized_out must be in [0, 100000], got 100001"),
+        # random.Random(-n) draws what random.Random(n) draws. An edit that
+        # returns a list gives extra command-line arguments.
+        ("sim", lambda raw: raw.update(seed=-1), "seed must be >= 0, got -1"),
+        ("real", lambda raw: raw["optimizer"].update(rng_seed=-1),
+         "rng_seed must be >= 0, got -1"),
+        ("sim", lambda raw: ["--seed", "-1"], "--seed must be >= 0, got -1"),
     ])
     def test_pipeline_setting_out_of_range_exits_1(
             self, tmp_path, capsys, monkeypatch, timing, edit, message):
@@ -986,12 +1001,12 @@ class TestRejectedInputs:
         monkeypatch.setattr(nsga2, "run", lambda *a, **k: ran.append(a))
         raw = read_json(ASSETS_DIR / "pipeline_demo.json")
         raw["intersection"] = str(ASSETS_DIR / "palashi5.json")
-        edit(raw)
+        extra = edit(raw) or []
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps(raw))
         out = tmp_path / "o"
         assert main(["pipeline", "--config", str(config), "--timing", timing,
-                     "--cycles", "4", "--out", str(out)]) == 1
+                     "--cycles", "4", *extra, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert started == [] and ran == []

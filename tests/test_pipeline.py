@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import random
@@ -139,6 +140,23 @@ def drive_inference(frames, detector):
     return records, inf, status
 
 
+@dataclasses.dataclass(eq=False)
+class FailingDetector(SyntheticDetector):
+    """Raises on every ``fail_every``-th detect, before it draws or paces."""
+
+    fail_every: int = 2
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.calls = 0
+
+    def detect(self, frame):
+        self.calls += 1
+        if self.calls % self.fail_every == 0:
+            raise RuntimeError("detector failure (synthetic)")
+        return super().detect(frame)
+
+
 class TestInferenceWorker:
     def test_reports_characteristic_delay(self):
         detector = SyntheticDetector(delay_ms=1994.8, clock=VirtualClock(), seed=1)
@@ -153,7 +171,7 @@ class TestInferenceWorker:
         assert len(samples) == 10
 
     def test_detector_failures_counted_and_skipped(self):
-        detector = SyntheticDetector(delay_ms=0.0, fail_every=2, seed=1)
+        detector = FailingDetector(delay_ms=0.0, fail_every=2, seed=1)
         records, samples, status = drive_inference(
             [frame(i) for i in range(10)], detector)
         assert len(records) == 5
@@ -670,7 +688,7 @@ class TestSimFailurePolicies:
 
     def test_detector_failure_every_n_frames(self, monkeypatch):
         monkeypatch.setattr(orchestrator, "SyntheticDetector",
-                            functools.partial(SyntheticDetector, fail_every=3))
+                            functools.partial(FailingDetector, fail_every=3))
         result = run_pipeline(pipeline_config(timing="sim"), 7)
         # Each detector fails on its 3rd and 6th frame, so cycles 2 and 5
         # get no fresh record and reuse the last counts.

@@ -58,22 +58,31 @@ def test_run_calls_operators_through_the_module(monkeypatch, two_link_cfg):
                      "mutate": 8 * 3}
 
 
-def test_run_updates_one_archive_through_the_module(monkeypatch,
-                                                    two_link_cfg):
-    # The archive wrapper (nsga2.archive) and the tests that read every
-    # generation's archive see the initial population's update, then one
-    # per generation, all on the run's one archive.
-    archives, update = [], nsga2._update_archive
+def test_run_takes_its_front_once_through_the_module(monkeypatch,
+                                                     two_link_cfg):
+    # The archive wrapper (nsga2.archive) sees one call per evolved run, on
+    # the run's point cache, and none when the front memo answers.
+    caches, update = [], nsga2._update_archive
 
-    def recording(archive, front):
-        archives.append(archive)
-        return update(archive, front)
+    def recording(points):
+        caches.append(points)
+        return update(points)
 
     monkeypatch.setattr(nsga2, "_update_archive", recording)
     params = nsga2.OptimizerParams(population_size=8, generations=5)
-    nsga2.run(QueueState((5, 2), (1, 0)), two_link_cfg, params)
-    assert len(archives) == params.generations + 1
-    assert all(a is archives[0] for a in archives)
+    queue, memo = QueueState((5, 2), (1, 0)), {}
+    front = nsga2.run(queue, two_link_cfg, params, memo=memo)
+    assert len(caches) == 1
+    assert isinstance(caches[0], nsga2._PointCache)
+    script = nsga2._draw_script(params, 2, two_link_cfg.min_green_s,
+                                two_link_cfg.max_green_s)
+    assert set(script.initial) <= caches[0].keys()
+    again = nsga2.run(queue, two_link_cfg, params, memo=memo)
+    assert len(caches) == 1
+    assert [(i.genome, i.objectives) for i in again] == [
+        (i.genome, i.objectives) for i in front]
+    nsga2.run(queue, two_link_cfg, params)
+    assert len(caches) == 2
 
 
 @pytest.mark.parametrize("command", ["optimize", "simulate", "pipeline"])
