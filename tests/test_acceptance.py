@@ -276,9 +276,12 @@ class TestCriterion5LatencyMagnitude:
                 "num_links": 5, "min_green_s": 10, "max_green_s": 60,
                 "inter_green_s": 3,
             },
+            # The lowest extraction (75 - 4 ms) plus the lowest inference
+            # (1994.8 - 60 ms) is 2005.8 ms, so the 2000 ms floor holds on
+            # the emulated stage data alone, whatever the optimizer takes.
             "cameras": [
                 {"fps": 10, "motorized_in": m, "non_motorized_in": nm,
-                 "extract_delay_ms": 12, "jitter_ms": 4}
+                 "extract_delay_ms": 75, "jitter_ms": 4}
                 for m, nm in [(42, 14), (11, 3), (27, 9), (8, 2), (19, 6)]
             ],
             "detector": {"delay_ms": 1994.8, "jitter_ms": 60},
