@@ -21,7 +21,11 @@ Fronts come from a sort-and-sweep over (f1, f2) (Jensen 2003, IEEE TEC
 and genomes are scored from a per-link residual table
 (``objectives.genome_evaluator``). Ranks, the order of members within each
 front, and every random draw are those of the textbook O(n^2) sort (Deb et
-al. 2002), so fronts and artifacts are byte-identical to that version.
+al. 2002), so fronts and artifacts are byte-identical to that version. That
+sort emits a member of front k+1 after the last front-k member dominating
+it; those dominators form one slice of front k in (f1, f2) order, and the
+slice only moves right along front k+1, so one two-pointer walk per front
+places every member.
 
 A run's front is front 0 of every point it evaluated. Each evaluated genome
 sits in the initial or a combined population, so that set is exactly what a
@@ -36,8 +40,12 @@ mutation redraws once per setting, on first use, from
 ``random.Random(rng_seed)`` in the order a run drawing as it goes would, and
 keeps the last few settings; ``run`` replays the script, and
 ``tournament_select``, ``crossover`` and ``mutate`` apply draws they are
-given. The adaptive controller, which reruns one setting before every cycle,
-pays for its draws once.
+given. The script holds variation as index getters: a crossed pair's two
+children are two ``operator.itemgetter``s over ``a + b``, and a mutated
+child is one getter over ``g + consts``, the consts being its redrawn
+greens, so each operator is a concatenation and a C-level pick. The
+adaptive controller, which reruns one setting before every cycle, pays for
+its draws once.
 
 Survival reads only the fronts that fill the next population, so the
 generation loop's sort orders no front past them. A ``Planner`` built with
@@ -51,9 +59,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import objectives
@@ -94,8 +103,9 @@ class OptimizerParams(Section):
     NAME = "optimizer"
 
     # The draw script and a run's point cache grow as P*G. At 1000 x 1000
-    # on palashi5 (2-CPU x86-64 host) the script builds in ~6 s and holds
-    # ~91 MB, and a whole run takes ~16 s at a peak RSS of ~210 MB.
+    # on palashi5 (2-CPU x86-64 host) the script builds in ~6-9 s of CPU
+    # and holds ~89 MiB, and a whole run takes ~12 s at a peak RSS of
+    # ~216 MiB. At 60 x 100 the script holds ~440 KiB, at 40 x 40 ~170 KiB.
     population_size: int = setting(int, 60, low=4, high=1000)
     generations: int = setting(int, 100, low=1, high=1000)
     crossover_prob: float = setting(float, 0.9, low=0, high=1)
@@ -166,17 +176,28 @@ def sort_points(
             continue
         for j, i in enumerate(fronts[k - 1]):
             position[i] = j
-        # Along ``above`` f1 rises and f2 falls, so the members dominating
-        # (a, b) are the slice with f2 <= b and f1 <= a.
+        # Along both stairs f1 rises and f2 falls (twins aside). The members
+        # of ``above`` dominating (a, b) are the slice from the first with
+        # f2 <= b to the last with f1 <= a, so both ends only move right in
+        # one walk; a twin takes the slice of the member before it.
         at = [position[i] for i in above]
-        f1s = [points[i][0] for i in above]
-        neg_f2s = [-points[i][1] for i in above]
-
-        def emitted(i: int) -> tuple[int, int]:
-            a, b = points[i]
-            return max(at[bisect_left(neg_f2s, -b):bisect_right(f1s, a)]), i
-
-        fronts.append(sorted(members, key=emitted))
+        end = len(above)
+        lo = hi = 0
+        placed = []
+        prev = None
+        for i in members:
+            p = points[i]
+            if p != prev:
+                prev = p
+                a, b = p
+                while hi < end and points[above[hi]][0] <= a:
+                    hi += 1
+                while points[above[lo]][1] > b:
+                    lo += 1
+                last = max(at[lo:hi])
+            placed.append((last, i))
+        placed.sort()
+        fronts.append([i for _, i in placed])
     return fronts, ranks
 
 
@@ -242,27 +263,49 @@ def tournament_select(
     return best
 
 
-def crossover(a: Genome, b: Genome, swap: int) -> tuple[Genome, Genome]:
-    """Uniform exchange of the genes whose bit is set in ``swap``."""
+# A pair's crossing: None when no gene is exchanged, else the two children
+# as getters over ``a + b``. A child's mutation: None when no gene is
+# redrawn, else (``redraw_getter``, consts), the consts being the redrawn
+# greens in position order.
+Crossing = Optional[tuple[itemgetter, itemgetter]]
+Mutation = Optional[tuple[itemgetter, tuple[int, ...]]]
+
+
+def crossing(swap: int, num_links: int) -> Crossing:
+    """The crossing that exchanges the genes whose bit is set in ``swap``."""
+    if not swap:
+        return None
+    L = num_links
+    flips = [swap >> i & 1 for i in range(L)]
+    return (itemgetter(*(L * f + i for i, f in enumerate(flips))),
+            itemgetter(*(L * (1 - f) + i for i, f in enumerate(flips))))
+
+
+def redraw_getter(positions: Sequence[int], num_links: int) -> itemgetter:
+    """The getter over ``g + consts`` that takes the j-th const at the j-th
+    of the (ascending) ``positions`` and ``g``'s gene everywhere else."""
+    at = dict(zip(positions, range(num_links, num_links + len(positions))))
+    return itemgetter(*(at.get(i, i) for i in range(num_links)))
+
+
+def crossover(a: Genome, b: Genome, swap: Crossing) -> tuple[Genome, Genome]:
+    """The two children of a pair: ``a`` and ``b`` themselves, or the
+    crossing's getters applied to ``a + b``."""
     if len(a) != len(b):
         raise ValueError("genomes must have equal length")
-    if not swap:
+    if swap is None:
         return a, b
-    c1, c2 = list(a), list(b)
-    for i in range(len(a)):
-        if swap >> i & 1:
-            c1[i], c2[i] = b[i], a[i]
-    return tuple(c1), tuple(c2)
+    ab = a + b
+    return swap[0](ab), swap[1](ab)
 
 
-def mutate(g: Genome, redraws: Sequence[tuple[int, int]]) -> Genome:
-    """Set each (position, green) pair of ``redraws`` into ``g``."""
-    if not redraws:
+def mutate(g: Genome, redraws: Mutation) -> Genome:
+    """``g`` with its redrawn greens set: the mutation's getter applied to
+    ``g + consts``."""
+    if redraws is None:
         return g
-    out = list(g)
-    for i, v in redraws:
-        out[i] = v
-    return tuple(out)
+    getter, consts = redraws
+    return getter(g + consts)
 
 
 @dataclass(frozen=True)
@@ -271,9 +314,9 @@ class _DrawScript:
 
     ``initial`` holds the starting genomes. ``generations[gen]`` is a flat
     tuple of five entries per offspring pair: both parents' tournament
-    candidates, the crossover swap mask (0 when the pair is not crossed)
-    and each child's mutation redraws (``()`` when none). Equal candidate
-    and redraw tuples are stored once.
+    candidates, the pair's ``Crossing`` and each child's ``Mutation``.
+    Equal candidate tuples, crossings, mutations, getters and consts are
+    stored once.
     """
 
     initial: tuple[Genome, ...]
@@ -296,16 +339,29 @@ def _draw_script(
     mutation_prob = params.mutation_prob
     if mutation_prob is None:
         mutation_prob = 1.0 / L
+    # Equal draws share one object: candidate and consts tuples by value,
+    # crossings by swap mask, getters by positions, mutations by redraws.
     shared: dict = {}
+    crossings: dict[int, Crossing] = {}
+    getters: dict[tuple, itemgetter] = {}
+    mutations: dict[tuple, Mutation] = {}
 
-    def redraws() -> tuple:
+    def redraws() -> Mutation:
         drawn = []
         for i in range(L):
             if rng.random() < mutation_prob:
-                pair = (i, rng.randint(min_green_s, max_green_s))
-                drawn.append(shared.setdefault(pair, pair))
+                drawn.append((i, rng.randint(min_green_s, max_green_s)))
+        if not drawn:
+            return None
         drawn = tuple(drawn)
-        return shared.setdefault(drawn, drawn)
+        made = mutations.get(drawn)
+        if made is None:
+            at, consts = zip(*drawn)
+            if at not in getters:
+                getters[at] = redraw_getter(at, L)
+            made = mutations[drawn] = (getters[at],
+                                       shared.setdefault(consts, consts))
+        return made
 
     initial = tuple(
         tuple(rng.randint(min_green_s, max_green_s) for _ in range(L))
@@ -324,7 +380,9 @@ def _draw_script(
                 for i in range(L):
                     if rng.random() < 0.5:
                         swap |= 1 << i
-            steps.append(swap)
+            if swap not in crossings:
+                crossings[swap] = crossing(swap, L)
+            steps.append(crossings[swap])
             steps.append(redraws())
             steps.append(redraws())
         script.append(tuple(steps))

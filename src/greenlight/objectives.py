@@ -9,6 +9,7 @@ which for greens g is (L - 1) * sum(g) + L * (L * inter_green + 2 * pad *
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .core import IntersectionConfig, ObjectiveVector, QueueState, SignalPlan
@@ -76,6 +77,19 @@ def evaluate(
     return ObjectiveVector(f1=f1(discharge(queue, plan, cfg)), f2=f2(plan))
 
 
+@lru_cache(maxsize=16)
+def _discharge_table(
+    sat_flow_motorized: float, sat_flow_non_motorized: float, max_green_s: int
+) -> tuple[tuple[int, int], ...]:
+    """(motorized, non-motorized) vehicles one link discharges in each green
+    0..max_green_s: (floor(sat_m * g), floor(sat_nm * g))."""
+    return tuple(
+        (math.floor(sat_flow_motorized * g),
+         math.floor(sat_flow_non_motorized * g))
+        for g in range(max_green_s + 1)
+    )
+
+
 def genome_evaluator(
     queue: QueueState, cfg: IntersectionConfig, guidance_pad_s: int = 0
 ) -> Callable[[Sequence[int]], tuple]:
@@ -84,8 +98,11 @@ def genome_evaluator(
     It gives, as a plain (f1, f2) tuple, the ``ObjectiveVector`` that
     ``evaluate`` gives on the plan that serves the links in order with those
     greens, ``guidance_pad_s`` and the config's inter-green, for any greens
-    in [0, cfg.max_green_s]. f1 is read from a table of per-link residuals
-    built once, and f2 is affine in the greens: every link is red through
+    in [0, cfg.max_green_s]. f1 is read from a table of per-link residuals,
+    max(0, m - a) + max(0, n - b) per green, where (a, b) is what the
+    green discharges; that discharge table depends only on the saturation
+    flows and max_green_s, so it is computed once per such triple and kept
+    for the last few. f2 is affine in the greens: every link is red through
     the other links' greens and pads and through all L clearances, so
     f2 = (L - 1) * sum(g) + L * (L * inter_green + 2 * pad * (L - 1)).
 
@@ -100,12 +117,10 @@ def genome_evaluator(
             f"queue has {queue.num_links} links, config expects {cfg.num_links}"
         )
     L = cfg.num_links
+    table = _discharge_table(cfg.sat_flow_motorized,
+                             cfg.sat_flow_non_motorized, cfg.max_green_s)
     residual = [
-        [
-            max(0, m - math.floor(cfg.sat_flow_motorized * g))
-            + max(0, n - math.floor(cfg.sat_flow_non_motorized * g))
-            for g in range(cfg.max_green_s + 1)
-        ]
+        [(m - a if a < m else 0) + (n - b if b < n else 0) for a, b in table]
         for m, n in zip(queue.motorized, queue.non_motorized)
     ]
     const = L * (L * cfg.inter_green_s + 2 * guidance_pad_s * (L - 1))

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -259,6 +260,30 @@ def script_steps(script):
         yield from zip(*[iter(steps)] * 5)
 
 
+def plain(entry):
+    """A script or script entry with each getter replaced by the indices
+    it takes, so that equal draws compare equal."""
+    if isinstance(entry, nsga2._DrawScript):
+        return plain(entry.initial), plain(entry.generations)
+    if isinstance(entry, operator.itemgetter):
+        return entry.__reduce__()[1]
+    if isinstance(entry, tuple):
+        return tuple(map(plain, entry))
+    return entry
+
+
+def swap_mask(swap, L):
+    """The bitmask of the genes a pair's crossing exchanges."""
+    child, _ = crossover((0,) * L, (1,) * L, swap)
+    return sum(bit << i for i, bit in enumerate(child))
+
+
+def redraw_pairs(redraws, L):
+    """The (position, green) pairs a child's mutation sets."""
+    return [(i, v) for i, v in enumerate(mutate((-1,) * L, redraws))
+            if v != -1]
+
+
 def random_points(rng, n):
     """n objective points with heavy ties, duplicates or a constant axis."""
     spans = (0, 1, 3, 10, 1000)
@@ -348,6 +373,31 @@ class TestFastNonDominatedSort:
     def test_empty_population(self):
         assert fast_non_dominated_sort([]) == []
 
+    # Twin-heavy point sets: a few distinct points, each repeated. The
+    # examples put twins at both ends of a front, give members a one-member
+    # dominating slice, and put a lone member above a front.
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                    min_size=1, max_size=8)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1,
+                                          max_size=60)),
+           st.integers(1, 61))
+    @example([(0, 4), (4, 0), (1, 5), (1, 5), (3, 3), (5, 1), (5, 1)], 3)
+    @example([(1, 5), (0, 4), (5, 1), (4, 0), (5, 1), (1, 5), (3, 3)], 8)
+    @example([(0, 3), (3, 0), (1, 4), (4, 1), (1, 4), (2, 5), (5, 2)], 2)
+    @example([(3, 5), (2, 2), (5, 3), (3, 5), (4, 4), (6, 6), (6, 6)], 1)
+    @example([(2, 2), (2, 2), (2, 2)], 1)
+    def test_sort_points_is_the_pairwise_emission_order(self, points, cut):
+        ref = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
+        full = reference_sort(ref)
+        ranks = [p.rank for p in ref]
+        assert nsga2.sort_points(points) == (full, ranks)
+        got, got_ranks = nsga2.sort_points(points, cut)
+        assert got == full[:len(got)]
+        assert sum(map(len, got)) >= min(cut, len(points))
+        assert sum(map(len, got[:-1])) < cut
+        assert got_ranks == ranks
+
 
 class TestCrowdingDistance:
     def test_three_point_front(self):
@@ -400,7 +450,8 @@ class TestTournamentSelect:
         # Built afresh, not taken from the cache: the same seed, the same draws.
         fresh = [nsga2._draw_script.__wrapped__(params, 3, 10, 30)
                  for _ in range(2)]
-        assert fresh[0] == fresh[1] == script_of(params, cfg)
+        assert plain(fresh[0]) == plain(fresh[1]) == plain(
+            script_of(params, cfg))
         winners = [
             [pop[select(pop, c)] for s in script_steps(script)
              for c in s[:2]]
@@ -424,7 +475,7 @@ class TestTournamentSelect:
 class TestCrossover:
     def test_positionwise_exchange(self):
         for swap in range(4):
-            c1, c2 = crossover((10, 20), (30, 40), swap)
+            c1, c2 = crossover((10, 20), (30, 40), nsga2.crossing(swap, 2))
             for i, (a, b) in enumerate(((10, 30), (20, 40))):
                 assert (c1[i], c2[i]) == ((b, a) if swap >> i & 1 else (a, b))
 
@@ -432,24 +483,24 @@ class TestCrossover:
         cfg = IntersectionConfig(num_links=4, min_green_s=10, max_green_s=30)
         params = OptimizerParams(population_size=20, generations=10,
                                  crossover_prob=0.0, rng_seed=1)
-        assert {s[2] for s in script_steps(script_of(params, cfg))} == {0}
-        assert crossover((10, 20), (30, 40), 0) == ((10, 20), (30, 40))
+        assert {s[2] for s in script_steps(script_of(params, cfg))} == {None}
+        assert crossover((10, 20), (30, 40), None) == ((10, 20), (30, 40))
 
     def test_probability_one_swaps_about_half_the_genes(self):
         cfg = IntersectionConfig(num_links=4, min_green_s=10, max_green_s=30)
         params = OptimizerParams(population_size=40, generations=50,
                                  crossover_prob=1.0, rng_seed=1)
-        masks = [s[2] for s in script_steps(script_of(params, cfg))]
+        masks = [swap_mask(s[2], 4) for s in script_steps(script_of(params, cfg))]
         assert all(0 <= m < 16 for m in masks)
         share = sum(bin(m).count("1") for m in masks) / (4 * len(masks))
         assert 0.45 < share < 0.55
 
     def test_identical_parents(self):
-        assert crossover((5, 5), (5, 5), 3) == ((5, 5), (5, 5))
+        assert crossover((5, 5), (5, 5), nsga2.crossing(3, 2)) == ((5, 5), (5, 5))
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
-            crossover((1, 2), (1, 2, 3), 1)
+            crossover((1, 2), (1, 2, 3), nsga2.crossing(1, 2))
 
 
 class TestMutate:
@@ -458,11 +509,12 @@ class TestMutate:
         params = OptimizerParams(population_size=20, generations=10,
                                  mutation_prob=0.0, rng_seed=0)
         steps = list(script_steps(script_of(params, cfg)))
-        assert {r for s in steps for r in s[3:]} == {()}
-        assert mutate((12, 25), ()) == (12, 25)
+        assert {r for s in steps for r in s[3:]} == {None}
+        assert mutate((12, 25), None) == (12, 25)
 
     def test_redraws_set_positions(self):
-        assert mutate((1, 2, 3), ((0, 7), (2, 9))) == (7, 2, 9)
+        redraws = (nsga2.redraw_getter((0, 2), 3), (7, 9))
+        assert mutate((1, 2, 3), redraws) == (7, 2, 9)
 
     def test_full_mutation_uniform(self):
         # chi-square goodness of fit over 10k single-gene redraws
@@ -475,7 +527,7 @@ class TestMutate:
         children = 0
         for step in script_steps(script_of(params, cfg)):
             for redraws in step[3:]:
-                assert [i for i, _ in redraws] == [0, 1]
+                assert [i for i, _ in redraw_pairs(redraws, 2)] == [0, 1]
                 g = mutate((10, 10), redraws)
                 assert all(10 <= v <= 19 for v in g)
                 counts[g[0]] += 1
@@ -652,6 +704,44 @@ class TestRun:
             want = pairs(reference_run(queue, cfg, params, pad))
             assert got == want, trial
         assert reordered[0] > 0
+
+    def test_compare_maps_at_full_size_same_as_reference_run(
+            self, assets_dir, tmp_path, monkeypatch):
+        # The adaptive controller's 40x40 setting on the zero map and the
+        # first one-link maps the bundled comparison's seed-1 run optimizes:
+        # twin-heavy populations over many small fronts.
+        scenario = assets_dir / "scenario_asymmetric.json"
+        queues, run = [], nsga2.run
+
+        def capturing(queue, *args, **kwargs):
+            queues.append(queue)
+            return run(queue, *args, **kwargs)
+
+        monkeypatch.setattr(nsga2, "run", capturing)
+        assert cli.main(["simulate", "--scenario", str(scenario), "--compare",
+                         "--seed", "1", "--out", str(tmp_path / "1")]) == 0
+        monkeypatch.undo()
+        adaptive = json.loads(scenario.read_text())["controllers"][1]
+        params = OptimizerParams.from_dict(adaptive["optimizer"])
+        assert (params.population_size, params.generations) == (40, 40)
+        cfg = IntersectionConfig.load(assets_dir / "palashi5.json")
+        by_busy = {}
+        for queue in queues:
+            rows, _ = objectives.genome_evaluator(queue, cfg).key
+            by_busy.setdefault(sum(map(any, rows)), {}).setdefault(
+                rows, queue)
+        maps = [*by_busy[0].values(), *list(by_busy[1].values())[:4]]
+        assert len(maps) == 5
+        for queue in maps:
+            assert pairs(nsga2.run(queue, cfg, params)) == pairs(
+                reference_run(queue, cfg, params)), queue
+
+    def test_default_setting_on_sample_queue_same_as_reference_run(
+            self, palashi_cfg, sample_queue):
+        params = OptimizerParams()
+        assert (params.population_size, params.generations) == (60, 100)
+        assert pairs(nsga2.run(sample_queue, palashi_cfg, params)) == pairs(
+            reference_run(sample_queue, palashi_cfg, params))
 
     @staticmethod
     def random_queue(rng, L):
