@@ -215,15 +215,18 @@ class TestGoldenArtifacts:
         assert sha256((out / "metrics.json").read_bytes()) == metrics
         assert sha256((out / "timeseries.csv").read_bytes()) == timeseries
 
-    @pytest.mark.parametrize("seed, plans, ledger", [
+    @pytest.mark.parametrize("seed, plans, ledger, report", [
         ("0",
          "72693afc934aae0c086af4a0feb580d7eaf8c08c0644e5919b52473531e9fdbf",
-         "0ca8c4739b2c9fd355e40b15d48120e09cdcb4d5ac4ccaf0e88c2edb80aa5f30"),
+         "0ca8c4739b2c9fd355e40b15d48120e09cdcb4d5ac4ccaf0e88c2edb80aa5f30",
+         "eb4d1c880719397f690ed2d9eafc135acf0369b5740808d6a428df28153db731"),
         ("5",
          "a3fedfddb93140502aa358a680a01525dee1e27e3ad103ffa82811e5f808c4e7",
-         "e2606aba30146478d8051dab4a1d619abccbb6d5d2cec8ff1c957ce4ea65ebd1"),
+         "e2606aba30146478d8051dab4a1d619abccbb6d5d2cec8ff1c957ce4ea65ebd1",
+         "136f4c9311bbf818a527103f4e191a289a0beecf016e4452e2befcdc7047e21c"),
     ])
-    def test_pipeline_sim(self, assets_dir, tmp_path, seed, plans, ledger):
+    def test_pipeline_sim(self, assets_dir, tmp_path, seed, plans, ledger,
+                          report):
         # Digests recorded with every cycle running the optimizer afresh.
         # The bundled cameras see constant scenes, so cycles 1-3 repeat
         # cycle 0's queue with a later timestamp.
@@ -231,9 +234,10 @@ class TestGoldenArtifacts:
         assert main(["pipeline",
                      "--config", str(assets_dir / "pipeline_demo.json"),
                      "--timing", "sim", "--cycles", "4", "--seed", seed,
-                     "--out", str(out)]) == 0
+                     "--report", "--out", str(out)]) == 0
         assert sha256((out / "plans.ndjson").read_bytes()) == plans
         assert sha256((out / "latency_ledger.ndjson").read_bytes()) == ledger
+        assert sha256((out / "latency_report.json").read_bytes()) == report
 
     def test_pipeline_sim_varying_queues(self, assets_dir, tmp_path):
         # Detector misses make every cycle's queue differ.
