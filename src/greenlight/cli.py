@@ -233,21 +233,16 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    with (out / "plans.ndjson").open("w") as fh:
+    with (out / "plans.ndjson").open("w") as plans, \
+            (out / "latency_ledger.ndjson").open("w") as ledger:
         for c in result.cycles:
-            fh.write(canonical_json({
-                "cycle_id": c.cycle_id,
-                "plan": c.plan.to_dict(),
-                "objectives": c.objectives,
-                "queue": c.queue.to_dict(),
-                "stale_links": c.stale_links,
-            }) + "\n")
-    with (out / "latency_ledger.ndjson").open("w") as fh:
-        for entry in result.breakdown.cycles:
-            fh.write(canonical_json(entry.to_dict()) + "\n")
+            line = c.to_dict()
+            ledger.write(canonical_json(line.pop("latency")) + "\n")
+            plans.write(canonical_json(line) + "\n")
     artifacts = ["plans.ndjson", "latency_ledger.ndjson"]
+    report = result.latency_report()
     if args.report:
-        dump_json(result.breakdown.summary(), out / "latency_report.json")
+        dump_json(report, out / "latency_report.json")
         artifacts.append("latency_report.json")
 
     _write_manifest(
@@ -255,9 +250,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         {"pipeline": cfg.to_dict()},
         [cfg.seed], artifacts, started,
     )
-    summary = result.breakdown.summary()
     print(
-        f"{len(result.cycles)} cycles, T_latency={summary['t_latency_ms']:.1f} ms, "
+        f"{len(result.cycles)} cycles, T_latency={report['t_latency_ms']:.1f} ms, "
         f"{result.skipped_cycles} skipped"
     )
     return EXIT_OK

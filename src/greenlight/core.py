@@ -139,7 +139,7 @@ class Section:
         return cls.from_dict(read_json(path), base_dir=Path(path).parent)
 
     def to_dict(self) -> dict[str, Any]:
-        return dump(self)
+        return {f.name: dump(getattr(self, f.name)) for f in fields(self)}
 
 
 def read_json(path: str | Path) -> Any:
@@ -313,9 +313,10 @@ def _entry_table(item: OneOf, d: dict) -> dict:
 
 
 def dump(value: Any) -> Any:
-    """A section's fields as JSON data, nested sections and lists included."""
+    """``value`` as JSON data: a section by its ``to_dict``, a list item by
+    item."""
     if isinstance(value, Section):
-        return {f.name: dump(getattr(value, f.name)) for f in fields(value)}
+        return value.to_dict()
     if isinstance(value, (list, tuple)):
         return [dump(v) for v in value]
     return value
@@ -412,7 +413,7 @@ class SignalPlan(Section):
         return sum(self.greens) + pads + len(self.phases) * self.inter_green_s
 
     def to_dict(self) -> dict[str, Any]:
-        return {**dump(self), "cycle_length_s": self.cycle_length_s}
+        return {**super().to_dict(), "cycle_length_s": self.cycle_length_s}
 
     @classmethod
     def from_dict(cls, d: Any, base_dir: Optional[Path] = None) -> "SignalPlan":

@@ -1,10 +1,10 @@
 from .buffers import Frame, FrameSlot
 from .detectors import SyntheticDetector
-from .latency import CycleLatency, LatencyBreakdown
 from .orchestrator import (
     Aggregator,
     AllCamerasStale,
     CameraStatus,
+    CycleLatency,
     PipelineConfig,
     PipelineResult,
     run_extraction_worker,
@@ -19,7 +19,6 @@ __all__ = [
     "CycleLatency",
     "Frame",
     "FrameSlot",
-    "LatencyBreakdown",
     "PipelineConfig",
     "PipelineResult",
     "ReplaySource",

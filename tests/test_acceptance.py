@@ -231,35 +231,36 @@ def pipeline_config(**overrides):
     return PipelineConfig.from_dict(base)
 
 
-def check_ledger(breakdown):
+def check_ledger(result):
     rel = 1e-9
-    for entry in breakdown.cycles:
-        ext = entry.extraction_samples
-        inf = entry.inference_samples
+    for entry in (c.latency for c in result.cycles):
+        ext = entry.extraction_samples_ms
+        inf = entry.inference_samples_ms
         t_ext = sum(ext) / len(ext) if ext else 0.0
         t_inf = sum(inf) / len(inf) if inf else 0.0
         assert math.isclose(entry.t_extraction_ms, t_ext, rel_tol=rel)
         assert math.isclose(entry.t_inference_ms, t_inf, rel_tol=rel)
         assert math.isclose(
-            entry.t_latency_ms, t_ext + t_inf + entry.optimization_ms,
+            entry.t_latency_ms, t_ext + t_inf + entry.t_optimization_ms,
             rel_tol=rel,
         )
-    per_cycle = [c.t_latency_ms for c in breakdown.cycles]
+    per_cycle = [c.latency.t_latency_ms for c in result.cycles]
     assert math.isclose(
-        breakdown.t_latency_ms, sum(per_cycle) / len(per_cycle), rel_tol=rel
+        result.latency_report()["t_latency_ms"],
+        sum(per_cycle) / len(per_cycle), rel_tol=rel
     )
 
 
 class TestCriterion4LedgerIdentities:
     def test_sim_mode_ledger(self):
         result = run_pipeline(pipeline_config(timing="sim"), 6)
-        assert len(result.breakdown.cycles) == 6
-        check_ledger(result.breakdown)
+        assert len(result.cycles) == 6
+        check_ledger(result)
 
     def test_real_mode_ledger(self):
         result = run_pipeline(pipeline_config(timing="real"), 3)
-        assert len(result.breakdown.cycles) == 3
-        check_ledger(result.breakdown)
+        assert len(result.cycles) == 3
+        check_ledger(result)
         announce(4, "ledger identities recomputed exactly (rel 1e-9)")
 
 
@@ -294,7 +295,7 @@ class TestCriterion5LatencyMagnitude:
             "seed": 0,
         })
         result = run_pipeline(cfg, 50)
-        per_cycle = [c.t_latency_ms for c in result.breakdown.cycles]
+        per_cycle = [c.latency.t_latency_ms for c in result.cycles]
         assert len(per_cycle) == 50
         for t in per_cycle:
             assert 2_000.0 <= t <= 15_000.0

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,9 @@ from greenlight.core import (
     DetectionRecord,
     IntersectionConfig,
     QueueState,
+    Section,
     SignalPlan,
+    dump,
     load_intersection_config,
     validate_plan,
 )
@@ -132,6 +135,20 @@ def test_queue_state_round_trip(q):
 @given(signal_plans)
 def test_signal_plan_round_trip(p):
     assert SignalPlan.from_dict(json.loads(json.dumps(p.to_dict()))) == p
+
+
+@dataclass(frozen=True)
+class PlanHolder(Section):
+    plan: SignalPlan
+    plans: tuple[SignalPlan, ...] = ()
+
+
+@given(signal_plans)
+def test_dump_writes_nested_section_by_its_to_dict(p):
+    # A plan inside a section keeps its derived cycle length.
+    d = dump(PlanHolder(p, (p, p)))
+    assert d == {"plan": p.to_dict(), "plans": [p.to_dict()] * 2}
+    assert d["plan"]["cycle_length_s"] == p.cycle_length_s
 
 
 @given(st.builds(

@@ -10,15 +10,15 @@ import pytest
 
 from greenlight import nsga2
 from greenlight.cli import main
-from greenlight.core import ConfigError, DetectionRecord
+from greenlight.core import ConfigError, DetectionRecord, QueueState, SignalPlan
 from greenlight.pipeline import (
     Aggregator,
     CameraStatus,
     CycleLatency,
     Frame,
     FrameSlot,
-    LatencyBreakdown,
     PipelineConfig,
+    PipelineResult,
     ReplaySource,
     SyntheticCamera,
     SyntheticDetector,
@@ -286,7 +286,7 @@ class TestClockPacing:
         cfg.timing = "sim"
         result = run_pipeline(cfg, 3)
         assert len(result.cycles) == 3
-        assert result.breakdown.t_latency_ms > 2000
+        assert result.latency_report()["t_latency_ms"] > 2000
         assert sleeps == []
 
     def test_stages_pace_on_the_run_clock(self, sleeps, assets_dir):
@@ -412,18 +412,46 @@ class TestAggregator:
 
 class TestLatencyLedger:
     def test_cycle_arithmetic(self):
-        entry = CycleLatency(cycle_id=0, extraction_samples=[10, 20, 30],
-                             inference_samples=[100, 200], optimization_ms=500)
+        entry = CycleLatency(cycle_id=0, extraction_samples_ms=[10, 20, 30],
+                             inference_samples_ms=[100, 200],
+                             t_optimization_ms=500)
         assert entry.t_extraction_ms == 20
         assert entry.t_inference_ms == 150
         assert entry.t_latency_ms == 670
+        assert entry.optimization_ms == 500
+        # The entry's fields are the ledger line's keys.
+        assert entry.to_dict() == {
+            "cycle_id": 0, "extraction_samples_ms": [10, 20, 30],
+            "inference_samples_ms": [100, 200], "t_extraction_ms": 20,
+            "t_inference_ms": 150, "t_optimization_ms": 500,
+            "t_latency_ms": 670}
+        # The mean of no samples is 0.
+        assert CycleLatency(1, [], [], 5.0).to_dict() == {
+            "cycle_id": 1, "extraction_samples_ms": [],
+            "inference_samples_ms": [], "t_extraction_ms": 0.0,
+            "t_inference_ms": 0.0, "t_optimization_ms": 5.0,
+            "t_latency_ms": 5.0}
 
     def test_run_mean(self):
-        b = LatencyBreakdown(cycles=[
-            CycleLatency(0, [], [], 600.0),
-            CycleLatency(1, [], [], 800.0),
-        ])
-        assert b.t_latency_ms == 700.0
+        queue = QueueState((3, 1), (0, 2))
+        plan = SignalPlan(((0, 10), (1, 10)), inter_green_s=2)
+        result = PipelineResult([
+            orchestrator.CycleResult(i, queue, [], plan, {"f1": 1, "f2": 2},
+                                     CycleLatency(i, [], [], t))
+            for i, t in enumerate([600.0, 800.0])], [])
+        assert result.latency_report() == {
+            "num_cycles": 2, "t_latency_ms": 700.0,
+            "per_cycle_t_latency_ms": [600.0, 800.0],
+            "mean_t_extraction_ms": 0.0, "mean_t_inference_ms": 0.0,
+            "mean_t_optimization_ms": 700.0}
+        assert PipelineResult([], []).latency_report()["t_latency_ms"] == 0.0
+        # A cycle's record less its latency is its plans line, with the
+        # plan's derived cycle length; its latency is its ledger line.
+        line = result.cycles[1].to_dict()
+        assert line.pop("latency") == result.cycles[1].latency.to_dict()
+        assert line == {"cycle_id": 1, "queue": queue.to_dict(),
+                        "stale_links": [], "plan": plan.to_dict(),
+                        "objectives": {"f1": 1, "f2": 2}}
 
 
 def pipeline_config(**overrides):
@@ -453,7 +481,7 @@ class TestRunPipeline:
         assert [c.cycle_id for c in result.cycles] == [0, 1, 2]
         for c in result.cycles:
             assert c.plan.num_links == 2
-            assert c.latency.inference_samples
+            assert c.latency.inference_samples_ms
         # heavier link gets at least as much green
         for c in result.cycles:
             greens = dict(c.plan.phases)
@@ -476,7 +504,7 @@ class TestRunPipeline:
         result = run_pipeline(pipeline_config(), 3)
         assert len(calls) == 3
         for c in result.cycles:
-            assert c.latency.inference_samples, c.cycle_id
+            assert c.latency.inference_samples_ms, c.cycle_id
 
     def test_only_sim_timing_reuses_fronts(self, monkeypatch):
         # Constant camera counts give every cycle one objective map. Real
@@ -503,21 +531,21 @@ class TestRunPipeline:
         cfg2 = pipeline_config(timing="sim")
         r1 = run_pipeline(cfg1, 4)
         r2 = run_pipeline(cfg2, 4)
-        assert [c.plan for c in r1.cycles] == [c.plan for c in r2.cycles]
-        assert [e.to_dict() for e in r1.breakdown.cycles] == [
-            e.to_dict() for e in r2.breakdown.cycles
-        ]
+        assert [c.to_dict() for c in r1.cycles] == [
+            c.to_dict() for c in r2.cycles]
 
     def test_ledger_identities_recomputable(self):
         cfg = pipeline_config(timing="sim")
         result = run_pipeline(cfg, 5)
-        for entry in result.breakdown.cycles:
-            t_ext = sum(entry.extraction_samples) / len(entry.extraction_samples)
-            t_inf = sum(entry.inference_samples) / len(entry.inference_samples)
+        for entry in (c.latency for c in result.cycles):
+            t_ext = sum(entry.extraction_samples_ms) / len(
+                entry.extraction_samples_ms)
+            t_inf = sum(entry.inference_samples_ms) / len(
+                entry.inference_samples_ms)
             assert entry.t_extraction_ms == pytest.approx(t_ext, rel=1e-12)
             assert entry.t_inference_ms == pytest.approx(t_inf, rel=1e-12)
             assert entry.t_latency_ms == pytest.approx(
-                t_ext + t_inf + entry.optimization_ms, rel=1e-12)
+                t_ext + t_inf + entry.t_optimization_ms, rel=1e-12)
 
     def test_dead_camera_marked_and_pipeline_survives(self):
         cfg = pipeline_config()
@@ -601,7 +629,7 @@ class TestRealReleaseRule:
             if k < len(returned):  # fed snapshot k
                 assert sorted(r.camera_id for r in records[k]) == [0, 1, 2], k
         for c in result.cycles:
-            assert len(c.latency.inference_samples) == 3 - len(c.stale_links)
+            assert len(c.latency.inference_samples_ms) == 3 - len(c.stale_links)
 
     def test_release_serves_the_latest_snapshot_once_under_contention(self):
         # More waiters than cores and a short switch interval: a lost
@@ -670,7 +698,7 @@ class TestSimFailurePolicies:
             [(20, 4)] * 4 + [(20, 0)] * 2)
         assert [c.queue.non_motorized for c in result.cycles] == (
             [(5, 1)] * 4 + [(5, 0)] * 2)
-        assert [len(c.latency.extraction_samples) for c in result.cycles] == [
+        assert [len(c.latency.extraction_samples_ms) for c in result.cycles] == [
             2, 2, 1, 1, 1, 1]
         # Virtual time advances by each cycle's ledger latency, and by
         # window_ms while a collect waits on a stale camera.
@@ -695,7 +723,7 @@ class TestSimFailurePolicies:
         assert [c.stale_links for c in result.cycles] == [
             [], [], [0, 1], [], [], [0, 1], []]
         assert {c.queue.motorized for c in result.cycles} == {(20, 4)}
-        assert [len(c.latency.inference_samples) for c in result.cycles] == [
+        assert [len(c.latency.inference_samples_ms) for c in result.cycles] == [
             2, 2, 0, 2, 2, 0, 2]
         assert [(s.alive, s.frames, s.detector_errors)
                 for s in result.camera_status] == [(True, 7, 2)] * 2
@@ -777,7 +805,7 @@ class TestReplayDetection:
             self.replay_config(assets_dir, delay_ms=100, jitter_ms=10), 3)
         # Camera i's detector draws from seed (seed << 8) ^ (i + 1), seed 0.
         rngs = [random.Random(i + 1) for i in range(5)]
-        assert [c.latency.inference_samples for c in result.cycles] == [
+        assert [c.latency.inference_samples_ms for c in result.cycles] == [
             [100 + rng.uniform(-10, 10) for rng in rngs] for _ in range(3)]
 
 
