@@ -345,8 +345,10 @@ class IntersectionConfig(Section):
     # The optimizer keeps max_green_s + 1 residuals per link: an hour caps it.
     max_green_s: int = setting(int, 60, low=1, high=3600)
     inter_green_s: int = setting(int, 3, low=0)
-    sat_flow_motorized: float = setting(REAL, 0.5, above=0)
-    sat_flow_non_motorized: float = setting(REAL, 0.25, above=0)
+    # Vehicles/second. The simulator counts in int64: at the ceiling, a
+    # day of discharge stays exact.
+    sat_flow_motorized: float = setting(REAL, 0.5, above=0, high=MAX_COUNT)
+    sat_flow_non_motorized: float = setting(REAL, 0.25, above=0, high=MAX_COUNT)
 
     def __post_init__(self) -> None:
         super().__post_init__()

@@ -13,8 +13,7 @@ A run keeps its population as flat per-slot lists (genomes, (f1, f2)
 tuples, ranks, crowding distances); an ``Individual`` with an
 ``ObjectiveVector`` is built only for what leaves ``run``: the returned
 front and the memo entries. ``fast_non_dominated_sort`` and
-``crowding_distance`` are adapters over Individuals for the point-based
-``sort_points`` and ``crowding_points``.
+``crowding_distance`` work on (f1, f2) points.
 
 Fronts come from a sort-and-sweep over (f1, f2) (Jensen 2003, IEEE TEC
 7(5)) that ranks by bisection in O(n log n), not from pairwise comparison,
@@ -63,7 +62,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import objectives
 from .core import (
@@ -87,8 +86,6 @@ INF = float("inf")
 class Individual:
     genome: Genome
     objectives: ObjectiveVector
-    rank: int = -1
-    crowding: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -121,7 +118,7 @@ class OptimizerParams(Section):
                 f"population_size must be even, got {self.population_size}")
 
 
-def sort_points(
+def fast_non_dominated_sort(
     points: Sequence[tuple], survivors: Optional[int] = None
 ) -> tuple[list[list[int]], list[int]]:
     """Pareto fronts of (f1, f2) points, as index lists, and each point's rank.
@@ -201,7 +198,7 @@ def sort_points(
     return fronts, ranks
 
 
-def crowding_points(points: Sequence[tuple]) -> list[float]:
+def crowding_distance(points: Sequence[tuple]) -> list[float]:
     """Crowding distances of one non-dominated front of (f1, f2) points;
     extremes get +inf."""
     n = len(points)
@@ -220,28 +217,6 @@ def crowding_points(points: Sequence[tuple]) -> list[float]:
             if dists[i] == INF:
                 continue
             dists[i] += (vals[after] - vals[before]) / span
-    return dists
-
-
-def _points(inds: Iterable[Individual]) -> list[tuple]:
-    return [(ind.objectives.f1, ind.objectives.f2) for ind in inds]
-
-
-def fast_non_dominated_sort(
-    pop: Sequence[Individual], survivors: Optional[int] = None
-) -> list[list[int]]:
-    """``sort_points`` on the population's objectives; sets each rank."""
-    fronts, ranks = sort_points(_points(pop), survivors)
-    for ind, rank in zip(pop, ranks):
-        ind.rank = rank
-    return fronts
-
-
-def crowding_distance(front: Sequence[Individual]) -> list[float]:
-    """``crowding_points`` on the front's objectives; sets each crowding."""
-    dists = crowding_points(_points(front))
-    for ind, d in zip(front, dists):
-        ind.crowding = d
     return dists
 
 
@@ -401,8 +376,8 @@ def plan_from_genome(
 
 
 def _update_archive(points: dict[Genome, tuple]) -> list[Individual]:
-    """Front 0 of a run's (f1, f2) points by genome, as rank-0 Individuals
-    sorted by (f1, f2, genome).
+    """Front 0 of a run's (f1, f2) points by genome, as Individuals sorted
+    by (f1, f2, genome).
 
     ``run`` calls it once, on its point cache, after the last generation.
     The benchmark (``perfbench/run.py``) installs its ``nsga2.archive``
@@ -410,9 +385,9 @@ def _update_archive(points: dict[Genome, tuple]) -> list[Individual]:
     """
     # Many genomes share a point, so only the distinct points are sorted.
     distinct = list(set(points.values()))
-    fronts, _ = sort_points(distinct, 1)
+    fronts, _ = fast_non_dominated_sort(distinct, 1)
     front = {distinct[i] for i in fronts[0]}
-    return [Individual(g, ObjectiveVector(*p), rank=0)
+    return [Individual(g, ObjectiveVector(*p))
             for p, g in sorted((p, g) for g, p in points.items() if p in front)]
 
 
@@ -453,7 +428,7 @@ def run(
     A run is a pure function of its setting, ``(params, L, min_green_s,
     max_green_s)``, and of the objective map on in-bounds genomes (the
     evaluator's ``key``). A ``memo`` holding ``(*setting, key)`` gives back
-    fresh rank-0 individuals built from the stored front without evolving;
+    fresh individuals built from the stored front without evolving;
     any other run stores its front there, evicting the oldest entry once
     the memo holds ``FRONT_MEMO_SIZE``.
     """
@@ -463,7 +438,7 @@ def run(
         key = (*setting, evaluate.key)
         stored = memo.get(key)
         if stored is not None:
-            return [Individual(g, obj, rank=0) for g, obj in stored]
+            return [Individual(g, obj) for g, obj in stored]
     script = _draw_script(*setting)
     P = params.population_size
 
@@ -473,10 +448,10 @@ def run(
     point = _PointCache(evaluate)
     genomes = list(script.initial)
     points = [point[g] for g in genomes]
-    fronts, ranks = sort_points(points)
+    fronts, ranks = fast_non_dominated_sort(points)
     crowding = [0.0] * P
     for f in fronts:
-        for i, d in zip(f, crowding_points([points[i] for i in f])):
+        for i, d in zip(f, crowding_distance([points[i] for i in f])):
             crowding[i] = d
 
     for steps in script.generations:
@@ -493,11 +468,11 @@ def run(
             genomes += c1, c2
             points += point[c1], point[c2]
 
-        fronts, all_ranks = sort_points(points, P)
+        fronts, all_ranks = fast_non_dominated_sort(points, P)
         chosen: list[int] = []
         crowding = []
         for f in fronts:
-            dists = crowding_points([points[i] for i in f])
+            dists = crowding_distance([points[i] for i in f])
             room = P - len(chosen)
             if len(f) > room:
                 # The most crowded first, ties in front order.

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Optional
 
 from . import nsga2
 from .core import (
+    MAX_COUNT,
     REAL,
     ConfigError,
     IntersectionConfig,
@@ -59,10 +60,11 @@ class ArrivalModel(Section):
         if len(self.motorized_rates) != len(self.non_motorized_rates):
             raise ConfigError("rate vectors must have equal length")
         if not all(
-            is_number(r) and r >= 0
+            is_number(r) and 0 <= r <= MAX_COUNT
             for r in self.motorized_rates + self.non_motorized_rates
         ):
-            raise ConfigError("arrival rates must be numbers >= 0")
+            raise ConfigError(
+                f"arrival rates must be numbers >= 0 and <= {MAX_COUNT}")
 
     @property
     def num_links(self) -> int:
@@ -166,6 +168,10 @@ class SimOptions(Section):
                     f"got {b!r}"
                 )
         self.blackouts = tuple(tuple(b) for b in self.blackouts)
+        for key in ("initial_motorized", "initial_non_motorized"):
+            top = max(getattr(self, key) or (0,))
+            if top > MAX_COUNT:
+                raise ConfigError(f"{key} must be <= {MAX_COUNT}, got {top}")
 
 
 @dataclass

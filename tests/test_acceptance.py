@@ -21,7 +21,7 @@ from scipy import stats
 from greenlight import nsga2, objectives, simulator
 from greenlight.cli import main
 from greenlight.core import IntersectionConfig, QueueState, SignalPlan
-from greenlight.nsga2 import Individual, OptimizerParams, plan_from_genome
+from greenlight.nsga2 import OptimizerParams, plan_from_genome
 from greenlight.pipeline import Frame, FrameSlot, PipelineConfig, run_pipeline
 from greenlight.simulator import (
     ArrivalModel,
@@ -171,38 +171,27 @@ class TestCriterion3SortAndCrowding:
             points = [
                 (rng.randint(0, 30), rng.randint(0, 30)) for _ in range(n)
             ]
-            pop = [
-                Individual(genome=(i,), objectives=nsga2.ObjectiveVector(*p))
-                for i, p in enumerate(points)
-            ]
-            got = [set(f) for f in nsga2.fast_non_dominated_sort(pop)]
+            fronts, ranks = nsga2.fast_non_dominated_sort(points)
+            got = [set(f) for f in fronts]
             want = oracle_fronts(points)
             assert got == want, f"trial {trial}"
             for rank, front in enumerate(got):
                 for i in front:
-                    assert pop[i].rank == rank
+                    assert ranks[i] == rank
         announce(3, "200 random populations match the pairwise oracle")
 
     def test_crowding_extremes_infinite(self):
         rng = random.Random(5)
         points = sorted({(rng.randint(0, 50), rng.randint(0, 50))
                          for _ in range(12)})
-        front = [
-            Individual(genome=(i,), objectives=nsga2.ObjectiveVector(*p))
-            for i, p in enumerate(points)
-        ]
-        dists = nsga2.crowding_distance(front)
-        by_f1 = sorted(range(len(front)), key=lambda i: points[i][0])
-        by_f2 = sorted(range(len(front)), key=lambda i: points[i][1])
+        dists = nsga2.crowding_distance(points)
+        by_f1 = sorted(range(len(points)), key=lambda i: points[i][0])
+        by_f2 = sorted(range(len(points)), key=lambda i: points[i][1])
         for idx in (by_f1[0], by_f1[-1], by_f2[0], by_f2[-1]):
             assert dists[idx] == math.inf
 
     def test_three_point_example(self):
-        front = [
-            Individual(genome=(0,), objectives=nsga2.ObjectiveVector(0, 100)),
-            Individual(genome=(1,), objectives=nsga2.ObjectiveVector(10, 50)),
-            Individual(genome=(2,), objectives=nsga2.ObjectiveVector(40, 40)),
-        ]
+        front = [(0, 100), (10, 50), (40, 40)]
         assert nsga2.crowding_distance(front) == [math.inf, 2.0, math.inf]
         announce(3, "crowding extremes infinite; 3-point front = [inf, 2.0, inf]")
 

@@ -822,6 +822,27 @@ class TestRejectedInputs:
         ("simulate", "config", lambda raw: raw["demand"].update(
             motorized_rates=[float("nan")] * 5),
          "arrival rates must be numbers >= 0"),
+        # The simulator counts vehicles in int64: 1e20 vehicles/s used to
+        # wrap to a throughput of 37, and an initial queue of 10**19 to an
+        # OverflowError.
+        ("simulate", "config", lambda raw: raw.update(intersection=dict(
+            PALASHI, sat_flow_motorized=1e20)),
+         "sat_flow_motorized must be <= 100000, got 1e+20"),
+        ("simulate", "config", lambda raw: raw.update(intersection=dict(
+            PALASHI, sat_flow_non_motorized=1e300)),
+         "sat_flow_non_motorized must be <= 100000, got 1e+300"),
+        ("simulate", "config", lambda raw: raw["demand"].update(
+            motorized_rates=[1e18] * 5),
+         "arrival rates must be numbers >= 0 and <= 100000"),
+        ("simulate", "config", lambda raw: raw["demand"].update(
+            non_motorized_rates=[0, 0, 0, 0, 100000.5]),
+         "arrival rates must be numbers >= 0 and <= 100000"),
+        ("simulate", "config", lambda raw: raw["options"].update(
+            initial_motorized=[10**18] * 5),
+         "initial_motorized must be <= 100000, got 1000000000000000000"),
+        ("simulate", "config", lambda raw: raw["options"].update(
+            initial_non_motorized=[0, 0, 10**19, 0, 0]),
+         "initial_non_motorized must be <= 100000, got 10000000000000000000"),
         ("simulate", "config", lambda raw: raw["options"].update(blackouts=[[0, float("inf")]]),
          "blackout must be [start, end] numbers with start <= end"),
         ("simulate", "config", lambda raw: raw["controllers"][1].update(weights=[-1, 0]),

@@ -312,27 +312,26 @@ def brute_force_front(queue, cfg):
 
 class TestFastNonDominatedSort:
     def test_two_fronts(self):
-        pop = [ind(1, 2), ind(2, 1), ind(3, 3)]
-        assert fast_non_dominated_sort(pop) == [[0, 1], [2]]
-        assert [p.rank for p in pop] == [0, 0, 1]
+        points = [(1, 2), (2, 1), (3, 3)]
+        assert fast_non_dominated_sort(points) == ([[0, 1], [2]], [0, 0, 1])
 
     def test_identical_objectives_single_front(self):
-        pop = [ind(5, 5) for _ in range(4)]
-        assert fast_non_dominated_sort(pop) == [[0, 1, 2, 3]]
+        assert fast_non_dominated_sort([(5, 5)] * 4) == (
+            [[0, 1, 2, 3]], [0, 0, 0, 0])
 
     def test_matches_pairwise_oracle(self):
         rng = random.Random(42)
         for _ in range(20):
-            pop = [
-                ind(rng.choice([10, 20]), rng.choice([10, 20])) for _ in range(8)
+            objs = [
+                ObjectiveVector(rng.choice([10, 20]), rng.choice([10, 20]))
+                for _ in range(8)
             ]
-            fronts = fast_non_dominated_sort(pop)
+            fronts, ranks = fast_non_dominated_sort(
+                [(o.f1, o.f2) for o in objs])
             # O(n^2) oracle: rank = number of "strictly dominating layers"
-            n = len(pop)
-            dom = [
-                [dominates(pop[i].objectives, pop[j].objectives) for j in range(n)]
-                for i in range(n)
-            ]
+            n = len(objs)
+            dom = [[dominates(objs[i], objs[j]) for j in range(n)]
+                   for i in range(n)]
             expected_rank = [0] * n
             assigned = [False] * n
             level = 0
@@ -349,29 +348,28 @@ class TestFastNonDominatedSort:
             for k, front in enumerate(fronts):
                 for i in front:
                     assert expected_rank[i] == k
+            assert ranks == expected_rank
 
     def test_same_fronts_in_same_order_as_reference(self):
         rng = random.Random(2003)
         for trial in range(1200):
             points = random_points(rng, rng.randint(1, 128))
-            pop = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
             ref = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
             full = reference_sort(ref)
-            assert fast_non_dominated_sort(pop) == full, trial
-            assert [p.rank for p in pop] == [p.rank for p in ref], trial
+            ranks = [p.rank for p in ref]
+            assert fast_non_dominated_sort(points) == (full, ranks), trial
 
             # Cut at a survivor count: the shortest prefix of the full
-            # result holding that many members, and every rank still set.
+            # result holding that many members, and every rank still given.
             cut = rng.randint(1, len(points) + 1)
-            pop = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
-            got = fast_non_dominated_sort(pop, cut)
+            got, got_ranks = fast_non_dominated_sort(points, cut)
             assert got == full[:len(got)], trial
             assert sum(map(len, got)) >= min(cut, len(points)), trial
             assert sum(map(len, got[:-1])) < cut, trial
-            assert [p.rank for p in pop] == [p.rank for p in ref], trial
+            assert got_ranks == ranks, trial
 
     def test_empty_population(self):
-        assert fast_non_dominated_sort([]) == []
+        assert fast_non_dominated_sort([]) == ([], [])
 
     # Twin-heavy point sets: a few distinct points, each repeated. The
     # examples put twins at both ends of a front, give members a one-member
@@ -387,12 +385,12 @@ class TestFastNonDominatedSort:
     @example([(0, 3), (3, 0), (1, 4), (4, 1), (1, 4), (2, 5), (5, 2)], 2)
     @example([(3, 5), (2, 2), (5, 3), (3, 5), (4, 4), (6, 6), (6, 6)], 1)
     @example([(2, 2), (2, 2), (2, 2)], 1)
-    def test_sort_points_is_the_pairwise_emission_order(self, points, cut):
+    def test_twin_heavy_points_in_pairwise_emission_order(self, points, cut):
         ref = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
         full = reference_sort(ref)
         ranks = [p.rank for p in ref]
-        assert nsga2.sort_points(points) == (full, ranks)
-        got, got_ranks = nsga2.sort_points(points, cut)
+        assert fast_non_dominated_sort(points) == (full, ranks)
+        got, got_ranks = fast_non_dominated_sort(points, cut)
         assert got == full[:len(got)]
         assert sum(map(len, got)) >= min(cut, len(points))
         assert sum(map(len, got[:-1])) < cut
@@ -401,50 +399,36 @@ class TestFastNonDominatedSort:
 
 class TestCrowdingDistance:
     def test_three_point_front(self):
-        front = [ind(1, 3), ind(2, 2), ind(3, 1)]
-        assert crowding_distance(front) == [INF, 2.0, INF]
+        assert crowding_distance([(1, 3), (2, 2), (3, 1)]) == [INF, 2.0, INF]
 
     def test_small_fronts_all_infinite(self):
-        assert crowding_distance([ind(1, 1)]) == [INF]
-        assert crowding_distance([ind(1, 2), ind(2, 1)]) == [INF, INF]
+        assert crowding_distance([(1, 1)]) == [INF]
+        assert crowding_distance([(1, 2), (2, 1)]) == [INF, INF]
 
     def test_zero_range_objective_ignored(self):
-        front = [ind(1, 7), ind(2, 7), ind(4, 7)]
+        front = [(1, 7), (2, 7), (4, 7)]
         # f2 range is zero; distances come from f1 gaps alone
         assert crowding_distance(front) == [INF, (4 - 1) / (4 - 1), INF]
 
 
-def select(pop, candidates):
-    """tournament_select on the population's rank and crowding tables."""
-    return tournament_select([p.rank for p in pop], [p.crowding for p in pop],
-                             candidates)
-
-
 class TestTournamentSelect:
     def test_lower_rank_wins(self):
-        pop = [ind(1, 1), ind(2, 2)]
-        fast_non_dominated_sort(pop)
+        _, ranks = fast_non_dominated_sort([(1, 1), (2, 2)])
         for candidates in ((0, 1), (1, 0)):
-            assert pop[select(pop, candidates)].rank == 0
+            assert ranks[tournament_select(ranks, [0.0, 0.0], candidates)] == 0
 
     def test_crowding_breaks_rank_ties(self):
-        a, b = ind(1, 3), ind(2, 2)
-        a.rank = b.rank = 0
-        a.crowding, b.crowding = INF, 0.5
         for candidates in ((0, 1), (1, 0)):
-            assert [a, b][select([a, b], candidates)] is a
+            assert tournament_select([0, 0], [INF, 0.5], candidates) == 0
 
     def test_lower_index_breaks_full_ties(self):
-        pop = [ind(5, 5) for _ in range(4)]
-        for p in pop:
-            p.rank, p.crowding = 0, 1.0
-        assert pop[select(pop, (3, 1, 2))] is pop[1]
+        assert tournament_select([0] * 4, [1.0] * 4, (3, 1, 2)) == 1
 
     def test_deterministic_given_seed(self):
         cfg = IntersectionConfig(num_links=3, min_green_s=10, max_green_s=30)
-        pop = [ind(i, 10 - i) for i in range(6)]
-        fast_non_dominated_sort(pop)
-        crowding_distance(pop)
+        points = [(i, 10 - i) for i in range(6)]
+        _, ranks = fast_non_dominated_sort(points)
+        crowding = crowding_distance(points)
         params = OptimizerParams(population_size=6, generations=5,
                                  tournament_size=3, rng_seed=9)
         # Built afresh, not taken from the cache: the same seed, the same draws.
@@ -453,7 +437,7 @@ class TestTournamentSelect:
         assert plain(fresh[0]) == plain(fresh[1]) == plain(
             script_of(params, cfg))
         winners = [
-            [pop[select(pop, c)] for s in script_steps(script)
+            [tournament_select(ranks, crowding, c) for s in script_steps(script)
              for c in s[:2]]
             for script in fresh
         ]
@@ -608,7 +592,6 @@ class TestArchive:
         front = nsga2._update_archive(points)
         assert [((i.objectives.f1, i.objectives.f2), i.genome)
                 for i in front] == pairwise_front(points)
-        assert {i.rank for i in front} == {0}
 
 
 class TestRun:
@@ -682,7 +665,7 @@ class TestRun:
         # Queues where every link but at most one clears at min green give
         # many small fronts, so the sort takes its one-member fast path;
         # count the sorts where that path must restore index order.
-        sort, reordered = nsga2.sort_points, [0]
+        sort, reordered = nsga2.fast_non_dominated_sort, [0]
 
         def counted(points, survivors=None):
             fronts, ranks = sort(points, survivors)
@@ -692,7 +675,7 @@ class TestRun:
                     reordered[0] += 1
             return fronts, ranks
 
-        monkeypatch.setattr(nsga2, "sort_points", counted)
+        monkeypatch.setattr(nsga2, "fast_non_dominated_sort", counted)
         rng = random.Random(1998)
         for trial in range(220):
             cfg, params = random_setting(rng)
@@ -896,7 +879,7 @@ class TestFrontMemo:
         assert second == want
         assert all(a is not b for a, b in zip(first, second))
         for front in (first, second):
-            front[0].rank, front[0].crowding = 5, 1.0
+            front[0].genome = ()
             front.pop()
         assert front_of(queue, two_link_cfg, params, memo=memo) == want
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from greenlight import nsga2, simulator
-from greenlight.core import ConfigError, IntersectionConfig, QueueState, SignalPlan
+from greenlight.core import (
+    MAX_COUNT,
+    ConfigError,
+    IntersectionConfig,
+    QueueState,
+    SignalPlan,
+)
 from greenlight.simulator import (
     ArrivalModel,
     EmergencyEvent,
@@ -102,6 +108,21 @@ class TestSimulate:
         assert (np.diff(trace.queues, axis=0, prepend=0)
                 == trace.arrivals - trace.discharged).all()
         assert (trace.queues >= 0).all()
+
+    def test_counts_at_their_ceiling_stay_exact(self):
+        # Saturation flows, arrival rates and initial queues of MAX_COUNT
+        # each: every count still adds up in int64.
+        top = MAX_COUNT
+        cfg = cfg_of(sat_flow_motorized=top, sat_flow_non_motorized=top)
+        ctrl = FixedTimeController([20, 30], cfg)
+        demand = ArrivalModel((top, top), (top, 0), rng_seed=2)
+        opts = SimOptions(initial_motorized=(top, top),
+                          initial_non_motorized=(top, top))
+        metrics, trace = simulate(cfg, demand, ctrl, 200, opts)
+        assert (np.diff(trace.queues, axis=0, prepend=2 * top)
+                == trace.arrivals - trace.discharged).all()
+        assert metrics.throughput_total == (
+            4 * top + trace.arrivals.sum() - trace.queues[-1].sum())
 
     def test_reproducible_bit_exact(self):
         cfg = cfg_of()

@@ -58,6 +58,26 @@ def test_run_calls_operators_through_the_module(monkeypatch, two_link_cfg):
                      "mutate": 8 * 3}
 
 
+def test_run_sorts_and_crowds_through_the_module(monkeypatch, two_link_cfg):
+    # The sort and crowding wrappers (nsga2.sort, nsga2.crowding) see the
+    # initial sort, one sort per generation and the front's final one, and
+    # a crowding pass for at least one front of each population sorted.
+    calls = {"fast_non_dominated_sort": 0, "crowding_distance": 0}
+    for name in calls:
+        original = getattr(nsga2, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(nsga2, name, counted)
+    G = 5
+    params = nsga2.OptimizerParams(population_size=8, generations=G)
+    nsga2.run(QueueState((5, 2), (1, 0)), two_link_cfg, params, memo=None)
+    assert calls["fast_non_dominated_sort"] == G + 2
+    assert calls["crowding_distance"] >= G + 1
+
+
 def test_run_takes_its_front_once_through_the_module(monkeypatch,
                                                      two_link_cfg):
     # The archive wrapper (nsga2.archive) sees one call per evolved run, on
