@@ -400,6 +400,17 @@ class SignalPlan(Section):
     phases: tuple[tuple[LinkId, int], ...] = setting(ListOf(ListOf(int, size=2)))
     inter_green_s: int = setting(int, 0, low=0)
     guidance_pad_s: int = setting(int, 0, low=0)
+    # Derived from the fields above; a given value must agree with them.
+    cycle_length_s: Optional[int] = setting(int, None)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        n = len(self.phases)
+        cycle = sum(self.greens) + n * (2 * self.guidance_pad_s + self.inter_green_s)
+        if self.cycle_length_s not in (None, cycle):
+            raise ConfigError(f"cycle_length_s must be {cycle} for these phases, "
+                              f"got {self.cycle_length_s}")
+        object.__setattr__(self, "cycle_length_s", cycle)
 
     @property
     def num_links(self) -> int:
@@ -408,21 +419,6 @@ class SignalPlan(Section):
     @property
     def greens(self) -> tuple[int, ...]:
         return tuple(g for _, g in self.phases)
-
-    @property
-    def cycle_length_s(self) -> int:
-        pads = 2 * self.guidance_pad_s * len(self.phases)
-        return sum(self.greens) + pads + len(self.phases) * self.inter_green_s
-
-    def to_dict(self) -> dict[str, Any]:
-        return {**super().to_dict(), "cycle_length_s": self.cycle_length_s}
-
-    @classmethod
-    def from_dict(cls, d: Any, base_dir: Optional[Path] = None) -> "SignalPlan":
-        # ``cycle_length_s`` is derived: ``to_dict`` writes it for readers.
-        if isinstance(d, dict):
-            d = {k: v for k, v in d.items() if k != "cycle_length_s"}
-        return super().from_dict(d, base_dir)
 
 
 @dataclass(frozen=True)
@@ -440,18 +436,13 @@ class DetectionRecord(Section):
 
 
 @dataclass(frozen=True, order=True)
-class ObjectiveVector:
+class ObjectiveVector(Section):
     """(f1, f2) pair: residual congestion in vehicles, total red seconds."""
 
-    f1: float
-    f2: float
+    NAME = "objectives"
 
-    def __post_init__(self) -> None:
-        if self.f1 < 0 or self.f2 < 0:
-            raise ConfigError("objective values must be non-negative")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"f1": self.f1, "f2": self.f2}
+    f1: float = setting(REAL, low=0)
+    f2: float = setting(REAL, low=0)
 
 
 def load_intersection_config(path: str | Path) -> IntersectionConfig:

@@ -78,11 +78,11 @@ def evaluate(
 
 
 @lru_cache(maxsize=16)
-def _discharge_table(
+def discharge_table(
     sat_flow_motorized: float, sat_flow_non_motorized: float, max_green_s: int
 ) -> tuple[tuple[int, int], ...]:
     """(motorized, non-motorized) vehicles one link discharges in each green
-    0..max_green_s: (floor(sat_m * g), floor(sat_nm * g))."""
+    0..max_green_s: (floor(sat_m * g), floor(sat_nm * g)); the simulator's too."""
     return tuple(
         (math.floor(sat_flow_motorized * g),
          math.floor(sat_flow_non_motorized * g))
@@ -117,7 +117,7 @@ def genome_evaluator(
             f"queue has {queue.num_links} links, config expects {cfg.num_links}"
         )
     L = cfg.num_links
-    table = _discharge_table(cfg.sat_flow_motorized,
+    table = discharge_table(cfg.sat_flow_motorized,
                              cfg.sat_flow_non_motorized, cfg.max_green_s)
     residual = [
         [(m - a if a < m else 0) + (n - b if b < n else 0) for a, b in table]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
+
+from ..core import DetectionRecord
 
 
 @dataclass(frozen=True)
@@ -12,7 +14,7 @@ class Frame:
     camera_id: int
     seq: int
     capture_ts_ms: float
-    payload: Any
+    payload: DetectionRecord
     extraction_ms: float = 0.0
 
 

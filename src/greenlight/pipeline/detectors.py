@@ -1,16 +1,16 @@
-"""The detector stage: turns a frame's four class counts into a
-DetectionRecord.
+"""The detector stage: turns a frame's true ``DetectionRecord`` into the
+record a detector reports, stamped with the frame's capture time.
 
 ``SyntheticDetector`` is the one detector for every camera, synthetic or
 replay: ``detect`` returns (record, inference_ms). It emulates a model with
 a characteristic per-frame delay, paced on the run's ``Clock``, and
-configurable count noise, whatever source the counts came from.
+configurable count noise, whatever source the record came from.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..core import HOUR_MS, MAX_COUNT, REAL, DetectionRecord, Section, setting
 from .buffers import Frame
@@ -63,14 +63,10 @@ class SyntheticDetector(Section):
         jitter = self._rng.uniform(-self.jitter_ms, self.jitter_ms)
         inference_ms = max(0.0, self.delay_ms + jitter)
         self.clock.pace(inference_ms)
-        counts = frame.payload
-        record = DetectionRecord(
-            camera_id=frame.camera_id,
-            frame_ts_ms=int(frame.capture_ts_ms),
-            motorized_in=self._noisy(counts["motorized_in"]),
-            motorized_out=counts.get("motorized_out", 0),
-            non_motorized_in=self._noisy(counts.get("non_motorized_in", 0)),
-            non_motorized_out=counts.get("non_motorized_out", 0),
-        )
+        truth = frame.payload
+        record = replace(
+            truth, frame_ts_ms=int(frame.capture_ts_ms),
+            motorized_in=self._noisy(truth.motorized_in),
+            non_motorized_in=self._noisy(truth.non_motorized_in))
         return record, inference_ms
 

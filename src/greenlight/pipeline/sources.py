@@ -1,10 +1,11 @@
 """Frame sources: synthetic scene generators and detection-log replay.
 
-A source is an iterable of Frames whose payload is the four class counts
-the camera sees, so one detector serves every source. Every source feeds
-one framing loop that paces each frame on the run's ``Clock`` (a frame
-period plus the extraction delay, which a synthetic camera also records
-on the frame), stamps its capture on that clock and numbers it.
+A source is an iterable of Frames whose payload is the ``DetectionRecord``
+of the counts the camera sees, so one detector serves every source. Every
+source feeds one framing loop that paces each frame on the run's
+``Clock`` (a frame period plus the extraction delay, which a synthetic
+camera also records on the frame), stamps its capture on that clock and
+numbers it.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ from ..core import (
     setting,
 )
 from .buffers import Frame
-
-# A frame's payload: the count of each detection class the camera sees.
-COUNTS = ("motorized_in", "non_motorized_in", "motorized_out",
-          "non_motorized_out")
 
 # The lowest frame rate: at most 100 s between frames, so a frame's pacing
 # stays a sleep the platform takes at any ``time_scale``.
@@ -80,16 +77,16 @@ class VirtualClock(Clock):
 
 
 class _Source(Section):
-    """The framing loop of every source: per (counts, extraction ms) sample
+    """The framing loop of every source: per (record, extraction ms) sample
     of ``_samples``, pace a frame period plus the extraction on ``clock``,
     then stamp and number the frame."""
 
     def __iter__(self) -> Iterator[Frame]:
         clock, period_ms = self.clock, 1000.0 / self.fps
-        for seq, (counts, extraction_ms) in enumerate(self._samples()):
+        for seq, (record, extraction_ms) in enumerate(self._samples()):
             clock.pace(period_ms + extraction_ms)
             yield Frame(camera_id=self.camera_id, seq=seq,
-                        capture_ts_ms=clock.now_ms(), payload=counts,
+                        capture_ts_ms=clock.now_ms(), payload=record,
                         extraction_ms=extraction_ms)
 
 
@@ -98,8 +95,8 @@ class SyntheticCamera(_Source):
     """Emits frames of a (possibly constant) ground-truth count scene.
 
     The ``setting`` fields are the keys of a synthetic camera entry; the
-    pipeline supplies the others when it builds the camera. The frame
-    payload is ``counts``, the four class counts visible to the camera.
+    pipeline supplies the others when it builds the camera. Every frame's
+    payload is ``scene``, the camera's four class counts as one record.
     ``extract_delay_ms`` (with jitter) is paced and recorded on the frame
     as the extraction-stage latency sample.
     """
@@ -118,13 +115,17 @@ class SyntheticCamera(_Source):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self.counts = {key: getattr(self, key) for key in COUNTS}
+        self.scene = DetectionRecord(
+            camera_id=self.camera_id, frame_ts_ms=0,
+            motorized_in=self.motorized_in, motorized_out=self.motorized_out,
+            non_motorized_in=self.non_motorized_in,
+            non_motorized_out=self.non_motorized_out)
         self._rng = random.Random((self.seed << 8) ^ self.camera_id)
 
-    def _samples(self) -> Iterator[tuple[dict, float]]:
+    def _samples(self) -> Iterator[tuple[DetectionRecord, float]]:
         for _ in count() if self.n_frames is None else range(self.n_frames):
             jitter = self._rng.uniform(-self.jitter_ms, self.jitter_ms)
-            yield dict(self.counts), max(0.0, self.extract_delay_ms + jitter)
+            yield self.scene, max(0.0, self.extract_delay_ms + jitter)
 
 
 @dataclass(eq=False)
@@ -133,11 +134,11 @@ class ReplaySource(_Source):
     detection log as frames, one per frame period.
 
     The ``setting`` fields are the keys of a replay camera entry; the
-    pipeline supplies the others. Each frame's payload is the four class
-    counts of one validated record, and its capture stamp is the clock's,
-    not the logged ``frame_ts_ms``. A log that is not a readable file is a
-    ``ConfigError`` when the source is built, before the pipeline starts
-    any thread.
+    pipeline supplies the others. Each frame's payload is one validated
+    record of the log, and its capture stamp is the clock's; the detector
+    stamps its record with that capture, not the logged ``frame_ts_ms``.
+    A log that is not a readable file is a ``ConfigError`` when the source
+    is built, before the pipeline starts any thread.
     """
 
     camera_id: int
@@ -154,7 +155,7 @@ class ReplaySource(_Source):
                 f"replay log {path.name!r} is not a readable file in "
                 f"{str(path.parent)!r}")
 
-    def _samples(self) -> Iterator[tuple[dict, float]]:
+    def _samples(self) -> Iterator[tuple[DetectionRecord, float]]:
         with open(self.path) as fh:
             for line in fh:
                 line = line.strip()
@@ -162,4 +163,4 @@ class ReplaySource(_Source):
                     continue
                 record = DetectionRecord.from_dict(json.loads(line))
                 if record.camera_id == self.camera_id:
-                    yield {key: getattr(record, key) for key in COUNTS}, 0.0
+                    yield record, 0.0

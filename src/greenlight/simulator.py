@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
-from . import nsga2
+from . import nsga2, objectives
 from .core import (
     MAX_COUNT,
     REAL,
@@ -374,15 +374,14 @@ def simulate(
     dark_edges = (np.flatnonzero(dark[1:] != dark[:-1]) + 1).tolist()
     dark = dark.tolist()
 
-    # Fractional saturation flows discharge on the floor(rate*k) lattice so
-    # a full green matches the optimizer's discharge model exactly:
+    # Fractional saturation flows discharge on the optimizer's floor(rate*k)
+    # table so a full green matches its discharge model exactly:
     # capacity[k] is what the (k+1)-th lit green second of a phase may
     # discharge, per class.
     most = min(cfg.max_green_s, horizon_s)
-    lattice = np.floor(np.multiply.outer(
-        np.arange(most + 1),
-        (cfg.sat_flow_motorized, cfg.sat_flow_non_motorized),
-    )).astype(np.int64)
+    lattice = np.array(objectives.discharge_table(
+        cfg.sat_flow_motorized, cfg.sat_flow_non_motorized, cfg.max_green_s,
+    )[:most + 1], dtype=np.int64)
     capacity = lattice[1:] - lattice[:-1]
 
     def observe(t: int) -> QueueState:

@@ -9,6 +9,7 @@ from greenlight.core import (
     ConfigError,
     DetectionRecord,
     IntersectionConfig,
+    ObjectiveVector,
     QueueState,
     Section,
     SignalPlan,
@@ -101,6 +102,23 @@ class TestInvariants:
                           guidance_pad_s=4)
         assert plan.cycle_length_s == 10 + 20 + 2 * 2 * 4 + 2 * 3
 
+    def test_mismatched_cycle_length_refused(self):
+        plan = {"phases": [[1, 20], [0, 30]], "inter_green_s": 3}
+        assert SignalPlan.from_dict({**plan, "cycle_length_s": 56}).cycle_length_s == 56
+        with pytest.raises(ConfigError) as exc:
+            SignalPlan.from_dict({**plan, "cycle_length_s": 57})
+        assert str(exc.value) == "cycle_length_s must be 56 for these phases, got 57"
+
+    @pytest.mark.parametrize("f1, f2, message", [
+        (-1, 0, "f1 must be >= 0, got -1"),
+        (0, -0.5, "f2 must be >= 0, got -0.5"),
+        (float("nan"), 0, "f1 must be a finite number, got nan"),
+    ])
+    def test_objective_vector_rejects(self, f1, f2, message):
+        with pytest.raises(ConfigError) as exc:
+            ObjectiveVector(f1, f2)
+        assert str(exc.value) == message
+
 
 # Round-trip serialization: serialize(deserialize(x)) == x.
 
@@ -162,6 +180,12 @@ def test_dump_writes_nested_section_by_its_to_dict(p):
 ))
 def test_detection_record_round_trip(r):
     assert DetectionRecord.from_dict(json.loads(json.dumps(r.to_dict()))) == r
+
+
+@given(st.builds(ObjectiveVector, f1=st.integers(0, 10**6),
+                 f2=st.floats(0, 1e6)))
+def test_objective_vector_round_trip(v):
+    assert ObjectiveVector.from_dict(json.loads(json.dumps(v.to_dict()))) == v
 
 
 def test_intersection_config_round_trip(palashi_cfg):

@@ -29,10 +29,14 @@ from greenlight.pipeline import (
 from greenlight.pipeline.sources import Clock, VirtualClock
 
 
-def frame(seq, camera_id=0, payload=None, extraction_ms=0.0):
+def frame(seq, camera_id=0, motorized_in=1, non_motorized_in=0,
+          extraction_ms=0.0):
+    """Frame ``seq`` of a scene of the given inbound counts."""
+    scene = DetectionRecord(camera_id=camera_id, frame_ts_ms=0,
+                            motorized_in=motorized_in,
+                            non_motorized_in=non_motorized_in)
     return Frame(camera_id=camera_id, seq=seq, capture_ts_ms=float(seq),
-                 payload=payload or {"motorized_in": 1, "non_motorized_in": 0},
-                 extraction_ms=extraction_ms)
+                 payload=scene, extraction_ms=extraction_ms)
 
 
 class TestFrameSlot:
@@ -182,14 +186,12 @@ class TestInferenceWorker:
 class TestSyntheticDetectorNoise:
     def test_miss_rate_reduces_counts(self):
         det = SyntheticDetector(miss_rate=0.5, seed=0)
-        rec, _ = det.detect(frame(0, payload={"motorized_in": 1000,
-                                              "non_motorized_in": 0}))
+        rec, _ = det.detect(frame(0, motorized_in=1000))
         assert 300 < rec.motorized_in < 700
 
     def test_noiseless_passthrough(self):
         det = SyntheticDetector(seed=0)
-        rec, _ = det.detect(frame(0, payload={"motorized_in": 17,
-                                              "non_motorized_in": 4}))
+        rec, _ = det.detect(frame(0, motorized_in=17, non_motorized_in=4))
         assert rec.motorized_in == 17
         assert rec.non_motorized_in == 4
 
@@ -203,14 +205,14 @@ class TestSyntheticDetectorNoise:
 
     def test_false_counts_saturate_at_the_count_ceiling(self):
         det = SyntheticDetector(false_rate=5, seed=0)
-        rec, _ = det.detect(frame(0, payload={"motorized_in": 100_000,
-                                              "non_motorized_in": 99_999}))
+        rec, _ = det.detect(frame(0, motorized_in=100_000,
+                                  non_motorized_in=99_999))
         assert (rec.motorized_in, rec.non_motorized_in) == (100_000, 100_000)
 
     def test_false_rate_adds_poisson_counts(self):
         det = SyntheticDetector(false_rate=2.0, seed=0)
-        true = {"motorized_in": 5, "non_motorized_in": 1}
-        recs = [det.detect(frame(i, payload=true))[0] for i in range(2000)]
+        recs = [det.detect(frame(i, motorized_in=5, non_motorized_in=1))[0]
+                for i in range(2000)]
         assert min(r.motorized_in for r in recs) >= 5
         assert min(r.non_motorized_in for r in recs) >= 1
         mean_added = sum(r.motorized_in for r in recs) / len(recs) - 5
@@ -237,10 +239,8 @@ class TestStageSettings:
         log.write_text("\n" + "\n  \n".join(
             json.dumps(r.to_dict()) for r in records) + "\n\n")
         frames = list(ReplaySource(0, str(log)))
-        counts = [{"motorized_in": m, "non_motorized_in": 0,
-                   "motorized_out": 0, "non_motorized_out": 0} for m in (3, 4)]
         assert [(f.seq, f.payload) for f in frames] == [
-            (0, counts[0]), (1, counts[1])]
+            (0, records[0]), (1, records[2])]
 
 
 @pytest.fixture
