@@ -257,8 +257,16 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as validation errors do, not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="greenlight",
         description="Adaptive traffic-signal optimization, simulation, and "
                     "stream-pipeline tooling.",

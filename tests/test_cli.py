@@ -541,6 +541,28 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["optimize", "--config", "c.json", "--queue", "q.json", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["simulate", "--bogus"], "the following arguments are required: --scenario"),
+        (["simulate", "--scenario", "s.json", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["pipeline", "--config", "p.json", "--cycles", "two"],
+         "argument --cycles: invalid int value: 'two'"),
+        (["optimize", "--config", "c.json"],
+         "the following arguments are required: --queue"),
+        (["optimize", "--config", "c.json", "--queue", "q.json", "--weights", "-1,2"],
+         "argument --weights: expected one argument"),
+    ])
+    def test_usage_error_is_validation_error(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         assert main(["optimize", "--config", str(tmp_path / "nope.json"),
                      "--queue", str(tmp_path / "nope2.json"),
