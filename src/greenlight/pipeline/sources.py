@@ -120,7 +120,9 @@ class SyntheticCamera(_Source):
             motorized_in=self.motorized_in, motorized_out=self.motorized_out,
             non_motorized_in=self.non_motorized_in,
             non_motorized_out=self.non_motorized_out)
-        self._rng = random.Random((self.seed << 8) ^ self.camera_id)
+        # A str seed is hashed (SHA-512), so no detector's int seed of the
+        # run, (seed << 8) ^ (camera + 1), draws this camera's stream.
+        self._rng = random.Random(f"camera {self.seed} {self.camera_id}")
 
     def _samples(self) -> Iterator[tuple[DetectionRecord, float]]:
         for _ in count() if self.n_frames is None else range(self.n_frames):

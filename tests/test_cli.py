@@ -217,13 +217,13 @@ class TestGoldenArtifacts:
 
     @pytest.mark.parametrize("seed, plans, ledger, report", [
         ("0",
-         "72693afc934aae0c086af4a0feb580d7eaf8c08c0644e5919b52473531e9fdbf",
-         "0ca8c4739b2c9fd355e40b15d48120e09cdcb4d5ac4ccaf0e88c2edb80aa5f30",
-         "eb4d1c880719397f690ed2d9eafc135acf0369b5740808d6a428df28153db731"),
+         "4f6250b7aa65d403fd60d62a597b29fee0c64f4366cb24e96f10d05b733b4843",
+         "f8327471db24d15fc0a7baa5564bc5a1fceb88e52645353c25b47bc053e277d3",
+         "42a6e9d45b16de9cecb529f9d8d9bcc0d32f60ca61e64e7d7124ed77fc8da81e"),
         ("5",
-         "a3fedfddb93140502aa358a680a01525dee1e27e3ad103ffa82811e5f808c4e7",
-         "e2606aba30146478d8051dab4a1d619abccbb6d5d2cec8ff1c957ce4ea65ebd1",
-         "136f4c9311bbf818a527103f4e191a289a0beecf016e4452e2befcdc7047e21c"),
+         "b200b872b068cc6bd25f917c14c3c607a928824f5e97ae57d04dc4ed096bd32e",
+         "eed48b6345e94c564c16b846e1c202a6bded49ec9bf69f33e3257c96ed04e74b",
+         "0af3e5e167d57ba174bbbc42f6d62f2ea97f813bb09e711b4db4be858aee5ac7"),
     ])
     def test_pipeline_sim(self, assets_dir, tmp_path, seed, plans, ledger,
                           report):
@@ -252,9 +252,9 @@ class TestGoldenArtifacts:
         assert main(["pipeline", "--config", str(config), "--timing", "sim",
                      "--cycles", "8", "--seed", "3", "--out", str(out)]) == 0
         assert sha256((out / "plans.ndjson").read_bytes()) == (
-            "9efb5d15301c7263c6dd13b71be51b1a7f4cc3c96ab07d9bdab09f097349cc8d")
+            "70237875194ed30fa9f8e0f519e954a3b8a2df17fb6cd7292f73cca4de485cf3")
         assert sha256((out / "latency_ledger.ndjson").read_bytes()) == (
-            "77ec2dc463e73bee28399924c58558638d8e574ee190726fe90cb436a025ad3a")
+            "1f28d1cc00d5f3cb1d6e01a8a4b747cefb946d19d089b027af503cc3d83dd077")
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import random
+import statistics
 import sys
 import threading
 import time
@@ -773,6 +774,19 @@ class TestSimFailurePolicies:
         result = run_pipeline(pipeline_config(timing="sim"), 4)
         assert [(s.alive, s.frames, s.detector_errors, s.error)
                 for s in result.camera_status] == [(True, 4, 0, None)] * 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_camera_and_detector_jitter_streams_are_independent(assets_dir, seed):
+    # Sim timing moves one frame per camera per cycle, so sample i of each
+    # ledger entry is camera i's extraction and detector i's inference.
+    cfg = PipelineConfig.load(assets_dir / "pipeline_demo.json")
+    cfg.seed = seed
+    cycles = run_pipeline(cfg, 50).cycles
+    extraction = zip(*(c.latency.extraction_samples_ms for c in cycles))
+    inference = list(zip(*(c.latency.inference_samples_ms for c in cycles)))
+    assert all(abs(statistics.correlation(e, i)) < 0.9
+               for e in extraction for i in inference)
 
 
 class TestReplayDetection:
