@@ -82,7 +82,8 @@ def discharge_table(
     sat_flow_motorized: float, sat_flow_non_motorized: float, max_green_s: int
 ) -> tuple[tuple[int, int], ...]:
     """(motorized, non-motorized) vehicles one link discharges in each green
-    0..max_green_s: (floor(sat_m * g), floor(sat_nm * g)); the simulator's too."""
+    0..max_green_s: (floor(sat_m * g), floor(sat_nm * g)). ``simulate``
+    discharges by it too."""
     return tuple(
         (math.floor(sat_flow_motorized * g),
          math.floor(sat_flow_non_motorized * g))

@@ -120,8 +120,7 @@ class SyntheticCamera(_Source):
             motorized_in=self.motorized_in, motorized_out=self.motorized_out,
             non_motorized_in=self.non_motorized_in,
             non_motorized_out=self.non_motorized_out)
-        # A str seed is hashed (SHA-512), so no detector's int seed of the
-        # run, (seed << 8) ^ (camera + 1), draws this camera's stream.
+        # A str seed is hashed, so no detector's int seed draws this stream.
         self._rng = random.Random(f"camera {self.seed} {self.camera_id}")
 
     def _samples(self) -> Iterator[tuple[DetectionRecord, float]]:
