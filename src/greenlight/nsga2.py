@@ -166,11 +166,6 @@ def fast_non_dominated_sort(
             break
         above, members = stairs[k - 1], stairs[k]
         listed += len(members)
-        if len(above) == 1 or len(members) == 1:
-            # A lone member needs no order; below a lone member, every
-            # member is placed at position 0, so index order decides.
-            fronts.append(sorted(members))
-            continue
         for j, i in enumerate(fronts[k - 1]):
             position[i] = j
         # Along both stairs f1 rises and f2 falls (twins aside). The members

@@ -15,66 +15,31 @@ from typing import Callable, Sequence
 from .core import IntersectionConfig, ObjectiveVector, QueueState, SignalPlan
 
 
-def _check_dims(queue: QueueState, plan: SignalPlan) -> None:
+def evaluate(
+    plan: SignalPlan, queue: QueueState, cfg: IntersectionConfig
+) -> ObjectiveVector:
+    """Evaluate one full cycle: (residual congestion, total red time).
+
+    f1 drains each link's queue at its class saturation rate for its green
+    (0 if the plan does not serve the link; guidance pads do not discharge)
+    and sums what is left: max(0, count - floor(rate * green)) per link and
+    class. f2 sums each phase's red seconds: a link is red whenever it is not
+    served (green plus its guidance pads), so clearance intervals count as
+    red.
+    """
     if queue.num_links != plan.num_links:
         raise ValueError(
             f"queue has {queue.num_links} links, plan serves {plan.num_links}"
         )
-
-
-def discharge(
-    queue: QueueState, plan: SignalPlan, cfg: IntersectionConfig
-) -> QueueState:
-    """Drain each link's queue at its class saturation rate for its green.
-
-    Residual count per link and class is max(0, count - floor(rate * green)).
-    Guidance padding does not discharge.
-    """
-    _check_dims(queue, plan)
-    green_by_link = {l: g for l, g in plan.phases}
-    motorized = []
-    non_motorized = []
-    for i in range(queue.num_links):
+    green_by_link = dict(plan.phases)
+    f1 = 0
+    for i, (m, n) in enumerate(zip(queue.motorized, queue.non_motorized)):
         g = green_by_link.get(i, 0)
-        motorized.append(
-            max(0, queue.motorized[i] - math.floor(cfg.sat_flow_motorized * g))
-        )
-        non_motorized.append(
-            max(0, queue.non_motorized[i] - math.floor(cfg.sat_flow_non_motorized * g))
-        )
-    return QueueState(
-        motorized=tuple(motorized),
-        non_motorized=tuple(non_motorized),
-        timestamp_ms=queue.timestamp_ms,
-    )
-
-
-def f1(updated_queue: QueueState) -> int:
-    """Total vehicles (motorized + non-motorized) still queued across links."""
-    return updated_queue.total()
-
-
-def red_times(plan: SignalPlan) -> list[int]:
-    """Per-link red seconds within one cycle.
-
-    A link is red whenever it is not being served (green plus its guidance
-    pads); clearance intervals count as red.
-    """
-    cycle = plan.cycle_length_s
-    return [cycle - (g + 2 * plan.guidance_pad_s) for _, g in plan.phases]
-
-
-def f2(plan: SignalPlan) -> int:
-    """Total red time summed over links."""
-    return sum(red_times(plan))
-
-
-def evaluate(
-    plan: SignalPlan, queue: QueueState, cfg: IntersectionConfig
-) -> ObjectiveVector:
-    """Evaluate one full cycle: (residual congestion, total red time)."""
-    _check_dims(queue, plan)
-    return ObjectiveVector(f1=f1(discharge(queue, plan, cfg)), f2=f2(plan))
+        f1 += (max(0, m - math.floor(cfg.sat_flow_motorized * g))
+               + max(0, n - math.floor(cfg.sat_flow_non_motorized * g)))
+    f2 = sum(plan.cycle_length_s - (g + 2 * plan.guidance_pad_s)
+             for _, g in plan.phases)
+    return ObjectiveVector(f1=f1, f2=f2)
 
 
 @lru_cache(maxsize=16)

@@ -31,15 +31,13 @@ class FrameSlot:
         self._closed = False
         self.drops = 0
 
-    def put(self, frame: Frame) -> bool:
-        """Store ``frame``; returns True if an unconsumed frame was dropped."""
+    def put(self, frame: Frame) -> None:
+        """Store ``frame``, counting an unconsumed one it replaces in ``drops``."""
         with self._cond:
-            dropped = self._frame is not None
-            if dropped:
+            if self._frame is not None:
                 self.drops += 1
             self._frame = frame
             self._cond.notify()
-            return dropped
 
     def take(self, timeout: Optional[float] = None) -> Optional[Frame]:
         """Remove and return the newest frame, or None on timeout/close."""

@@ -250,7 +250,10 @@ class PipelineConfig(Section):
         error="pipeline config needs a non-empty 'cameras' list")
     detector: dict = setting(table(SyntheticDetector), factory=dict)
     window_ms: float = setting(float, 500.0, low=0, high=HOUR_MS)
-    max_stale_windows: int = setting(int, 2, low=0)
+    # A link reuses its last counts for at most this many windows, and a run
+    # whose cameras all fall silent exits 2 after this many + 2 windows, each
+    # logged: 10**9 logged skipped cycles without end.
+    max_stale_windows: int = setting(int, 2, low=0, high=100)
     optimizer: nsga2.OptimizerParams = setting(
         nsga2.OptimizerParams, factory=nsga2.OptimizerParams)
     policy: str = setting(nsga2.POLICIES, "knee")

@@ -1014,6 +1014,10 @@ class TestRejectedInputs:
          "jitter_ms must be in [0, 3600000], got 3600001"),
         ("real", lambda raw: raw.update(window_ms=1e300),
          "window_ms must be in [0, 3600000], got 1e+300"),
+        # Cameras that all fall silent end the run after max_stale_windows + 2
+        # skipped cycles: 10**9 of them logged a warning each without end.
+        ("sim", lambda raw: raw.update(max_stale_windows=10**9),
+         "max_stale_windows must be in [0, 100], got 1000000000"),
         # The longest pacing sleep, (1000/fps + extract_delay_ms + jitter_ms)
         # x time_scale, must stay one time.sleep takes: fps 1e-300 made every
         # camera's first sleep overflow the platform's time_t.

@@ -595,12 +595,24 @@ class TestArchive:
 
 
 class TestRun:
-    def test_matches_brute_force_small_instance(self):
-        cfg = IntersectionConfig(num_links=2, min_green_s=10, max_green_s=15,
-                                 inter_green_s=3)
-        queue = QueueState(motorized=(50, 10), non_motorized=(0, 0))
+    # One instance per link count L; greens 10..max_green, so the brute
+    # force enumerates at most 6**4 genomes.
+    @pytest.mark.parametrize("max_green, motorized, non_motorized", [
+        (15, (50, 10), (0, 0)),
+        (15, (50, 10, 25), (8, 2, 5)),
+        (15, (50, 10, 25, 30), (8, 2, 5, 6)),
+        (13, (42, 11, 27, 8, 19), (14, 3, 9, 2, 6)),  # queue_sample.json
+        (12, (20, 30, 10, 5, 15, 25), (5, 8, 2, 1, 4, 6)),
+    ], ids=["L2", "L3", "L4", "L5", "L6"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_brute_force_small_instance(self, max_green, motorized,
+                                                non_motorized, seed):
+        cfg = IntersectionConfig(num_links=len(motorized), min_green_s=10,
+                                 max_green_s=max_green, inter_green_s=3)
+        queue = QueueState(motorized=motorized, non_motorized=non_motorized)
         expected = brute_force_front(queue, cfg)
-        params = OptimizerParams(population_size=60, generations=100, rng_seed=3)
+        params = OptimizerParams(population_size=60, generations=100,
+                                 rng_seed=seed)
         front = nsga2.run(queue, cfg, params)
         assert {(i.objectives.f1, i.objectives.f2) for i in front} == expected
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -23,79 +24,74 @@ def plan_of(greens, inter_green=0, pad=0):
     )
 
 
-class TestDischarge:
-    def test_hand_example(self):
-        # 10 s of green at 0.5/s drains 5 motorized; 0.25/s drains 2 non-motorized
-        cfg = make_cfg()
-        q = QueueState(motorized=(10, 5), non_motorized=(3, 2))
-        out = objectives.discharge(q, plan_of([10, 10]), cfg)
-        assert out.motorized == (5, 0)
-        assert out.non_motorized == (1, 0)
+def empty_queue(num_links):
+    return QueueState(motorized=(0,) * num_links, non_motorized=(0,) * num_links)
 
-    def test_zero_queue_stays_zero(self):
-        cfg = make_cfg()
-        q = QueueState(motorized=(0, 0), non_motorized=(0, 0))
-        out = objectives.discharge(q, plan_of([60, 5]), cfg)
-        assert out.motorized == (0, 0) and out.non_motorized == (0, 0)
 
-    def test_zero_green_leaves_queue_unchanged(self):
-        cfg = make_cfg()
-        q = QueueState(motorized=(7, 3), non_motorized=(2, 9))
-        out = objectives.discharge(q, plan_of([0, 0]), cfg)
-        assert out.motorized == q.motorized
-        assert out.non_motorized == q.non_motorized
+def f1_of(q, greens, cfg):
+    return objectives.evaluate(plan_of(greens), q, cfg).f1
 
-    def test_dimension_mismatch(self):
-        cfg = make_cfg()
-        q = QueueState(motorized=(1,), non_motorized=(1,))
-        with pytest.raises(ValueError, match="links"):
-            objectives.discharge(q, plan_of([10, 10]), cfg)
+
+def f2_of(plan):
+    return objectives.evaluate(plan, empty_queue(plan.num_links), make_cfg()).f2
 
 
 class TestF1:
-    def test_sum_after_discharge(self):
-        q = QueueState(motorized=(5, 0), non_motorized=(1, 0))
-        assert objectives.f1(q) == 6
-
-    def test_zero(self):
-        assert objectives.f1(QueueState(motorized=(0,), non_motorized=(0,))) == 0
-
-    def test_direct_sum(self):
-        q = QueueState(motorized=(1, 1, 1), non_motorized=(0, 0, 0))
-        assert objectives.f1(q) == 3
-
-
-class TestRedTimes:
     def test_hand_example(self):
-        plan = plan_of([10, 20, 30], inter_green=3)
-        assert plan.cycle_length_s == 69
-        assert objectives.red_times(plan) == [59, 49, 39]
+        # 10 s of green at 0.5/s drains 5 motorized; 0.25/s drains 2 non-motorized
+        cfg = make_cfg()
+        assert f1_of(QueueState(motorized=(10, 5), non_motorized=(3, 2)),
+                     [10, 10], cfg) == 6
+        # per link and class: link 0 keeps 5 motorized and 1 non-motorized,
+        # link 1 keeps none
+        for m, n, left in [((10, 0), (0, 0), 5), ((0, 0), (3, 0), 1),
+                           ((0, 5), (0, 2), 0)]:
+            q = QueueState(motorized=m, non_motorized=n)
+            assert f1_of(q, [10, 10], cfg) == left
 
-    def test_single_link_never_red(self):
-        assert objectives.red_times(plan_of([15])) == [0]
+    def test_zero_queue_stays_zero(self):
+        assert f1_of(empty_queue(2), [60, 5], make_cfg()) == 0
 
-    def test_symmetric(self):
-        assert objectives.red_times(plan_of([10, 10])) == [10, 10]
+    @pytest.mark.parametrize("m, n", [
+        ((7, 3), (2, 9)), ((5, 0), (1, 0)), ((0,), (0,)), ((1, 1, 1), (0, 0, 0)),
+    ])
+    def test_zero_green_leaves_whole_queue(self, m, n):
+        q = QueueState(motorized=m, non_motorized=n)
+        assert f1_of(q, [0] * len(m), make_cfg()) == q.total()
+
+    def test_unserved_link_keeps_its_queue(self):
+        q = QueueState(motorized=(10, 4), non_motorized=(3, 1))
+        plan = SignalPlan(phases=((0, 10), (0, 10)))
+        assert objectives.evaluate(plan, q, make_cfg()).f1 == 6 + 5
+
+    def test_dimension_mismatch(self):
+        q = QueueState(motorized=(1,), non_motorized=(1,))
+        with pytest.raises(ValueError, match="links"):
+            objectives.evaluate(plan_of([10, 10]), q, make_cfg())
 
 
 class TestF2:
     def test_hand_example(self):
-        assert objectives.f2(plan_of([10, 20, 30], inter_green=3)) == 147
+        # cycle 69 s; links red 59, 49 and 39 s
+        plan = plan_of([10, 20, 30], inter_green=3)
+        assert plan.cycle_length_s == 69
+        assert f2_of(plan) == 59 + 49 + 39 == 147
 
-    def test_single_link(self):
-        assert objectives.f2(plan_of([15])) == 0
+    def test_single_link_never_red(self):
+        assert f2_of(plan_of([15])) == 0
+
+    def test_symmetric(self):
+        assert f2_of(plan_of([10, 10])) == 10 + 10
 
     def test_doubling_greens_doubles_f2(self):
-        assert objectives.f2(plan_of([20, 40, 60])) == 2 * objectives.f2(
-            plan_of([10, 20, 30])
-        )
+        assert f2_of(plan_of([20, 40, 60])) == 2 * f2_of(plan_of([10, 20, 30]))
 
     def test_closed_form(self):
         # (L-1) * sum(g) + L^2 * inter_green for pad 0: every link sits red
         # through all L clearance intervals
         greens = [12, 34, 7, 25]
         plan = plan_of(greens, inter_green=4)
-        assert objectives.f2(plan) == 3 * sum(greens) + 4 * 4 * 4
+        assert f2_of(plan) == 3 * sum(greens) + 4 * 4 * 4
 
 
 class TestEvaluate:
@@ -105,7 +101,7 @@ class TestEvaluate:
         plan = plan_of([10, 10])
         obj = objectives.evaluate(plan, q, cfg)
         assert obj.f1 == 6
-        assert obj.f2 == objectives.f2(plan)
+        assert obj.f2 == f2_of(plan) == 20
 
     def test_zero_queue_minimal_greens(self):
         cfg = make_cfg(min_green_s=5)
@@ -147,25 +143,21 @@ def queue_plan_cfg(draw):
 
 
 @given(queue_plan_cfg())
-def test_discharge_monotone_in_queue(data):
+def test_f1_monotone_in_queue(data):
     q, greens, cfg = data
-    plan = plan_of(greens, inter_green=cfg.inter_green_s)
-    out = objectives.discharge(q, plan, cfg)
     bigger = QueueState(
         motorized=tuple(v + 3 for v in q.motorized),
         non_motorized=tuple(v + 2 for v in q.non_motorized),
     )
-    out_big = objectives.discharge(bigger, plan, cfg)
-    assert all(a <= b for a, b in zip(out.motorized, out_big.motorized))
-    assert all(a <= b for a, b in zip(out.non_motorized, out_big.non_motorized))
+    base = f1_of(q, greens, cfg)
+    # each added vehicle leaves at most one more behind
+    assert base <= f1_of(bigger, greens, cfg) <= base + 5 * q.num_links
 
 
 @given(queue_plan_cfg())
 def test_f1_bounds(data):
     q, greens, cfg = data
-    import math
-    plan = plan_of(greens, inter_green=cfg.inter_green_s)
-    val = objectives.f1(objectives.discharge(q, plan, cfg))
+    val = f1_of(q, greens, cfg)
     total = q.total()
     capacity = sum(
         math.floor(cfg.sat_flow_motorized * g) + math.floor(
@@ -177,8 +169,8 @@ def test_f1_bounds(data):
 
 
 @given(queue_plan_cfg(), st.randoms())
-def test_f2_permutation_invariant(data, rnd):
-    _, greens, cfg = data
+def test_permutation_invariant(data, rnd):
+    q, greens, cfg = data
     plan = plan_of(greens, inter_green=cfg.inter_green_s)
     order = list(range(len(greens)))
     rnd.shuffle(order)
@@ -186,7 +178,7 @@ def test_f2_permutation_invariant(data, rnd):
         phases=tuple(plan.phases[i] for i in order),
         inter_green_s=plan.inter_green_s,
     )
-    assert objectives.f2(plan) == objectives.f2(permuted)
+    assert objectives.evaluate(plan, q, cfg) == objectives.evaluate(permuted, q, cfg)
 
 
 @given(queue_plan_cfg())

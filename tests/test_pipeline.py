@@ -43,8 +43,10 @@ def frame(seq, camera_id=0, motorized_in=1, non_motorized_in=0,
 class TestFrameSlot:
     def test_newest_wins_and_drop_reported(self):
         slot = FrameSlot()
-        assert slot.put(frame(0)) is False
-        assert slot.put(frame(1)) is True
+        slot.put(frame(0))
+        assert slot.drops == 0
+        slot.put(frame(1))
+        assert slot.drops == 1
         assert slot.take().seq == 1
 
     def test_take_empties_slot(self):

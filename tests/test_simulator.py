@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from greenlight import nsga2, simulator
+from greenlight import nsga2, objectives, simulator
 from greenlight.core import (
     MAX_COUNT,
     ConfigError,
@@ -142,8 +142,9 @@ class TestSimulate:
         padded = FixedTimeController([20, 20], cfg, guidance_pad_s=4)
         assert (padded._plan.cycle_length_s
                 == plain._plan.cycle_length_s + 2 * 2 * 4)
-        from greenlight import objectives
-        assert objectives.f2(padded._plan) > objectives.f2(plain._plan)
+        empty = QueueState(motorized=(0, 0), non_motorized=(0, 0))
+        assert (objectives.evaluate(padded._plan, empty, cfg).f2
+                > objectives.evaluate(plain._plan, empty, cfg).f2)
         # pads display green but do not discharge
         opts = SimOptions(initial_motorized=(10, 0), guidance_pad_s=4)
         _, trace = simulate(cfg, zero_demand(2), padded, 50, opts)
