@@ -143,14 +143,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_controller(spec: dict, cfg: IntersectionConfig,
-                      options: simulator.SimOptions):
-    kind = {"fixed": simulator.FixedTimeController,
-            "adaptive": simulator.AdaptiveController}[spec["type"]]
-    return kind(cfg=cfg, guidance_pad_s=options.guidance_pad_s,
-                **{k: v for k, v in spec.items() if k not in ("type", "name")})
-
-
 def _write_timeseries(path: Path, trace: simulator.SimTrace, L: int) -> None:
     states = simulator.PHASE_STATES
     rows = zip(trace.queues.tolist(), trace.active_link.tolist(),
@@ -177,8 +169,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = _seed_flag(args)
     if seed is not None:
         seeds = [seed]
-    controllers = {spec["name"]: _build_controller(spec, cfg, options)
-                   for spec in scenario.controllers}
+    controllers = {}
+    for spec in scenario.controllers:
+        rest = {k: v for k, v in spec.items() if k not in ("type", "name")}
+        controllers[spec["name"]] = simulator.CONTROLLERS[spec["type"]](
+            cfg=cfg, guidance_pad_s=options.guidance_pad_s, **rest)
 
     # The output directory is made only once the run has succeeded, so a
     # scenario that fails validation leaves nothing behind.

@@ -6,13 +6,12 @@ between threads.
 Every field of every config and input section is declared once, in one
 table: its kind, bounds and default. A ``Section`` dataclass keeps its
 table in ``setting`` field metadata. Camera, detector and controller
-entries stay JSON objects: camera and detector entries are read by the
-``table`` of the stage class they build, and controller entries by dicts
-of ``Spec``. ``load_section`` reads a section from JSON (object, unknown
-and missing keys, tagged entries), ``check`` checks and converts the
-field values (each ``Section`` runs it from ``__post_init__``, so direct
-construction is checked too), ``dump`` writes the fields back out, and
-``read_json`` is the one reader of config files.
+entries stay JSON objects, read by the ``table`` of the class they build.
+``load_section`` reads a section from JSON (object, unknown and missing
+keys, tagged entries), ``check`` checks and converts the field values
+(each ``Section`` runs it from ``__post_init__``, so direct construction
+is checked too), ``dump`` writes the fields back out, and ``read_json``
+is the one reader of config files.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from .core import (
     Spec,
     is_number,
     setting,
+    table,
     validate_plan,
 )
 
@@ -79,56 +80,60 @@ class EmergencyEvent(Section):
     link: int = setting(int)
 
 
-class FixedTimeController:
-    """Returns the same cycle every time; the manual-control stand-in."""
+@dataclass(eq=False)
+class FixedTimeController(Section):
+    """Returns the same cycle every time; the manual-control stand-in.
+    Its ``setting`` fields are a fixed entry's keys."""
 
-    def __init__(self, greens: Sequence[int], cfg: IntersectionConfig,
-                 guidance_pad_s: int = 0, order: Optional[Sequence[int]] = None):
-        order = list(order) if order is not None else list(range(cfg.num_links))
-        if len(greens) != cfg.num_links:
+    greens: tuple[int, ...] = setting(ListOf(int))
+    cfg: IntersectionConfig
+    guidance_pad_s: int = 0
+    order: Optional[tuple[int, ...]] = setting(ListOf(int), None)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        links = list(range(self.cfg.num_links))
+        order = links if self.order is None else self.order
+        if len(self.greens) != len(links):
             raise ConfigError("fixed controller needs one green per link")
-        if sorted(order) != list(range(cfg.num_links)):
+        if sorted(order) != links:
             raise ConfigError("fixed controller order must list every link once")
-        self._plan = SignalPlan(
-            phases=tuple((l, int(greens[l])) for l in order),
-            inter_green_s=cfg.inter_green_s,
-            guidance_pad_s=guidance_pad_s,
-        )
+        self._plan = SignalPlan(tuple((l, self.greens[l]) for l in order),
+                                self.cfg.inter_green_s, self.guidance_pad_s)
 
     def next_plan(self, observed: QueueState) -> SignalPlan:
         return self._plan
 
 
-class AdaptiveController:
-    """Re-optimizes the cycle from the observed queue before each cycle."""
+@dataclass(eq=False)
+class AdaptiveController(Section):
+    """Re-optimizes the cycle from the observed queue before each cycle.
+    Its ``setting`` fields are an adaptive entry's keys."""
 
-    def __init__(self, cfg: IntersectionConfig,
-                 optimizer: nsga2.OptimizerParams = nsga2.OptimizerParams(),
-                 policy: str = "knee", guidance_pad_s: int = 0,
-                 weights: tuple[float, float] = (0.5, 0.5)):
+    cfg: IntersectionConfig
+    optimizer: nsga2.OptimizerParams = setting(
+        nsga2.OptimizerParams, factory=nsga2.OptimizerParams)
+    policy: str = setting(nsga2.POLICIES, "knee")
+    guidance_pad_s: int = 0
+    weights: tuple[float, float] = setting(
+        ListOf(REAL, size=2), (0.5, 0.5), error="weights must be two numbers")
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         # Light queues that clear at min green repeat one objective map.
-        self._planner = nsga2.Planner(cfg, optimizer, policy, guidance_pad_s,
-                                      weights, reuse_fronts=True)
+        self._planner = nsga2.Planner(self.cfg, self.optimizer, self.policy,
+                                      self.guidance_pad_s, self.weights,
+                                      reuse_fronts=True)
 
     def next_plan(self, observed: QueueState) -> SignalPlan:
         return self._planner(observed)[1]
 
 
-# Controller entries of a scenario stay JSON objects; the keys given are
-# the controller's arguments, so an absent key takes the class's default.
-FIXED_CONTROLLER = {
-    "name": Spec(str),
-    "greens": Spec(ListOf(int), required=True),
-    "order": Spec(ListOf(int), nullable=True),
-}
-ADAPTIVE_CONTROLLER = {
-    "name": Spec(str),
-    "policy": Spec(nsga2.POLICIES),
-    "weights": Spec(ListOf(REAL, size=2), error="weights must be two numbers"),
-    "optimizer": Spec(nsga2.OptimizerParams),
-}
-CONTROLLER = OneOf("type", {"fixed": FIXED_CONTROLLER,
-                            "adaptive": ADAPTIVE_CONTROLLER})
+# The one map of controller types. A scenario's controller entries stay
+# JSON objects whose keys are the ``setting`` fields of the class built.
+CONTROLLERS = {"fixed": FixedTimeController, "adaptive": AdaptiveController}
+CONTROLLER = OneOf("type", {kind: {"name": Spec(str), **table(cls)}
+                            for kind, cls in CONTROLLERS.items()})
 
 
 @dataclass

@@ -311,6 +311,23 @@ class TestCompareControllers:
         assert adaptive <= fixed * 1.1
 
 
+class TestControllerSettings:
+    """A controller built in code is checked as its scenario entry is."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda cfg: FixedTimeController([20.5, 30], cfg),
+         "greens must be an integer, got 20.5"),
+        (lambda cfg: FixedTimeController([True, 20], cfg),
+         "greens must be a number, got True"),
+        (lambda cfg: simulator.AdaptiveController(cfg, weights=("a", 1)),
+         "weights must be two numbers"),
+    ], ids=["fractional green", "bool green", "string weight"])
+    def test_bad_setting_refused(self, build, message):
+        with pytest.raises(ConfigError) as exc:
+            build(cfg_of())
+        assert str(exc.value) == message
+
+
 class TestAdaptiveController:
     def test_light_run_evolves_fewer_fronts_than_it_plans(self, palashi_cfg,
                                                           monkeypatch):
