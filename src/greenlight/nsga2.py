@@ -9,11 +9,18 @@ A ``Planner`` is the one path from a queue snapshot to a plan, for
 ``run`` on the snapshot, then ``select_operating_point`` on the front, and
 returns (front, plan, chosen ``Individual``).
 
-A run keeps its population as flat per-slot lists (genomes, (f1, f2)
-tuples, ranks, crowding distances); an ``Individual`` with an
-``ObjectiveVector`` is built only for what leaves ``run``: the returned
-front and the memo entries. ``fast_non_dominated_sort`` and
-``crowding_distance`` work on (f1, f2) points.
+A run keeps its population as flat per-slot lists (genomes, packed points,
+ranks, crowding distances); an ``Individual`` with an ``ObjectiveVector`` is
+built only for what leaves ``run``: the returned front and the memo entries.
+A packed point is one non-negative int, ``f1 << shift | f2``, from
+``objectives.genome_evaluator``, whose ``shift`` is the bit length of the
+largest f2 the config admits; ints order as (f1, f2) tuples do, so the
+run's point cache, population table, sort and archive compare, sort and
+dedupe them whole. f1 is read back as ``p >> shift`` and f2 as
+``p & (1 << shift) - 1`` only where the sweep, the two-pointer walk and
+crowding need one objective, and for the returned front.
+``fast_non_dominated_sort``, ``crowding_distance`` and ``_update_archive``
+also take (f1, f2) pairs, which they pack first.
 
 Fronts come from a sort-and-sweep over (f1, f2) (Jensen 2003, IEEE TEC
 7(5)) that ranks by bisection in O(n log n), not from pairwise comparison,
@@ -24,7 +31,9 @@ al. 2002), so fronts and artifacts are byte-identical to that version. That
 sort emits a member of front k+1 after the last front-k member dominating
 it; those dominators form one slice of front k in (f1, f2) order, and the
 slice only moves right along front k+1, so one two-pointer walk per front
-places every member.
+places every member. The sweep also leaves each front in (f1, f2) order,
+which is the f1 order crowding needs, so crowding sorts each front once,
+by f2.
 
 A run's front is front 0 of every point it evaluated. Each evaluated genome
 sits in the initial or a combined population, so that set is exactly what a
@@ -47,7 +56,9 @@ adaptive controller, which reruns one setting before every cycle, pays for
 its draws once.
 
 Survival reads only the fronts that fill the next population, so the
-generation loop's sort orders no front past them. A ``Planner`` built with
+generation loop's sort orders no front past them, and the last generation's
+offspring get no survival step, since the front comes from the point cache.
+A ``Planner`` built with
 ``reuse_fronts`` owns a ``FrontMemo`` that it passes to every ``run``: light
 queues that clear at min green give many cycles one objective map, and a
 run on a setting and map the memo holds returns the stored front instead of
@@ -62,7 +73,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Collection, Optional, Sequence
 
 from . import objectives
 from .core import (
@@ -101,8 +112,9 @@ class OptimizerParams(Section):
 
     # The draw script and a run's point cache grow as P*G. At 1000 x 1000
     # on palashi5 (2-CPU x86-64 host) the script builds in ~6-9 s of CPU
-    # and holds ~89 MiB, and a whole run takes ~12 s at a peak RSS of
-    # ~216 MiB. At 60 x 100 the script holds ~440 KiB, at 40 x 40 ~170 KiB.
+    # and holds ~90 MiB, and a whole first run takes ~14 s at a peak RSS of
+    # ~211 MiB. At 60 x 100 the script holds ~550 KiB, at 40 x 40 ~245 KiB
+    # (tracemalloc, after the build).
     population_size: int = setting(int, 60, low=4, high=1000)
     generations: int = setting(int, 100, low=1, high=1000)
     crossover_prob: float = setting(float, 0.9, low=0, high=1)
@@ -118,48 +130,69 @@ class OptimizerParams(Section):
                 f"population_size must be even, got {self.population_size}")
 
 
-def fast_non_dominated_sort(
-    points: Sequence[tuple], survivors: Optional[int] = None
-) -> tuple[list[list[int]], list[int]]:
-    """Pareto fronts of (f1, f2) points, as index lists, and each point's rank.
+def _pack(pairs: Collection[tuple]) -> tuple[list[int], int]:
+    """(f1, f2) pairs of non-negative ints as packed points, with their
+    shift: the bit length of the largest f2."""
+    shift = max((f2 for _, f2 in pairs), default=0).bit_length()
+    return [f1 << shift | f2 for f1, f2 in pairs], shift
 
-    Front 0 lists its members in index order. A member of front k+1 is
-    placed by the front-k position of the last front-k member dominating
-    it, then by index: the order in which the O(n^2) count-and-release sort
-    of Deb et al. (2002) emits it, on which crowding ties, survivor
-    truncation and tournament indices depend.
+
+class Fronts(list):
+    """Pareto fronts as index lists, each in the order the O(n^2) sort of
+    Deb et al. (2002) emits its members. ``stairs`` holds the same fronts,
+    each in (f1, f2) order, twins by index, as the sweep found them."""
+
+    stairs: list[list[int]]
+
+
+def fast_non_dominated_sort(
+    points: Sequence, shift: Optional[int] = None,
+    survivors: Optional[int] = None,
+) -> tuple[Fronts, list[int]]:
+    """Pareto fronts of packed points, as index lists, and each point's rank.
+
+    ``points`` are packed with ``shift`` (see ``objectives``), or are
+    (f1, f2) pairs when ``shift`` is None. Front 0 lists its members in
+    index order. A member of front k+1 is placed by the front-k position of
+    the last front-k member dominating it, then by index: the order in which
+    the O(n^2) count-and-release sort of Deb et al. (2002) emits it, on
+    which crowding ties, survivor truncation and tournament indices depend.
 
     With ``survivors``, the list stops at the first front that brings the
     members listed to at least that many, since survival reads no further;
     the rank of every point is still given.
     """
+    if shift is None:
+        points, shift = _pack(points)
+    mask = (1 << shift) - 1
     n = len(points)
     ranks = [0] * n
-    # Sweep in (f1, f2) order. Every point seen so far has f1 no greater,
-    # so front k dominates a new point iff front k's lowest f2 is <= its f2;
-    # those lowest f2 never fall with k, so the rank is a bisection. A
-    # repeated point is not dominated by its twin and takes the twin's rank.
+    # Sweep in (f1, f2) order, which is packed order. Every point seen so
+    # far has f1 no greater, so front k dominates a new point iff front k's
+    # lowest f2 is <= its f2; those lowest f2 never fall with k, so the rank
+    # is a bisection. A repeated point is not dominated by its twin and
+    # takes the twin's rank.
     stairs: list[list[int]] = []  # each front's members in (f1, f2) order
-    lowest_f2: list = []
+    lowest_f2: list[int] = []
     prev = None
     rank = -1
     for i in sorted(range(n), key=points.__getitem__):
         p = points[i]
         if p != prev:
             prev = p
-            rank = bisect_right(lowest_f2, p[1])
+            f2 = p & mask
+            rank = bisect_right(lowest_f2, f2)
             if rank == len(lowest_f2):
-                lowest_f2.append(p[1])
+                lowest_f2.append(f2)
                 stairs.append([])
             else:
-                lowest_f2[rank] = p[1]
-        stairs[rank].append(i)
+                lowest_f2[rank] = f2
+            stair = stairs[rank]
+        stair.append(i)
         ranks[i] = rank
-    if not n:
-        return [], ranks
 
-    fronts = [sorted(stairs[0])]
-    listed = len(fronts[0])
+    fronts = Fronts(map(sorted, stairs[:1]))
+    listed = sum(map(len, fronts))
     position = [0] * n
     for k in range(1, len(stairs)):
         if survivors is not None and listed >= survivors:
@@ -170,8 +203,9 @@ def fast_non_dominated_sort(
             position[i] = j
         # Along both stairs f1 rises and f2 falls (twins aside). The members
         # of ``above`` dominating (a, b) are the slice from the first with
-        # f2 <= b to the last with f1 <= a, so both ends only move right in
-        # one walk; a twin takes the slice of the member before it.
+        # f2 <= b to the last with f1 <= a (packed, at most a | mask), so
+        # both ends only move right in one walk; a twin takes the slice of
+        # the member before it.
         at = [position[i] for i in above]
         end = len(above)
         lo = hi = 0
@@ -181,37 +215,48 @@ def fast_non_dominated_sort(
             p = points[i]
             if p != prev:
                 prev = p
-                a, b = p
-                while hi < end and points[above[hi]][0] <= a:
+                a, b = p | mask, p & mask
+                while hi < end and points[above[hi]] <= a:
                     hi += 1
-                while points[above[lo]][1] > b:
+                while points[above[lo]] & mask > b:
                     lo += 1
                 last = max(at[lo:hi])
             placed.append((last, i))
         placed.sort()
         fronts.append([i for _, i in placed])
+    fronts.stairs = stairs[:len(fronts)]
     return fronts, ranks
 
 
-def crowding_distance(points: Sequence[tuple]) -> list[float]:
-    """Crowding distances of one non-dominated front of (f1, f2) points;
-    extremes get +inf."""
+def crowding_distance(
+    points: Sequence, shift: Optional[int] = None
+) -> list[float]:
+    """Crowding distances of one non-dominated front listed in (f1, f2)
+    order; extremes get +inf. Ties on either objective keep their listed
+    order.
+
+    ``points`` are packed with ``shift``, or are (f1, f2) pairs when
+    ``shift`` is None. The listing is the f1 order, so only f2 is sorted.
+    """
+    if shift is None:
+        points, shift = _pack(points)
     n = len(points)
     if n <= 2:
         return [INF] * n
-    dists = [0.0] * n
-    for vals in ([p[0] for p in points], [p[1] for p in points]):
-        order = sorted(range(n), key=vals.__getitem__)
-        lo, hi = vals[order[0]], vals[order[-1]]
-        dists[order[0]] = INF
-        dists[order[-1]] = INF
-        span = hi - lo
-        if span == 0:
-            continue
-        for before, i, after in zip(order, order[1:], order[2:]):
-            if dists[i] == INF:
-                continue
-            dists[i] += (vals[after] - vals[before]) / span
+    f1s = [p >> shift for p in points]
+    span = f1s[-1] - f1s[0]
+    dists = [INF, *([(after - before) / span
+                     for before, after in zip(f1s, f1s[2:])]
+                    if span else [0.0] * (n - 2)), INF]
+    mask = (1 << shift) - 1
+    f2s = [p & mask for p in points]
+    order = sorted(range(n), key=f2s.__getitem__)
+    dists[order[0]] = dists[order[-1]] = INF
+    vals = list(map(f2s.__getitem__, order))
+    span = vals[-1] - vals[0]
+    if span:
+        for i, before, after in zip(order[1:-1], vals, vals[2:]):
+            dists[i] += (after - before) / span
     return dists
 
 
@@ -370,32 +415,54 @@ def plan_from_genome(
     )
 
 
-def _update_archive(points: dict[Genome, tuple]) -> list[Individual]:
-    """Front 0 of a run's (f1, f2) points by genome, as Individuals sorted
-    by (f1, f2, genome).
+def _update_archive(points: dict[Genome, Any]) -> list[Individual]:
+    """Front 0 of a run's points by genome, as Individuals sorted by
+    (f1, f2, genome).
 
-    ``run`` calls it once, on its point cache, after the last generation.
-    The benchmark (``perfbench/run.py``) installs its ``nsga2.archive``
-    span on this name, so the name stays.
+    The points are packed with the mapping's ``shift`` when it is a run's
+    ``_PointCache``, or are (f1, f2) pairs. ``run`` calls it once, on its
+    point cache, after the last generation. The benchmark
+    (``perfbench/run.py``) installs its ``nsga2.archive`` span on this name,
+    so the name stays.
     """
+    shift = getattr(points, "shift", None)
+    if shift is None:
+        packed, shift = _pack(points.values())
+        points = dict(zip(points, packed))
     # Many genomes share a point, so only the distinct points are sorted.
     distinct = list(set(points.values()))
-    fronts, _ = fast_non_dominated_sort(distinct, 1)
+    fronts, _ = fast_non_dominated_sort(distinct, shift, 1)
     front = {distinct[i] for i in fronts[0]}
-    return [Individual(g, ObjectiveVector(*p))
+    mask = (1 << shift) - 1
+    return [Individual(g, ObjectiveVector(p >> shift, p & mask))
             for p, g in sorted((p, g) for g, p in points.items() if p in front)]
 
 
 class _PointCache(dict):
-    """(f1, f2) points by genome; a missing genome is evaluated once."""
+    """Packed points by genome, with their ``shift``; a missing genome is
+    evaluated once."""
 
-    def __init__(self, evaluate: Callable[[Genome], tuple]):
+    def __init__(self, evaluate: Callable[[Genome], int], shift: int):
         super().__init__()
         self.evaluate = evaluate
+        self.shift = shift
 
-    def __missing__(self, genome: Genome) -> tuple:
+    def __missing__(self, genome: Genome) -> int:
         p = self[genome] = self.evaluate(genome)
         return p
+
+
+def _crowding_by_slot(
+    points: list[int], shift: int, fronts: Fronts
+) -> list[float]:
+    """Each slot's crowding distance within its front, for the fronts
+    listed (0.0 for the rest), from each front's (f1, f2) order."""
+    dist = [0.0] * len(points)
+    for stair in fronts.stairs:
+        for i, d in zip(stair, crowding_distance(
+                [points[i] for i in stair], shift)):
+            dist[i] = d
+    return dist
 
 
 # The most fronts a ``FrontMemo`` holds; the oldest entry goes first.
@@ -437,19 +504,35 @@ def run(
     script = _draw_script(*setting)
     P = params.population_size
 
-    # The population is a table of slots: genome, (f1, f2) point, rank and
+    # The population is a table of slots: genome, packed point, rank and
     # crowding distance, one list each. The genome space is small relative
     # to the evaluation count, so points are memoized per genome.
-    point = _PointCache(evaluate)
+    shift = evaluate.shift
+    point = _PointCache(evaluate.packed, shift)
     genomes = list(script.initial)
     points = [point[g] for g in genomes]
-    fronts, ranks = fast_non_dominated_sort(points)
-    crowding = [0.0] * P
-    for f in fronts:
-        for i, d in zip(f, crowding_distance([points[i] for i in f])):
-            crowding[i] = d
+    fronts, ranks = fast_non_dominated_sort(points, shift, P)
+    crowding = _crowding_by_slot(points, shift, fronts)
 
-    for steps in script.generations:
+    for gen, steps in enumerate(script.generations):
+        if gen:
+            # Survival of the previous generation's 2P slots. The last
+            # generation's offspring need none: the front comes from the
+            # point cache.
+            fronts, all_ranks = fast_non_dominated_sort(points, shift, P)
+            dist = _crowding_by_slot(points, shift, fronts)
+            chosen: list[int] = []
+            for f in fronts:
+                room = P - len(chosen)
+                if len(f) > room:
+                    # The most crowded first, ties in front order.
+                    f = sorted(f, key=dist.__getitem__, reverse=True)[:room]
+                chosen += f
+            genomes = [genomes[i] for i in chosen]
+            points = [points[i] for i in chosen]
+            ranks = [all_ranks[i] for i in chosen]
+            crowding = [dist[i] for i in chosen]
+
         # Offspring take slots P..2P-1 after their parents.
         draws = iter(steps)
         for candidates1, candidates2, swap, redraws1, redraws2 in zip(
@@ -462,25 +545,6 @@ def run(
             c2 = mutate(c2, redraws2)
             genomes += c1, c2
             points += point[c1], point[c2]
-
-        fronts, all_ranks = fast_non_dominated_sort(points, P)
-        chosen: list[int] = []
-        crowding = []
-        for f in fronts:
-            dists = crowding_distance([points[i] for i in f])
-            room = P - len(chosen)
-            if len(f) > room:
-                # The most crowded first, ties in front order.
-                kept = sorted(range(len(f)), key=lambda j: -dists[j])[:room]
-                f = [f[j] for j in kept]
-                dists = [dists[j] for j in kept]
-            chosen += f
-            crowding += dists
-            if len(chosen) == P:
-                break
-        genomes = [genomes[i] for i in chosen]
-        points = [points[i] for i in chosen]
-        ranks = [all_ranks[i] for i in chosen]
 
     front = _update_archive(point)
     if memo is not None and key not in memo:

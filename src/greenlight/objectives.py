@@ -4,6 +4,12 @@ f1 is the total residual congestion after every link consumes its green
 time; f2 is the total red time across links, a proxy for waiting time,
 which for greens g is (L - 1) * sum(g) + L * (L * inter_green + 2 * pad *
 (L - 1)). Both are minimized by the optimizer. All functions here are pure.
+
+The optimizer scores a genome as one packed point, the non-negative int
+``f1 << shift | f2``: ``genome_evaluator`` takes ``shift`` as the bit length
+of the largest f2 its config admits (every green at max_green_s), so f2 never
+carries into f1, and ints compare as (f1, f2) tuples do. ``nsga2`` reads f1
+back as ``p >> shift`` and f2 as ``p & (1 << shift) - 1``.
 """
 
 from __future__ import annotations
@@ -64,13 +70,18 @@ def genome_evaluator(
     It gives, as a plain (f1, f2) tuple, the ``ObjectiveVector`` that
     ``evaluate`` gives on the plan that serves the links in order with those
     greens, ``guidance_pad_s`` and the config's inter-green, for any greens
-    in [0, cfg.max_green_s]. f1 is read from a table of per-link residuals,
-    max(0, m - a) + max(0, n - b) per green, where (a, b) is what the
-    green discharges; that discharge table depends only on the saturation
-    flows and max_green_s, so it is computed once per such triple and kept
-    for the last few. f2 is affine in the greens: every link is red through
-    the other links' greens and pads and through all L clearances, so
-    f2 = (L - 1) * sum(g) + L * (L * inter_green + 2 * pad * (L - 1)).
+    in [0, cfg.max_green_s]. Its ``packed`` attribute gives the same point as
+    one int, ``f1 << shift | f2``, with the function's ``shift`` attribute.
+
+    f1 is read from a table of per-link residuals, max(0, m - a) +
+    max(0, n - b) per green, where (a, b) is what the green discharges; that
+    discharge table depends only on the saturation flows and max_green_s, so
+    it is computed once per such triple and kept for the last few. f2 is
+    affine in the greens: every link is red through the other links' greens
+    and pads and through all L clearances, so f2 = (L - 1) * sum(g) +
+    L * (L * inter_green + 2 * pad * (L - 1)). Each packed cell holds a
+    link's residual shifted up plus its (L - 1) * g share of f2, so a packed
+    point is the sum of one cell per link and the constant.
 
     The function's ``key`` attribute is the map it computes on genomes
     within [cfg.min_green_s, cfg.max_green_s] for its L: the residual rows
@@ -90,14 +101,21 @@ def genome_evaluator(
         for m, n in zip(queue.motorized, queue.non_motorized)
     ]
     const = L * (L * cfg.inter_green_s + 2 * guidance_pad_s * (L - 1))
+    shift = ((L - 1) * L * cfg.max_green_s + const).bit_length()
+    mask = (1 << shift) - 1
+    cells = [[(r << shift) + (L - 1) * g for g, r in enumerate(row)]
+             for row in residual]
+
+    def packed(genome: Sequence[int]) -> int:
+        return sum(map(list.__getitem__, cells, genome)) + const
 
     def evaluate_genome(genome: Sequence[int]) -> tuple:
-        return (
-            sum(map(list.__getitem__, residual, genome)),
-            (L - 1) * sum(genome) + const,
-        )
+        p = packed(genome)
+        return p >> shift, p & mask
 
     lo, hi = cfg.min_green_s, cfg.max_green_s
+    evaluate_genome.packed = packed
+    evaluate_genome.shift = shift
     evaluate_genome.key = (
         tuple(tuple(row[lo:hi + 1]) for row in residual), const)
     return evaluate_genome

@@ -284,6 +284,14 @@ def redraw_pairs(redraws, L):
             if v != -1]
 
 
+def packed(points):
+    """(f1, f2) cases as the packed points and shift that ``nsga2.run``
+    gives the sort and crowding: f1 << shift | f2, the shift being the bit
+    length of the largest f2."""
+    shift = max((f2 for _, f2 in points), default=0).bit_length()
+    return [f1 << shift | f2 for f1, f2 in points], shift
+
+
 def random_points(rng, n):
     """n objective points with heavy ties, duplicates or a constant axis."""
     spans = (0, 1, 3, 10, 1000)
@@ -313,10 +321,11 @@ def brute_force_front(queue, cfg):
 class TestFastNonDominatedSort:
     def test_two_fronts(self):
         points = [(1, 2), (2, 1), (3, 3)]
-        assert fast_non_dominated_sort(points) == ([[0, 1], [2]], [0, 0, 1])
+        assert fast_non_dominated_sort(*packed(points)) == (
+            [[0, 1], [2]], [0, 0, 1])
 
     def test_identical_objectives_single_front(self):
-        assert fast_non_dominated_sort([(5, 5)] * 4) == (
+        assert fast_non_dominated_sort(*packed([(5, 5)] * 4)) == (
             [[0, 1, 2, 3]], [0, 0, 0, 0])
 
     def test_matches_pairwise_oracle(self):
@@ -327,7 +336,7 @@ class TestFastNonDominatedSort:
                 for _ in range(8)
             ]
             fronts, ranks = fast_non_dominated_sort(
-                [(o.f1, o.f2) for o in objs])
+                *packed([(o.f1, o.f2) for o in objs]))
             # O(n^2) oracle: rank = number of "strictly dominating layers"
             n = len(objs)
             dom = [[dominates(objs[i], objs[j]) for j in range(n)]
@@ -357,19 +366,20 @@ class TestFastNonDominatedSort:
             ref = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
             full = reference_sort(ref)
             ranks = [p.rank for p in ref]
-            assert fast_non_dominated_sort(points) == (full, ranks), trial
+            assert fast_non_dominated_sort(*packed(points)) == (
+                full, ranks), trial
 
             # Cut at a survivor count: the shortest prefix of the full
             # result holding that many members, and every rank still given.
             cut = rng.randint(1, len(points) + 1)
-            got, got_ranks = fast_non_dominated_sort(points, cut)
+            got, got_ranks = fast_non_dominated_sort(*packed(points), cut)
             assert got == full[:len(got)], trial
             assert sum(map(len, got)) >= min(cut, len(points)), trial
             assert sum(map(len, got[:-1])) < cut, trial
             assert got_ranks == ranks, trial
 
     def test_empty_population(self):
-        assert fast_non_dominated_sort([]) == ([], [])
+        assert fast_non_dominated_sort(*packed([])) == ([], [])
 
     # Twin-heavy point sets: a few distinct points, each repeated. The
     # examples put twins at both ends of a front, give members a one-member
@@ -389,8 +399,8 @@ class TestFastNonDominatedSort:
         ref = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
         full = reference_sort(ref)
         ranks = [p.rank for p in ref]
-        assert fast_non_dominated_sort(points) == (full, ranks)
-        got, got_ranks = fast_non_dominated_sort(points, cut)
+        assert fast_non_dominated_sort(*packed(points)) == (full, ranks)
+        got, got_ranks = fast_non_dominated_sort(*packed(points), cut)
         assert got == full[:len(got)]
         assert sum(map(len, got)) >= min(cut, len(points))
         assert sum(map(len, got[:-1])) < cut
@@ -399,21 +409,23 @@ class TestFastNonDominatedSort:
 
 class TestCrowdingDistance:
     def test_three_point_front(self):
-        assert crowding_distance([(1, 3), (2, 2), (3, 1)]) == [INF, 2.0, INF]
+        assert crowding_distance(*packed([(1, 3), (2, 2), (3, 1)])) == [
+            INF, 2.0, INF]
 
     def test_small_fronts_all_infinite(self):
-        assert crowding_distance([(1, 1)]) == [INF]
-        assert crowding_distance([(1, 2), (2, 1)]) == [INF, INF]
+        assert crowding_distance(*packed([(1, 1)])) == [INF]
+        assert crowding_distance(*packed([(1, 2), (2, 1)])) == [INF, INF]
 
     def test_zero_range_objective_ignored(self):
         front = [(1, 7), (2, 7), (4, 7)]
         # f2 range is zero; distances come from f1 gaps alone
-        assert crowding_distance(front) == [INF, (4 - 1) / (4 - 1), INF]
+        assert crowding_distance(*packed(front)) == [
+            INF, (4 - 1) / (4 - 1), INF]
 
 
 class TestTournamentSelect:
     def test_lower_rank_wins(self):
-        _, ranks = fast_non_dominated_sort([(1, 1), (2, 2)])
+        _, ranks = fast_non_dominated_sort(*packed([(1, 1), (2, 2)]))
         for candidates in ((0, 1), (1, 0)):
             assert ranks[tournament_select(ranks, [0.0, 0.0], candidates)] == 0
 
@@ -427,8 +439,8 @@ class TestTournamentSelect:
     def test_deterministic_given_seed(self):
         cfg = IntersectionConfig(num_links=3, min_green_s=10, max_green_s=30)
         points = [(i, 10 - i) for i in range(6)]
-        _, ranks = fast_non_dominated_sort(points)
-        crowding = crowding_distance(points)
+        _, ranks = fast_non_dominated_sort(*packed(points))
+        crowding = crowding_distance(*packed(points))
         params = OptimizerParams(population_size=6, generations=5,
                                  tournament_size=3, rng_seed=9)
         # Built afresh, not taken from the cache: the same seed, the same draws.
@@ -675,12 +687,13 @@ class TestRun:
 
     def test_many_fronts_same_as_reference_run(self, monkeypatch):
         # Queues where every link but at most one clears at min green give
-        # many small fronts, so the sort takes its one-member fast path;
-        # count the sorts where that path must restore index order.
+        # many small fronts, some under a one-member front: that member
+        # dominates them all, so the walk lists them in index order. Count
+        # the sorts where that order is not the sweep's (f1, f2) order.
         sort, reordered = nsga2.fast_non_dominated_sort, [0]
 
-        def counted(points, survivors=None):
-            fronts, ranks = sort(points, survivors)
+        def counted(points, shift=None, survivors=None):
+            fronts, ranks = sort(points, shift, survivors)
             for above, front in zip(fronts, fronts[1:]):
                 if len(above) == 1 and sorted(
                         front, key=points.__getitem__) != front:

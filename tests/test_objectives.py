@@ -188,7 +188,10 @@ def test_evaluate_deterministic(data):
     assert objectives.evaluate(plan, q, cfg) == objectives.evaluate(plan, q, cfg)
 
 
-def test_genome_evaluator_matches_evaluate():
+def genome_evaluator_cases():
+    """(cfg, queue, pad, genomes): random small configs, then the widest f2
+    a config admits (12 links, every green at max_green_s), which a
+    packing shift one bit short carries into f1."""
     rng = random.Random(31)
     for trial in range(400):
         L = rng.randint(2, 6)
@@ -206,14 +209,28 @@ def test_genome_evaluator_matches_evaluate():
             non_motorized=tuple(rng.randint(0, 30) for _ in range(L)),
         )
         pad = rng.choice([0, 1, 2, 5])
+        yield cfg, q, pad, [
+            tuple(rng.randint(0, cfg.max_green_s) for _ in range(L))
+            for _ in range(10)]
+    wide = IntersectionConfig(num_links=12, max_green_s=3600, inter_green_s=50)
+    q = QueueState(motorized=tuple(range(1795, 1807)),
+                   non_motorized=tuple(range(895, 907)))
+    yield wide, q, 5, [(3600,) * 12, (10,) * 12, tuple(range(0, 3600, 300))]
+
+
+def test_genome_evaluator_matches_evaluate():
+    for trial, (cfg, q, pad, genomes) in enumerate(genome_evaluator_cases()):
         evaluate = objectives.genome_evaluator(q, cfg, pad)
-        for _ in range(10):
-            genome = tuple(rng.randint(0, cfg.max_green_s) for _ in range(L))
+        shift = evaluate.shift
+        for genome in genomes:
             want = objectives.evaluate(plan_from_genome(genome, cfg, pad), q, cfg)
             got = ObjectiveVector(*evaluate(genome))
             assert got == want, (trial, genome)
             assert type(got.f1) is type(want.f1), trial
             assert type(got.f2) is type(want.f2), trial
+            p = evaluate.packed(genome)
+            assert (p >> shift, p & (1 << shift) - 1) == (want.f1, want.f2), (
+                trial, genome)
 
 
 def test_genome_evaluator_rejects_dimension_mismatch():
