@@ -61,9 +61,8 @@ def test_run_calls_operators_through_the_module(monkeypatch, two_link_cfg):
 def test_run_sorts_and_crowds_through_the_module(monkeypatch, two_link_cfg):
     # The sort and crowding wrappers (nsga2.sort, nsga2.crowding) see the
     # initial sort, one survival sort per generation but the last (whose
-    # offspring no survival reads) and the front's final one, and a
-    # crowding pass for at least one front of each population but the
-    # front's.
+    # offspring nothing selects from) and the front's final one, and a
+    # crowding pass for at least one front of each population sorted.
     calls = {"fast_non_dominated_sort": 0, "crowding_distance": 0}
     for name in calls:
         original = getattr(nsga2, name)
