@@ -15,10 +15,10 @@ built only for what leaves ``run``: the returned front and the memo entries.
 A packed point is one non-negative int, ``f1 << shift | f2``, from
 ``objectives.genome_evaluator``, whose ``shift`` is the bit length of the
 largest f2 the config admits; ints order as (f1, f2) tuples do, so the
-run's point cache, population table, sort and archive compare, sort and
-dedupe them whole. f1 is read back as ``p >> shift`` and f2 as
-``p & (1 << shift) - 1`` only where the sweep, the two-pointer walk and
-crowding need one objective, and for the returned front.
+run's population table, sort and archive compare, sort and dedupe them
+whole. f1 is read back as ``p >> shift`` and f2 as
+``p & (1 << shift) - 1`` only where the sweep, the two-pointer walk, the
+staircase and crowding need one objective, and for the returned front.
 ``fast_non_dominated_sort``, ``crowding_distance`` and ``_update_archive``
 also take (f1, f2) pairs, which they pack first.
 
@@ -38,8 +38,13 @@ by f2.
 A run's front is front 0 of every point it evaluated. Each evaluated genome
 sits in the initial or a combined population, so that set is exactly what a
 non-dominated archive updated from each generation's front 0 would end
-with; the run takes it once, from its point cache, after the last
-generation.
+with. The run scores every child with the evaluator's ``packed``, with no
+per-genome lookup, and keeps its evaluated genomes and their points as two
+lists in evaluation order: the initial P, then P per generation, so the
+front after any generation is front 0 of a prefix. After the last
+generation it takes that front once, from a dict built from those lists,
+in one staircase pass: in packed order a point is in front 0 iff its f2
+is below every f2 before it.
 
 A run's setting is one value, ``(params, num_links, min_green_s,
 max_green_s)``, and no random draw depends on the queue: ``_draw_script``
@@ -47,17 +52,21 @@ makes the initial genomes, tournament candidates, crossover swap masks and
 mutation redraws once per setting, on first use, from
 ``random.Random(rng_seed)`` in the order a run drawing as it goes would, and
 keeps the last few settings; ``run`` replays the script, and
-``tournament_select``, ``crossover`` and ``mutate`` apply draws they are
-given. The script holds variation as index getters: a crossed pair's two
-children are two ``operator.itemgetter``s over ``a + b``, and a mutated
-child is one getter over ``g + consts``, the consts being its redrawn
-greens, so each operator is a concatenation and a C-level pick. The
-adaptive controller, which reruns one setting before every cycle, pays for
-its draws once.
+``tournament_select`` applies the candidates it is given. The script folds
+each offspring pair's crossover and both mutations into two shared
+``operator.itemgetter``s over ``p1 + p2 + consts``, the consts being the
+pair's redrawn greens, so a pair's variation is one concatenation and two
+C-level picks, and a pair whose children equal their parents holds None.
+The getters are built by applying ``crossover`` and ``mutate`` to index
+tuples, so those two functions stay the one statement of the operators;
+``crossing`` and ``redraw_getter`` turn a swap mask or redrawn positions
+into the getters they apply. The adaptive controller, which reruns one
+setting before every cycle, pays for its draws once.
 
 Survival reads only the fronts that fill the next population, so the
 generation loop's sort orders no front past them, and the last generation's
-offspring get no survival step, since the front comes from the point cache.
+offspring get no survival step, since the front is taken from every genome
+evaluated.
 A ``Planner`` built with
 ``reuse_fronts`` owns a ``FrontMemo`` that it passes to every ``run``: light
 queues that clear at min green give many cycles one objective map, and a
@@ -73,7 +82,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Any, Callable, Collection, Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from . import objectives
 from .core import (
@@ -110,11 +119,11 @@ class Individual:
 class OptimizerParams(Section):
     NAME = "optimizer"
 
-    # The draw script and a run's point cache grow as P*G. At 1000 x 1000
-    # on palashi5 (2-CPU x86-64 host) the script builds in ~6-9 s of CPU
-    # and holds ~90 MiB, and a whole first run takes ~14 s at a peak RSS of
-    # ~211 MiB. At 60 x 100 the script holds ~550 KiB, at 40 x 40 ~245 KiB
-    # (tracemalloc, after the build).
+    # The draw script and a run's evaluation lists grow as P*G. At
+    # 1000 x 1000 on palashi5 (2-CPU x86-64 host) the script builds in
+    # ~10-11 s of CPU, a run after it takes ~5.5 s, and the two peak at an
+    # RSS of ~310 MiB. At 60 x 100 the script holds ~660 KiB, at 40 x 40
+    # ~230 KiB (tracemalloc, after the build and a collection).
     population_size: int = setting(int, 60, low=4, high=1000)
     generations: int = setting(int, 100, low=1, high=1000)
     crossover_prob: float = setting(float, 0.9, low=0, high=1)
@@ -323,15 +332,21 @@ def mutate(g: Genome, redraws: Mutation) -> Genome:
     return getter(g + consts)
 
 
+# An offspring pair's variation: None when neither child differs from its
+# parent, else (g1, g2, consts), the children being ``g1(ab)`` and
+# ``g2(ab)`` for ``ab = p1 + p2 + consts``, the consts being the pair's
+# redrawn greens, the first child's before the second's.
+Children = Optional[tuple[itemgetter, itemgetter, tuple[int, ...]]]
+
+
 @dataclass(frozen=True)
 class _DrawScript:
     """Every random draw of one run, in the order the run consumes them.
 
     ``initial`` holds the starting genomes. ``generations[gen]`` is a flat
-    tuple of five entries per offspring pair: both parents' tournament
-    candidates, the pair's ``Crossing`` and each child's ``Mutation``.
-    Equal candidate tuples, crossings, mutations, getters and consts are
-    stored once.
+    tuple of three entries per offspring pair: both parents' tournament
+    candidates and the pair's ``Children``. Equal candidate tuples and
+    getters are stored once.
     """
 
     initial: tuple[Genome, ...]
@@ -348,35 +363,47 @@ def _draw_script(
     pair, two tournament samples, the crossover coin and per-gene swap
     coins, then each child's per-gene mutation coin, each followed by its
     redraw when it fires.
+
+    A pair's ``Children`` come from ``crossover`` and ``mutate`` applied to
+    index tuples: the parents are ``0..L-1`` and ``L..2L-1``, and a child's
+    redrawn greens are the indices of their consts in ``ab``, so each
+    child's tuple is the getter's item list.
     """
     rng = random.Random(params.rng_seed)
     P, L = params.population_size, num_links
     mutation_prob = params.mutation_prob
     if mutation_prob is None:
         mutation_prob = 1.0 / L
-    # Equal draws share one object: candidate and consts tuples by value,
-    # crossings by swap mask, getters by positions, mutations by redraws.
+    # Equal draws share one object: candidate tuples by value, getters by
+    # the indices they take, a pair's two getters by its swap mask and
+    # redrawn positions.
     shared: dict = {}
-    crossings: dict[int, Crossing] = {}
     getters: dict[tuple, itemgetter] = {}
-    mutations: dict[tuple, Mutation] = {}
+    folds: dict[tuple, tuple[itemgetter, itemgetter]] = {}
+    parents = tuple(range(L)), tuple(range(L, 2 * L))
 
-    def redraws() -> Mutation:
-        drawn = []
+    def redraws() -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """One child's redrawn positions and their greens."""
+        at, greens = [], []
         for i in range(L):
             if rng.random() < mutation_prob:
-                drawn.append((i, rng.randint(min_green_s, max_green_s)))
-        if not drawn:
-            return None
-        drawn = tuple(drawn)
-        made = mutations.get(drawn)
-        if made is None:
-            at, consts = zip(*drawn)
-            if at not in getters:
-                getters[at] = redraw_getter(at, L)
-            made = mutations[drawn] = (getters[at],
-                                       shared.setdefault(consts, consts))
-        return made
+                at.append(i)
+                greens.append(rng.randint(min_green_s, max_green_s))
+        return tuple(at), tuple(greens)
+
+    def fold(swap: int, at1: tuple, at2: tuple) -> tuple[itemgetter, ...]:
+        """The getters of a pair's children over ``p1 + p2 + consts``."""
+        children = crossover(*parents, crossing(swap, L))
+        first, made = 2 * L, []
+        for child, at in zip(children, (at1, at2)):
+            if at:
+                consts = tuple(range(first, first + len(at)))
+                child = mutate(child, (redraw_getter(at, L), consts))
+                first += len(at)
+            if child not in getters:
+                getters[child] = itemgetter(*child)
+            made.append(getters[child])
+        return tuple(made)
 
     initial = tuple(
         tuple(rng.randint(min_green_s, max_green_s) for _ in range(L))
@@ -395,11 +422,15 @@ def _draw_script(
                 for i in range(L):
                     if rng.random() < 0.5:
                         swap |= 1 << i
-            if swap not in crossings:
-                crossings[swap] = crossing(swap, L)
-            steps.append(crossings[swap])
-            steps.append(redraws())
-            steps.append(redraws())
+            at1, greens1 = redraws()
+            at2, greens2 = redraws()
+            children = None
+            if swap or at1 or at2:
+                key = swap, at1, at2
+                if key not in folds:
+                    folds[key] = fold(*key)
+                children = (*folds[key], greens1 + greens2)
+            steps.append(children)
         script.append(tuple(steps))
     return _DrawScript(initial, tuple(script))
 
@@ -415,41 +446,32 @@ def plan_from_genome(
     )
 
 
-def _update_archive(points: dict[Genome, Any]) -> list[Individual]:
+def _update_archive(
+    points: dict[Genome, int], shift: Optional[int] = None
+) -> list[Individual]:
     """Front 0 of a run's points by genome, as Individuals sorted by
     (f1, f2, genome).
 
-    The points are packed with the mapping's ``shift`` when it is a run's
-    ``_PointCache``, or are (f1, f2) pairs. ``run`` calls it once, on its
-    point cache, after the last generation. The benchmark
-    (``perfbench/run.py``) installs its ``nsga2.archive`` span on this name,
-    so the name stays.
+    The points are packed with ``shift``, or are (f1, f2) pairs when
+    ``shift`` is None. ``run`` calls it once, on every genome it evaluated,
+    after the last generation. The benchmark (``perfbench/run.py``)
+    installs its ``nsga2.archive`` span on this name, so the name stays.
     """
-    shift = getattr(points, "shift", None)
     if shift is None:
         packed, shift = _pack(points.values())
         points = dict(zip(points, packed))
-    # Many genomes share a point, so only the distinct points are sorted.
-    distinct = list(set(points.values()))
-    fronts, _ = fast_non_dominated_sort(distinct, shift, 1)
-    front = {distinct[i] for i in fronts[0]}
     mask = (1 << shift) - 1
+    # In packed order, which is (f1, f2) order, a point is in front 0 iff
+    # its f2 is below every f2 before it: one staircase pass. Many genomes
+    # share a point, so only the distinct points are walked.
+    front = set()
+    lowest = mask + 1
+    for p in sorted(set(points.values())):
+        if p & mask < lowest:
+            lowest = p & mask
+            front.add(p)
     return [Individual(g, ObjectiveVector(p >> shift, p & mask))
             for p, g in sorted((p, g) for g, p in points.items() if p in front)]
-
-
-class _PointCache(dict):
-    """Packed points by genome, with their ``shift``; a missing genome is
-    evaluated once."""
-
-    def __init__(self, evaluate: Callable[[Genome], int], shift: int):
-        super().__init__()
-        self.evaluate = evaluate
-        self.shift = shift
-
-    def __missing__(self, genome: Genome) -> int:
-        p = self[genome] = self.evaluate(genome)
-        return p
 
 
 def _crowding_by_slot(
@@ -484,8 +506,8 @@ def run(
 
     The returned front is front 0 of every genome the run evaluated, sorted
     by (f1, f2, genome) for reproducible output; the module's
-    ``_update_archive`` takes it once from the point cache, after the last
-    generation.
+    ``_update_archive`` takes it once from the run's evaluation lists,
+    after the last generation.
 
     A run is a pure function of its setting, ``(params, L, min_green_s,
     max_green_s)``, and of the objective map on in-bounds genomes (the
@@ -505,20 +527,21 @@ def run(
     P = params.population_size
 
     # The population is a table of slots: genome, packed point, rank and
-    # crowding distance, one list each. The genome space is small relative
-    # to the evaluation count, so points are memoized per genome.
-    shift = evaluate.shift
-    point = _PointCache(evaluate.packed, shift)
+    # crowding distance, one list each. ``evaluated`` and ``scores`` hold
+    # every genome the run scores and its point, in evaluation order: the
+    # initial P, then each generation's P offspring.
+    shift, packed = evaluate.shift, evaluate.packed
     genomes = list(script.initial)
-    points = [point[g] for g in genomes]
+    points = list(map(packed, genomes))
+    evaluated, scores = genomes[:], points[:]
     fronts, ranks = fast_non_dominated_sort(points, shift, P)
     crowding = _crowding_by_slot(points, shift, fronts)
 
     for gen, steps in enumerate(script.generations):
         if gen:
             # Survival of the previous generation's 2P slots. The last
-            # generation's offspring need none: the front comes from the
-            # point cache.
+            # generation's offspring need none: the front is taken from
+            # every genome evaluated.
             fronts, all_ranks = fast_non_dominated_sort(points, shift, P)
             dist = _crowding_by_slot(points, shift, fronts)
             chosen: list[int] = []
@@ -535,18 +558,22 @@ def run(
 
         # Offspring take slots P..2P-1 after their parents.
         draws = iter(steps)
-        for candidates1, candidates2, swap, redraws1, redraws2 in zip(
-            draws, draws, draws, draws, draws
-        ):
+        for candidates1, candidates2, children in zip(draws, draws, draws):
             p1 = genomes[tournament_select(ranks, crowding, candidates1)]
             p2 = genomes[tournament_select(ranks, crowding, candidates2)]
-            c1, c2 = crossover(p1, p2, swap)
-            c1 = mutate(c1, redraws1)
-            c2 = mutate(c2, redraws2)
-            genomes += c1, c2
-            points += point[c1], point[c2]
+            if children is None:
+                genomes += p1, p2
+            else:
+                g1, g2, consts = children
+                ab = p1 + p2 + consts
+                genomes += g1(ab), g2(ab)
+        offspring = genomes[P:]
+        scored = list(map(packed, offspring))
+        points += scored
+        evaluated += offspring
+        scores += scored
 
-    front = _update_archive(point)
+    front = _update_archive(dict(zip(evaluated, scores)), shift)
     if memo is not None and key not in memo:
         if len(memo) >= FRONT_MEMO_SIZE:
             del memo[next(iter(memo))]

@@ -264,14 +264,19 @@ class _Cycle:
 
     Each segment is (end second, phase index, state code, link), ends
     counted from the cycle start; ``pos`` is the seconds already run and
-    ``length`` the second the cycle ends. An emergency reorder may rewrite
-    the not-yet-served phases, or cut the cycle at the end of the active
-    phase.
+    ``length`` the second the cycle ends. Emergencies are served after the
+    active phase in arrival order: a reorder moves a not-yet-served phase
+    up, behind the phases earlier emergencies moved up, or cuts the cycle
+    behind them and makes the link lead the next cycle, after the leads
+    named before it.
     """
 
-    def __init__(self, plan: SignalPlan):
+    def __init__(self, plan: SignalPlan, urgent_end: int = 0):
         self.pos = 0
-        self.pending_priority: Optional[int] = None  # link to lead next cycle
+        self.leads: list[int] = []  # links to lead the next cycle, in order
+        # Phases from the active one up to (not including) this index were
+        # moved up by emergencies, or lead the cycle.
+        self.urgent_end = urgent_end
         self._lay_out(plan)
 
     def _lay_out(self, plan: SignalPlan) -> None:
@@ -302,16 +307,22 @@ class _Cycle:
         pos = next(
             (k for k, (l, _) in enumerate(self.plan.phases) if l == event.link), None
         )
-        if pos is None or pos == active_idx:
+        if (pos is None or pos == active_idx or active_idx < pos < self.urgent_end
+                or event.link in self.leads):
+            return  # the active link, or one already due after it
+        if self.leads or pos < active_idx:
+            if not self.leads:
+                # Already served this cycle: finish the phases up to the
+                # last one moved up, then start a fresh cycle led by the
+                # emergency link.
+                last = max(active_idx, self.urgent_end - 1)
+                self.length = max(end for end, idx, _, _ in self.segments
+                                  if idx == last)
+            self.leads.append(event.link)
             return
-        if pos < active_idx:
-            # Already served this cycle: finish the active phase, then start
-            # a fresh cycle led by the emergency link.
-            self.length = max(end for end, idx, _, _ in self.segments
-                              if idx == active_idx)
-            self.pending_priority = event.link
-            return
-        new_plan = apply_emergency_reorder(self.plan, event, active_idx)
+        at = max(active_idx + 1, self.urgent_end)
+        self.urgent_end = at + 1
+        new_plan = apply_emergency_reorder(self.plan, event, at - 1)
         if new_plan is not self.plan:
             self._lay_out(new_plan)
 
@@ -401,18 +412,18 @@ def simulate(
         return QueueState(motorized=tuple(om), non_motorized=tuple(onm),
                           timestamp_ms=t * 1000)
 
-    def new_cycle(t: int, priority_link: Optional[int] = None) -> _Cycle:
+    def new_cycle(t: int, leads: Sequence[int] = ()) -> _Cycle:
         plan = controller.next_plan(observe(t))
         violations = validate_plan(plan, cfg)
         if violations:
             raise ConfigError(
                 "controller produced an invalid plan: " + "; ".join(violations)
             )
-        if priority_link is not None:
+        for k, link in enumerate(leads):
             plan = apply_emergency_reorder(
-                plan, EmergencyEvent(time_s=t, link=priority_link), active_index=-1
+                plan, EmergencyEvent(time_s=t, link=link), active_index=k - 1
             )
-        return _Cycle(plan)
+        return _Cycle(plan, len(leads))
 
     events = sorted(options.emergency_events, key=lambda e: e.time_s)
     next_event = 0
@@ -421,7 +432,7 @@ def simulate(
     t = 0
     while t < horizon_s:
         if cycle.done:
-            cycle = new_cycle(t, cycle.pending_priority)
+            cycle = new_cycle(t, cycle.leads)
         while next_event < len(events) and events[next_event].time_s <= t:
             cycle.reorder(events[next_event])
             next_event += 1

@@ -255,9 +255,9 @@ def script_of(params, cfg):
 
 
 def script_steps(script):
-    """(candidates1, candidates2, swap, redraws1, redraws2) per offspring pair."""
+    """(candidates1, candidates2, children) per offspring pair."""
     for steps in script.generations:
-        yield from zip(*[iter(steps)] * 5)
+        yield from zip(*[iter(steps)] * 3)
 
 
 def plain(entry):
@@ -272,16 +272,25 @@ def plain(entry):
     return entry
 
 
-def swap_mask(swap, L):
-    """The bitmask of the genes a pair's crossing exchanges."""
-    child, _ = crossover((0,) * L, (1,) * L, swap)
-    return sum(bit << i for i, bit in enumerate(child))
-
-
-def redraw_pairs(redraws, L):
-    """The (position, green) pairs a child's mutation sets."""
-    return [(i, v) for i, v in enumerate(mutate((-1,) * L, redraws))
-            if v != -1]
+def unfold(children, L):
+    """A pair's draws read back from its folded ``children`` by applying
+    its getters to the index tuple of ``p1 + p2 + consts``: per gene, 1 if
+    the crossing exchanged it, 0 if not, None where both children redraw
+    it (and so hide it); then each child's (position, green) redraws."""
+    if children is None:
+        return [0] * L, [], []
+    g1, g2, consts = children
+    ab = tuple(range(2 * L + len(consts)))
+    c1, c2 = g1(ab), g2(ab)
+    swaps = []
+    for i in range(L):
+        assert c1[i] in (i, L + i) or c1[i] >= 2 * L
+        assert c2[i] in (i, L + i) or c2[i] >= 2 * L
+        swaps.append(int(c1[i] == L + i) if c1[i] < 2 * L
+                     else int(c2[i] == i) if c2[i] < 2 * L else None)
+    redraws = [[(i, consts[j - 2 * L]) for i, j in enumerate(c) if j >= 2 * L]
+               for c in (c1, c2)]
+    return swaps, *redraws
 
 
 def packed(points):
@@ -468,6 +477,78 @@ class TestTournamentSelect:
                     assert all(0 <= i < P for i in c)
 
 
+def redrawn_script(params, L, lo, hi):
+    """The initial genomes, then per offspring pair the two candidate
+    tuples, the raw ``Crossing`` and each child's ``Mutation``, redrawn
+    from ``random.Random(rng_seed)`` in the order ``_draw_script``
+    documents."""
+    rng = random.Random(params.rng_seed)
+    P = params.population_size
+    mutation_prob = (1.0 / L if params.mutation_prob is None
+                     else params.mutation_prob)
+    initial = tuple(tuple(rng.randint(lo, hi) for _ in range(L))
+                    for _ in range(P))
+    pairs = []
+    for _ in range(params.generations * P // 2):
+        candidates = [tuple(rng.sample(range(P), min(params.tournament_size,
+                                                     P)))
+                      for _ in range(2)]
+        swap = 0
+        if rng.random() < params.crossover_prob:
+            for i in range(L):
+                if rng.random() < 0.5:
+                    swap |= 1 << i
+        redraws = []
+        for _ in range(2):
+            drawn = [(i, rng.randint(lo, hi)) for i in range(L)
+                     if rng.random() < mutation_prob]
+            if drawn:
+                at, consts = zip(*drawn)
+                redraws.append((nsga2.redraw_getter(at, L), consts))
+            else:
+                redraws.append(None)
+        pairs.append((candidates, nsga2.crossing(swap, L), redraws))
+    return initial, pairs
+
+
+class TestDrawScript:
+    def test_folded_children_are_crossover_then_mutate(self):
+        rng = random.Random(2028)
+        for trial in range(300):
+            L = rng.randint(2, 6)
+            lo = rng.randint(1, 20)
+            hi = lo + rng.choice([0, 1, 5, 40])
+            params = OptimizerParams(
+                population_size=2 * rng.randint(2, 8),
+                generations=rng.randint(1, 4),
+                crossover_prob=rng.choice([0.0, 1.0, rng.random()]),
+                mutation_prob=rng.choice([0.0, 1.0, rng.random()]),
+                tournament_size=rng.randint(2, 4),
+                rng_seed=rng.randint(0, 10**6),
+            )
+            script = nsga2._draw_script(params, L, lo, hi)
+            initial, pairs = redrawn_script(params, L, lo, hi)
+            assert script.initial == initial, trial
+            steps = list(script_steps(script))
+            assert len(steps) == len(pairs), trial
+            for (c1, c2, children), (candidates, swap, redraws) in zip(
+                    steps, pairs):
+                assert [c1, c2] == candidates, trial
+                # Parents off the green range, so every gene is traceable.
+                a, b = (tuple(rng.randint(-99, 999) for _ in range(L))
+                        for _ in range(2))
+                want = tuple(mutate(child, r) for child, r in zip(
+                    crossover(a, b, swap), redraws))
+                if children is None:
+                    got = a, b
+                else:
+                    g1, g2, consts = children
+                    got = g1(a + b + consts), g2(a + b + consts)
+                assert got == want, trial
+                assert (children is None) == (
+                    swap is None and redraws == [None, None]), trial
+
+
 class TestCrossover:
     def test_positionwise_exchange(self):
         for swap in range(4):
@@ -479,16 +560,21 @@ class TestCrossover:
         cfg = IntersectionConfig(num_links=4, min_green_s=10, max_green_s=30)
         params = OptimizerParams(population_size=20, generations=10,
                                  crossover_prob=0.0, rng_seed=1)
-        assert {s[2] for s in script_steps(script_of(params, cfg))} == {None}
+        swaps = {bit for s in script_steps(script_of(params, cfg))
+                 for bit in unfold(s[2], 4)[0]}
+        assert swaps <= {0, None} and 0 in swaps
         assert crossover((10, 20), (30, 40), None) == ((10, 20), (30, 40))
 
     def test_probability_one_swaps_about_half_the_genes(self):
         cfg = IntersectionConfig(num_links=4, min_green_s=10, max_green_s=30)
         params = OptimizerParams(population_size=40, generations=50,
                                  crossover_prob=1.0, rng_seed=1)
-        masks = [swap_mask(s[2], 4) for s in script_steps(script_of(params, cfg))]
-        assert all(0 <= m < 16 for m in masks)
-        share = sum(bin(m).count("1") for m in masks) / (4 * len(masks))
+        # A gene both children redraw hides its swap coin; the coins are
+        # drawn apart from the redraws, so the rest still show the share.
+        bits = [bit for s in script_steps(script_of(params, cfg))
+                for bit in unfold(s[2], 4)[0] if bit is not None]
+        assert len(bits) > 0.9 * 4 * 50 * 20
+        share = sum(bits) / len(bits)
         assert 0.45 < share < 0.55
 
     def test_identical_parents(self):
@@ -505,7 +591,8 @@ class TestMutate:
         params = OptimizerParams(population_size=20, generations=10,
                                  mutation_prob=0.0, rng_seed=0)
         steps = list(script_steps(script_of(params, cfg)))
-        assert {r for s in steps for r in s[3:]} == {None}
+        assert all(unfold(s[2], 2)[1:] == ([], []) for s in steps)
+        assert all(s[2] is None or s[2][2] == () for s in steps)
         assert mutate((12, 25), None) == (12, 25)
 
     def test_redraws_set_positions(self):
@@ -522,9 +609,9 @@ class TestMutate:
         counts = {v: 0 for v in range(10, 20)}
         children = 0
         for step in script_steps(script_of(params, cfg)):
-            for redraws in step[3:]:
-                assert [i for i, _ in redraw_pairs(redraws, 2)] == [0, 1]
-                g = mutate((10, 10), redraws)
+            for redraws in unfold(step[2], 2)[1:]:
+                assert [i for i, _ in redraws] == [0, 1]
+                g = [v for _, v in redraws]
                 assert all(10 <= v <= 19 for v in g)
                 counts[g[0]] += 1
                 children += 1
@@ -537,8 +624,8 @@ class TestMutate:
         params = OptimizerParams(population_size=4, generations=3,
                                  mutation_prob=1.0, rng_seed=0)
         for step in script_steps(script_of(params, cfg)):
-            for redraws in step[3:]:
-                assert mutate((10, 10), redraws) == (10, 10)
+            for redraws in unfold(step[2], 2)[1:]:
+                assert redraws == [(0, 10), (1, 10)]
 
 
 class TestOptimizerParams:
@@ -604,6 +691,22 @@ class TestArchive:
         front = nsga2._update_archive(points)
         assert [((i.objectives.f1, i.objectives.f2), i.genome)
                 for i in front] == pairwise_front(points)
+
+
+    def test_staircase_keeps_front_0_of_the_sort(self):
+        rng = random.Random(1979)
+        for trial in range(600):
+            points = random_points(rng, rng.randint(1, 128))
+            fronts, _ = fast_non_dominated_sort(*packed(points))
+            want = sorted((points[i], (i,)) for i in fronts[0])
+            by_genome = {(i,): p for i, p in enumerate(points)}
+            as_pairs = nsga2._update_archive(by_genome)
+            cells, shift = packed(points)
+            as_packed = nsga2._update_archive(
+                {(i,): p for i, p in enumerate(cells)}, shift)
+            for front in (as_pairs, as_packed):
+                assert [((i.objectives.f1, i.objectives.f2), i.genome)
+                        for i in front] == want, trial
 
 
 class TestRun:

@@ -2,7 +2,9 @@
 
 ``reference_simulate`` below is a verbatim copy of the per-second
 ``simulate`` (with its ``TimeStep``, ``apply_emergency_reorder`` and
-``_CycleSchedule``); only the function's name differs. On seeded random
+``_CycleSchedule``); only the function's name differs, and its emergency
+rule is the one ``simulate`` keeps: a phase's emergencies are served
+after it in arrival order, and none is dropped. On seeded random
 scenarios the two must give equal metrics, trace columns equal to the
 reference rows stacked, and hand the controller equal observations; the
 time-series writer must write the bytes the per-row writer wrote.
@@ -77,13 +79,15 @@ class _CycleSchedule:
     """Expands a plan into per-second (phase index, state, link) slots.
 
     Kept mutable so an emergency reorder can rewrite the not-yet-served
-    tail of the cycle mid-flight.
+    tail of the cycle mid-flight. Emergencies are served after the active
+    phase in arrival order.
     """
 
-    def __init__(self, plan: SignalPlan):
+    def __init__(self, plan: SignalPlan, urgent_end: int = 0):
         self.plan = plan
         self.pos = 0  # seconds into the cycle
-        self.pending_priority: Optional[int] = None  # link to lead next cycle
+        self.leads: list[int] = []  # links to lead the next cycle, in order
+        self.urgent_end = urgent_end  # end of the phases moved up or leading
         self._rebuild()
 
     def _rebuild(self) -> None:
@@ -107,24 +111,31 @@ class _CycleSchedule:
 
     def reorder(self, event: EmergencyEvent) -> None:
         if self.done:
-            self.pending_priority = event.link
+            if event.link not in self.leads:
+                self.leads.append(event.link)
             return
         active_idx = self.slots[self.pos][0]
         pos = next(
             (k for k, (l, _) in enumerate(self.plan.phases) if l == event.link), None
         )
-        if pos is None or pos == active_idx:
+        if (pos is None or pos == active_idx or active_idx < pos < self.urgent_end
+                or event.link in self.leads):
             return
-        if pos < active_idx:
-            # Already served this cycle: finish the active phase, then start
-            # a fresh cycle led by the emergency link.
-            cut = self.pos
-            while cut < len(self.slots) and self.slots[cut][0] == active_idx:
-                cut += 1
-            self.slots = self.slots[:cut]
-            self.pending_priority = event.link
+        if self.leads or pos < active_idx:
+            if not self.leads:
+                # Already served this cycle: finish the phases up to the
+                # last one moved up, then start a fresh cycle led by the
+                # emergency link.
+                last = max(active_idx, self.urgent_end - 1)
+                cut = self.pos
+                while cut < len(self.slots) and self.slots[cut][0] <= last:
+                    cut += 1
+                self.slots = self.slots[:cut]
+            self.leads.append(event.link)
             return
-        new_plan = apply_emergency_reorder(self.plan, event, active_idx)
+        at = max(active_idx + 1, self.urgent_end)
+        self.urgent_end = at + 1
+        new_plan = apply_emergency_reorder(self.plan, event, at - 1)
         if new_plan is self.plan:
             return
         self.plan = new_plan
@@ -179,18 +190,18 @@ def reference_simulate(
         return QueueState(motorized=tuple(om), non_motorized=tuple(onm),
                           timestamp_ms=t * 1000)
 
-    def new_cycle(t: int, priority_link: Optional[int] = None) -> _CycleSchedule:
+    def new_cycle(t: int, leads=()) -> _CycleSchedule:
         plan = controller.next_plan(observe(t))
         violations = validate_plan(plan, cfg)
         if violations:
             raise ConfigError(
                 "controller produced an invalid plan: " + "; ".join(violations)
             )
-        if priority_link is not None:
+        for k, link in enumerate(leads):
             plan = apply_emergency_reorder(
-                plan, EmergencyEvent(time_s=t, link=priority_link), active_index=-1
+                plan, EmergencyEvent(time_s=t, link=link), active_index=k - 1
             )
-        return _CycleSchedule(plan)
+        return _CycleSchedule(plan, len(leads))
 
     schedule = new_cycle(0)
     # Fractional saturation flows discharge on the floor(rate*k) lattice so
@@ -212,7 +223,7 @@ def reference_simulate(
 
     for t in range(horizon_s):
         if schedule.done:
-            schedule = new_cycle(t, schedule.pending_priority)
+            schedule = new_cycle(t, schedule.leads)
         while next_event < len(events) and events[next_event].time_s <= t:
             schedule.reorder(events[next_event])
             next_event += 1
@@ -437,6 +448,9 @@ class TestSameAsPerSecondLoop:
         [(30, 0), (30, 2)],            # cut, then a reorder in one second
         [(30, 2), (30, 0)],            # reorder, then a cut in one second
         [(30, 0), (31, 1)],            # cut, then an event for a later link
+        [(25, 2), (26, 0)],            # a move up, then a cut behind it
+        [(25, 0), (26, 2)],            # a cut, then a second lead
+        [(25, 2), (26, 0), (27, 2), (47, 1)],  # repeats, and one mid-run
         [(68, 1), (69, 0)],            # a cycle's last and next first second
         [(68, 2)],                     # the cycle's last second
         [(69, 1)],                     # the next cycle's first second

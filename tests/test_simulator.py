@@ -252,6 +252,23 @@ class TestEmergencyInSimulation:
             t += 1
         assert trace.active_link[t] == event.link
 
+    @pytest.mark.parametrize("events, first_green", [
+        ([(15, 3), (16, 0)], {3: 24, 0: 36}),
+        ([(15, 0), (16, 3)], {0: 24, 3: 36}),
+    ])
+    def test_emergencies_in_one_phase_served_in_arrival_order(
+            self, events, first_green):
+        # Link 1 is green over [12, 22), then clears until 24; neither
+        # emergency may undo the other.
+        cfg = cfg_of(L=4, inter_green_s=2)
+        ctrl = FixedTimeController([10, 10, 10, 10], cfg)
+        opts = SimOptions(
+            emergency_events=[EmergencyEvent(t, l) for t, l in events])
+        _, trace = simulate(cfg, zero_demand(4), ctrl, 80, opts)
+        active = trace.active_link.tolist()
+        assert {link: active.index(link, 15) for link in first_green} == (
+            first_green)
+
     def test_emergency_for_active_link_noop(self):
         cfg = cfg_of(L=3)
         ctrl = FixedTimeController([20, 20, 20], cfg)

@@ -42,7 +42,12 @@ def test_traced_attribute_exists(owner, name):
 
 
 def test_run_calls_operators_through_the_module(monkeypatch, two_link_cfg):
-    # A wrapper installed on the module must see every operator call.
+    # A wrapper installed on the module must see every operator call. Once
+    # the draw script exists, its pairs hold crossover and mutation folded
+    # into getters, so a run calls only the tournaments.
+    params = nsga2.OptimizerParams(population_size=8, generations=3)
+    nsga2._draw_script(params, 2, two_link_cfg.min_green_s,
+                       two_link_cfg.max_green_s)
     calls = {"tournament_select": 0, "crossover": 0, "mutate": 0}
     for name in calls:
         original = getattr(nsga2, name)
@@ -52,17 +57,16 @@ def test_run_calls_operators_through_the_module(monkeypatch, two_link_cfg):
             return _original(*args)
 
         monkeypatch.setattr(nsga2, name, counted)
-    params = nsga2.OptimizerParams(population_size=8, generations=3)
     nsga2.run(QueueState((5, 2), (1, 0)), two_link_cfg, params)
-    assert calls == {"tournament_select": 8 * 3, "crossover": 4 * 3,
-                     "mutate": 8 * 3}
+    assert calls == {"tournament_select": 8 * 3, "crossover": 0, "mutate": 0}
 
 
 def test_run_sorts_and_crowds_through_the_module(monkeypatch, two_link_cfg):
     # The sort and crowding wrappers (nsga2.sort, nsga2.crowding) see the
-    # initial sort, one survival sort per generation but the last (whose
-    # offspring nothing selects from) and the front's final one, and a
-    # crowding pass for at least one front of each population sorted.
+    # initial sort and one survival sort per generation but the last (whose
+    # offspring nothing selects from), and a crowding pass for at least one
+    # front of each population sorted. The front is a staircase pass, not
+    # a sort.
     calls = {"fast_non_dominated_sort": 0, "crowding_distance": 0}
     for name in calls:
         original = getattr(nsga2, name)
@@ -75,29 +79,38 @@ def test_run_sorts_and_crowds_through_the_module(monkeypatch, two_link_cfg):
     G = 5
     params = nsga2.OptimizerParams(population_size=8, generations=G)
     nsga2.run(QueueState((5, 2), (1, 0)), two_link_cfg, params, memo=None)
-    assert calls["fast_non_dominated_sort"] == G + 1
+    assert calls["fast_non_dominated_sort"] == G
     assert calls["crowding_distance"] >= G
 
 
 def test_run_takes_its_front_once_through_the_module(monkeypatch,
                                                      two_link_cfg):
     # The archive wrapper (nsga2.archive) sees one call per evolved run, on
-    # the run's point cache, and none when the front memo answers.
+    # every genome the run evaluated, and none when the front memo answers.
     caches, update = [], nsga2._update_archive
+    scored, evaluator = [], objectives.genome_evaluator
 
-    def recording(points):
+    def recording(points, shift=None):
         caches.append(points)
-        return update(points)
+        return update(points, shift)
+
+    def scoring(*args):
+        evaluate = evaluator(*args)
+        packed = evaluate.packed
+        evaluate.packed = lambda g: scored.append(g) or packed(g)
+        return evaluate
 
     monkeypatch.setattr(nsga2, "_update_archive", recording)
+    monkeypatch.setattr(objectives, "genome_evaluator", scoring)
     params = nsga2.OptimizerParams(population_size=8, generations=5)
     queue, memo = QueueState((5, 2), (1, 0)), {}
     front = nsga2.run(queue, two_link_cfg, params, memo=memo)
     assert len(caches) == 1
-    assert isinstance(caches[0], nsga2._PointCache)
+    assert len(scored) == 8 * (5 + 1)
+    assert caches[0].keys() == set(scored)
     script = nsga2._draw_script(params, 2, two_link_cfg.min_green_s,
                                 two_link_cfg.max_green_s)
-    assert set(script.initial) <= caches[0].keys()
+    assert scored[:8] == list(script.initial)
     again = nsga2.run(queue, two_link_cfg, params, memo=memo)
     assert len(caches) == 1
     assert [(i.genome, i.objectives) for i in again] == [
