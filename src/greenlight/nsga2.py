@@ -32,8 +32,12 @@ sort emits a member of front k+1 after the last front-k member dominating
 it; those dominators form one slice of front k in (f1, f2) order, and the
 slice only moves right along front k+1, so one two-pointer walk per front
 places every member. The sweep also leaves each front in (f1, f2) order,
-which is the f1 order crowding needs, so crowding sorts each front once,
-by f2.
+which is the f1 order crowding reads, so ``run`` crowds each sorted
+population in one call over those stairs. Crowding works per run of equal
+points: a run's inner twins keep 0.0, its first and last members take
+one-sided gaps and a lone member two-sided ones, and f2 is sorted once per
+front over its run values, which fall along a stair, so the sort only
+reverses them.
 
 A run's front is front 0 of every point it evaluated. Each evaluated genome
 sits in the initial or a combined population, so that set is exactly what a
@@ -238,35 +242,95 @@ def fast_non_dominated_sort(
 
 
 def crowding_distance(
-    points: Sequence, shift: Optional[int] = None
+    points: Sequence, shift: Optional[int] = None,
+    fronts: Optional[Sequence[Sequence[int]]] = None,
 ) -> list[float]:
-    """Crowding distances of one non-dominated front listed in (f1, f2)
-    order; extremes get +inf. Ties on either objective keep their listed
-    order.
+    """Each point's crowding distance within its listing (Deb et al. 2002).
 
     ``points`` are packed with ``shift``, or are (f1, f2) pairs when
-    ``shift`` is None. The listing is the f1 order, so only f2 is sorted.
+    ``shift`` is None. ``fronts`` lists each front's point indices, and
+    the points in no listed front get 0.0; without it, all the points, in
+    index order, are one listing. ``run`` passes ``fronts.stairs``, every
+    front of a sorted population in (f1, f2) order, so it crowds a
+    population in one call.
+
+    A listing of any points in any order is read as f1 order. Its first and
+    last members get +inf, and every other member's f1 term is the f1 gap
+    between its listed neighbours over the f1 gap between the listing's
+    ends (0.0 when that is 0). Only f2 is sorted, stably, so ties keep
+    their listed order: the first lowest and the last highest f2 get +inf,
+    and every other member adds its f2 gap over the f2 range when that is
+    not 0. A listing of at most two members is all +inf.
     """
     if shift is None:
         points, shift = _pack(points)
     n = len(points)
-    if n <= 2:
-        return [INF] * n
-    f1s = [p >> shift for p in points]
-    span = f1s[-1] - f1s[0]
-    dists = [INF, *([(after - before) / span
-                     for before, after in zip(f1s, f1s[2:])]
-                    if span else [0.0] * (n - 2)), INF]
     mask = (1 << shift) - 1
-    f2s = [p & mask for p in points]
-    order = sorted(range(n), key=f2s.__getitem__)
-    dists[order[0]] = dists[order[-1]] = INF
-    vals = list(map(f2s.__getitem__, order))
-    span = vals[-1] - vals[0]
-    if span:
-        for i, before, after in zip(order[1:-1], vals, vals[2:]):
-            dists[i] += (after - before) / span
-    return dists
+    dist = [0.0] * n
+    for front in ([range(n)] if fronts is None else fronts):
+        if len(front) < 3:
+            for i in front:
+                dist[i] = INF
+            continue
+        # Consecutive equal points form a run. A run's inner members have a
+        # twin on each side, in the listing and in the stable f2 order,
+        # which keeps a run together, so both their terms are 0 and they
+        # keep 0.0. Only a run's first and last member take a gap, one-sided
+        # (the twin's side is 0), or its lone member a two-sided one.
+        firsts, lasts, runs = [], [], []
+        prev = None
+        for i in front:
+            p = points[i]
+            if p != prev:
+                prev = p
+                firsts.append(i)
+                lasts.append(i)
+                runs.append(p)
+            else:
+                lasts[-1] = i
+        dist[firsts[0]] = dist[lasts[-1]] = INF
+        top = len(runs) - 1
+        if not top:
+            continue
+        # Each term is one int gap over the span, f1's set first and f2's
+        # added to it, as a pass per objective over the members would.
+        f1s = [p >> shift for p in runs]
+        span = f1s[-1] - f1s[0]
+        if span:
+            for k in range(top + 1):
+                a, b = firsts[k], lasts[k]
+                if a != b:
+                    if k:
+                        dist[a] = (f1s[k] - f1s[k - 1]) / span
+                    if k < top:
+                        dist[b] = (f1s[k + 1] - f1s[k]) / span
+                elif 0 < k < top:
+                    dist[a] = (f1s[k + 1] - f1s[k - 1]) / span
+        # On a stair f2 falls from run to run, so this sort only reverses.
+        f2s = [p & mask for p in runs]
+        order = sorted(range(top + 1), key=f2s.__getitem__)
+        lo, hi = order[0], order[-1]
+        dist[firsts[lo]] = dist[lasts[hi]] = INF
+        span = f2s[hi] - f2s[lo]
+        if span:
+            for t in range(top + 1):
+                k = order[t]
+                a, b = firsts[k], lasts[k]
+                if a != b:
+                    if t:
+                        dist[a] += (f2s[k] - f2s[order[t - 1]]) / span
+                    if t < top:
+                        dist[b] += (f2s[order[t + 1]] - f2s[k]) / span
+                elif 0 < t < top:
+                    dist[a] += (f2s[order[t + 1]] - f2s[order[t - 1]]) / span
+        elif f1s[-1] < f1s[0]:
+            # A listing whose last f1 is below its first gives an inner twin
+            # the f1 term 0 / span, which is -0.0, and no f2 term.
+            ends = {*firsts, *lasts}
+            for i in front:
+                if i not in ends:
+                    dist[i] = -0.0
+    return dist
 
 
 def tournament_select(
@@ -474,19 +538,6 @@ def _update_archive(
             for p, g in sorted((p, g) for g, p in points.items() if p in front)]
 
 
-def _crowding_by_slot(
-    points: list[int], shift: int, fronts: Fronts
-) -> list[float]:
-    """Each slot's crowding distance within its front, for the fronts
-    listed (0.0 for the rest), from each front's (f1, f2) order."""
-    dist = [0.0] * len(points)
-    for stair in fronts.stairs:
-        for i, d in zip(stair, crowding_distance(
-                [points[i] for i in stair], shift)):
-            dist[i] = d
-    return dist
-
-
 # The most fronts a ``FrontMemo`` holds; the oldest entry goes first.
 FRONT_MEMO_SIZE = 64
 
@@ -535,7 +586,7 @@ def run(
     points = list(map(packed, genomes))
     evaluated, scores = genomes[:], points[:]
     fronts, ranks = fast_non_dominated_sort(points, shift, P)
-    crowding = _crowding_by_slot(points, shift, fronts)
+    crowding = crowding_distance(points, shift, fronts.stairs)
 
     for gen, steps in enumerate(script.generations):
         if gen:
@@ -543,7 +594,7 @@ def run(
             # generation's offspring need none: the front is taken from
             # every genome evaluated.
             fronts, all_ranks = fast_non_dominated_sort(points, shift, P)
-            dist = _crowding_by_slot(points, shift, fronts)
+            dist = crowding_distance(points, shift, fronts.stairs)
             chosen: list[int] = []
             for f in fronts:
                 room = P - len(chosen)

@@ -64,8 +64,8 @@ def test_run_calls_operators_through_the_module(monkeypatch, two_link_cfg):
 def test_run_sorts_and_crowds_through_the_module(monkeypatch, two_link_cfg):
     # The sort and crowding wrappers (nsga2.sort, nsga2.crowding) see the
     # initial sort and one survival sort per generation but the last (whose
-    # offspring nothing selects from), and a crowding pass for at least one
-    # front of each population sorted. The front is a staircase pass, not
+    # offspring nothing selects from), and one crowding call per population
+    # sorted, over all its listed fronts. The front is a staircase pass, not
     # a sort.
     calls = {"fast_non_dominated_sort": 0, "crowding_distance": 0}
     for name in calls:
@@ -80,7 +80,7 @@ def test_run_sorts_and_crowds_through_the_module(monkeypatch, two_link_cfg):
     params = nsga2.OptimizerParams(population_size=8, generations=G)
     nsga2.run(QueueState((5, 2), (1, 0)), two_link_cfg, params, memo=None)
     assert calls["fast_non_dominated_sort"] == G
-    assert calls["crowding_distance"] >= G
+    assert calls["crowding_distance"] == G
 
 
 def test_run_takes_its_front_once_through_the_module(monkeypatch,
