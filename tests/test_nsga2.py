@@ -416,7 +416,95 @@ class TestFastNonDominatedSort:
         assert got_ranks == ranks
 
 
+def listing_crowding_distance(points, shift=None):
+    """``nsga2.crowding_distance`` verbatim as it was when it took one
+    listing per call and sorted every member by f2 (``_pack`` renamed to
+    this module's ``packed``): the contract of the one-listing call."""
+    if shift is None:
+        points, shift = packed(points)
+    n = len(points)
+    if n <= 2:
+        return [INF] * n
+    f1s = [p >> shift for p in points]
+    span = f1s[-1] - f1s[0]
+    dists = [INF, *([(after - before) / span
+                     for before, after in zip(f1s, f1s[2:])]
+                    if span else [0.0] * (n - 2)), INF]
+    mask = (1 << shift) - 1
+    f2s = [p & mask for p in points]
+    order = sorted(range(n), key=f2s.__getitem__)
+    dists[order[0]] = dists[order[-1]] = INF
+    vals = list(map(f2s.__getitem__, order))
+    span = vals[-1] - vals[0]
+    if span:
+        for i, before, after in zip(order[1:-1], vals, vals[2:]):
+            dists[i] += (after - before) / span
+    return dists
+
+
+def bits(dists):
+    """Distances as their exact bits: -0.0 differs from 0.0."""
+    return [d.hex() for d in dists]
+
+
+# Listings of (f1, f2) pairs: a few distinct points, each repeated, in any
+# order, with one axis often constant; or distinct-heavy wide ones.
+coords = st.integers(0, 6) | st.integers(0, 1000)
+listings = (
+    st.lists(st.tuples(coords, coords), min_size=1, max_size=8)
+    .flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=60))
+    | st.lists(st.tuples(coords, coords), max_size=40)
+    | st.tuples(coords, st.lists(coords, max_size=12)).map(
+        lambda c: [(c[0], f2) for f2 in c[1]])
+    | st.tuples(coords, st.lists(coords, max_size=12)).map(
+        lambda c: [(f1, c[0]) for f1 in c[1]]))
+
+
 class TestCrowdingDistance:
+    # The examples hold n = 0-3, twins at a listing's ends, lone members
+    # between runs, constant axes, and an f1 that falls along the listing
+    # with constant f2, whose inner twins read -0.0.
+    @settings(max_examples=600, deadline=None)
+    @given(listings)
+    @example([])
+    @example([(1, 1)])
+    @example([(2, 1), (1, 2)])
+    @example([(3, 3), (3, 3), (3, 3)])
+    @example([(1, 3), (1, 3), (2, 2), (3, 1), (3, 1)])
+    @example([(0, 4), (0, 4), (0, 4), (2, 2), (4, 0), (4, 0), (4, 0)])
+    @example([(5, 1), (3, 1), (3, 1), (3, 1), (0, 1)])
+    @example([(5, 1), (3, 2), (3, 2), (3, 2), (0, 1)])
+    @example([(2, 5), (2, 1), (2, 1), (2, 3), (2, 5)])
+    @example([(4, 0), (1, 0), (1, 0), (6, 0), (6, 0)])
+    def test_one_listing_as_the_per_listing_version(self, points):
+        want = bits(listing_crowding_distance(points))
+        assert bits(crowding_distance(points)) == want
+        assert bits(crowding_distance(*packed(points))) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(listings)
+    @example([(1, 3), (1, 3), (1, 3), (2, 2), (3, 1), (3, 1)])
+    def test_sorted_listing_as_the_textbook_distance(self, points):
+        points = sorted(points)
+        want = reference_crowding_distance([ind(*p) for p in points])
+        assert bits(crowding_distance(*packed(points))) == bits(want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(listings, st.integers(1, 61))
+    @example([(0, 4), (4, 0), (1, 5), (1, 5), (3, 3), (5, 1), (5, 1)], 3)
+    @example([(2, 2), (2, 2), (2, 2), (1, 3), (3, 1), (1, 3)], 1)
+    def test_sorted_population_as_each_front_scattered_by_slot(self, points,
+                                                              cut):
+        fronts, _ = fast_non_dominated_sort(*packed(points), cut)
+        want = [0.0] * len(points)
+        for stair in fronts.stairs:
+            dists = reference_crowding_distance([ind(*points[i])
+                                                 for i in stair])
+            for i, d in zip(stair, dists):
+                want[i] = d
+        assert bits(crowding_distance(*packed(points),
+                                      fronts.stairs)) == bits(want)
+
     def test_three_point_front(self):
         assert crowding_distance(*packed([(1, 3), (2, 2), (3, 1)])) == [
             INF, 2.0, INF]
