@@ -33,22 +33,22 @@ it; those dominators form one slice of front k in (f1, f2) order, and the
 slice only moves right along front k+1, so one two-pointer walk per front
 places every member. The sweep also leaves each front in (f1, f2) order,
 which is the f1 order crowding reads, so ``run`` crowds each sorted
-population in one call over those stairs. Crowding works per run of equal
-points: a run's inner twins keep 0.0, its first and last members take
-one-sided gaps and a lone member two-sided ones, and f2 is sorted once per
-front over its run values, which fall along a stair, so the sort only
-reverses them.
+population in one call over those stairs; crowding one listing sorts it
+into that order first. Crowding works per run of equal points: a run's
+inner twins keep 0.0, its first and last members take one-sided gaps and a
+lone member two-sided ones, and f2 is sorted once per front over its run
+values, which fall along a stair, so the sort only reverses them.
 
 A run's front is front 0 of every point it evaluated. Each evaluated genome
 sits in the initial or a combined population, so that set is exactly what a
 non-dominated archive updated from each generation's front 0 would end
 with. The run scores every child with the evaluator's ``packed``, with no
-per-genome lookup, and keeps its evaluated genomes and their points as two
-lists in evaluation order: the initial P, then P per generation, so the
-front after any generation is front 0 of a prefix. After the last
-generation it takes that front once, from a dict built from those lists,
-in one staircase pass: in packed order a point is in front 0 iff its f2
-is below every f2 before it.
+per-genome lookup, and keeps one map from each genome it evaluated to its
+point, in first-evaluation order, so the front after generation g is front
+0 of the map's first n_g entries, n_g being its size after g. After the
+last generation it takes that front once, from the map, in one staircase
+pass: in packed order a point is in front 0 iff its f2 is below every f2
+before it.
 
 A run's setting is one value, ``(params, num_links, min_green_s,
 max_green_s)``, and no random draw depends on the queue: ``_draw_script``
@@ -61,10 +61,10 @@ each offspring pair's crossover and both mutations into two shared
 ``operator.itemgetter``s over ``p1 + p2 + consts``, the consts being the
 pair's redrawn greens, so a pair's variation is one concatenation and two
 C-level picks, and a pair whose children equal their parents holds None.
-The getters are built by applying ``crossover`` and ``mutate`` to index
-tuples, so those two functions stay the one statement of the operators;
-``crossing`` and ``redraw_getter`` turn a swap mask or redrawn positions
-into the getters they apply. The adaptive controller, which reruns one
+The getters are built by applying ``crossover``, which exchanges the
+genes set in a swap mask, and ``mutate``, which sets redrawn greens at
+their positions, to index tuples, so those two functions stay the one
+statement of the operators. The adaptive controller, which reruns one
 setting before every cycle, pays for its draws once.
 
 Survival reads only the fronts that fill the next population, so the
@@ -123,11 +123,12 @@ class Individual:
 class OptimizerParams(Section):
     NAME = "optimizer"
 
-    # The draw script and a run's evaluation lists grow as P*G. At
-    # 1000 x 1000 on palashi5 (2-CPU x86-64 host) the script builds in
-    # ~10-11 s of CPU, a run after it takes ~5.5 s, and the two peak at an
-    # RSS of ~310 MiB. At 60 x 100 the script holds ~660 KiB, at 40 x 40
-    # ~230 KiB (tracemalloc, after the build and a collection).
+    # The draw script grows as P*G, and a run's evaluation map as the
+    # distinct genomes it scores. At 1000 x 1000 on palashi5 with
+    # queue_sample (2-CPU x86-64 host) the script builds in ~7-8 s of CPU,
+    # a run after it takes ~3.4-3.9 s, and the two peak at an RSS of
+    # ~237 MiB. At 60 x 100 the script holds ~660 KiB, at 40 x 40 ~230 KiB
+    # (tracemalloc, after the build and a collection).
     population_size: int = setting(int, 60, low=4, high=1000)
     generations: int = setting(int, 100, low=1, high=1000)
     crossover_prob: float = setting(float, 0.9, low=0, high=1)
@@ -248,26 +249,29 @@ def crowding_distance(
     """Each point's crowding distance within its listing (Deb et al. 2002).
 
     ``points`` are packed with ``shift``, or are (f1, f2) pairs when
-    ``shift`` is None. ``fronts`` lists each front's point indices, and
-    the points in no listed front get 0.0; without it, all the points, in
-    index order, are one listing. ``run`` passes ``fronts.stairs``, every
-    front of a sorted population in (f1, f2) order, so it crowds a
-    population in one call.
+    ``shift`` is None. ``fronts`` lists each front's point indices, each
+    in f1 order, and the points in no listed front get 0.0. ``run``
+    passes ``fronts.stairs``, every front of a sorted population in
+    (f1, f2) order, so it crowds a population in one call. Without
+    ``fronts``, all the points are one listing in stair order: (f1, f2)
+    order, twins by index.
 
-    A listing of any points in any order is read as f1 order. Its first and
-    last members get +inf, and every other member's f1 term is the f1 gap
-    between its listed neighbours over the f1 gap between the listing's
-    ends (0.0 when that is 0). Only f2 is sorted, stably, so ties keep
-    their listed order: the first lowest and the last highest f2 get +inf,
-    and every other member adds its f2 gap over the f2 range when that is
-    not 0. A listing of at most two members is all +inf.
+    A listing's first and last members get +inf, and every other member's
+    f1 term is the f1 gap between its listed neighbours over the f1 range
+    (0.0 when that is 0). Only f2 is sorted, stably, so ties keep their
+    listed order: the first lowest and the last highest f2 get +inf, and
+    every other member adds its f2 gap over the f2 range when that is not
+    0. A listing of at most two members is all +inf. No distance is
+    negative.
     """
     if shift is None:
         points, shift = _pack(points)
     n = len(points)
     mask = (1 << shift) - 1
     dist = [0.0] * n
-    for front in ([range(n)] if fronts is None else fronts):
+    if fronts is None:
+        fronts = [sorted(range(n), key=points.__getitem__)]
+    for front in fronts:
         if len(front) < 3:
             for i in front:
                 dist[i] = INF
@@ -323,13 +327,6 @@ def crowding_distance(
                         dist[b] += (f2s[order[t + 1]] - f2s[k]) / span
                 elif 0 < t < top:
                     dist[a] += (f2s[order[t + 1]] - f2s[order[t - 1]]) / span
-        elif f1s[-1] < f1s[0]:
-            # A listing whose last f1 is below its first gives an inner twin
-            # the f1 term 0 / span, which is -0.0, and no f2 term.
-            ends = {*firsts, *lasts}
-            for i in front:
-                if i not in ends:
-                    dist[i] = -0.0
     return dist
 
 
@@ -351,49 +348,23 @@ def tournament_select(
     return best
 
 
-# A pair's crossing: None when no gene is exchanged, else the two children
-# as getters over ``a + b``. A child's mutation: None when no gene is
-# redrawn, else (``redraw_getter``, consts), the consts being the redrawn
-# greens in position order.
-Crossing = Optional[tuple[itemgetter, itemgetter]]
-Mutation = Optional[tuple[itemgetter, tuple[int, ...]]]
-
-
-def crossing(swap: int, num_links: int) -> Crossing:
-    """The crossing that exchanges the genes whose bit is set in ``swap``."""
-    if not swap:
-        return None
-    L = num_links
-    flips = [swap >> i & 1 for i in range(L)]
-    return (itemgetter(*(L * f + i for i, f in enumerate(flips))),
-            itemgetter(*(L * (1 - f) + i for i, f in enumerate(flips))))
-
-
-def redraw_getter(positions: Sequence[int], num_links: int) -> itemgetter:
-    """The getter over ``g + consts`` that takes the j-th const at the j-th
-    of the (ascending) ``positions`` and ``g``'s gene everywhere else."""
-    at = dict(zip(positions, range(num_links, num_links + len(positions))))
-    return itemgetter(*(at.get(i, i) for i in range(num_links)))
-
-
-def crossover(a: Genome, b: Genome, swap: Crossing) -> tuple[Genome, Genome]:
-    """The two children of a pair: ``a`` and ``b`` themselves, or the
-    crossing's getters applied to ``a + b``."""
+def crossover(a: Genome, b: Genome, swap: int) -> tuple[Genome, Genome]:
+    """The two children of a pair: ``a`` and ``b`` with the genes whose bit
+    is set in ``swap`` exchanged."""
     if len(a) != len(b):
         raise ValueError("genomes must have equal length")
-    if swap is None:
-        return a, b
-    ab = a + b
-    return swap[0](ab), swap[1](ab)
+    flips = [swap >> i & 1 for i in range(len(a))]
+    return (tuple(y if f else x for x, y, f in zip(a, b, flips)),
+            tuple(x if f else y for x, y, f in zip(a, b, flips)))
 
 
-def mutate(g: Genome, redraws: Mutation) -> Genome:
-    """``g`` with its redrawn greens set: the mutation's getter applied to
-    ``g + consts``."""
-    if redraws is None:
-        return g
-    getter, consts = redraws
-    return getter(g + consts)
+def mutate(g: Genome, positions: Sequence[int],
+           greens: Sequence[int]) -> Genome:
+    """``g`` with the j-th of ``greens`` set at the j-th of ``positions``."""
+    child = list(g)
+    for i, green in zip(positions, greens):
+        child[i] = green
+    return tuple(child)
 
 
 # An offspring pair's variation: None when neither child differs from its
@@ -457,13 +428,10 @@ def _draw_script(
 
     def fold(swap: int, at1: tuple, at2: tuple) -> tuple[itemgetter, ...]:
         """The getters of a pair's children over ``p1 + p2 + consts``."""
-        children = crossover(*parents, crossing(swap, L))
         first, made = 2 * L, []
-        for child, at in zip(children, (at1, at2)):
-            if at:
-                consts = tuple(range(first, first + len(at)))
-                child = mutate(child, (redraw_getter(at, L), consts))
-                first += len(at)
+        for child, at in zip(crossover(*parents, swap), (at1, at2)):
+            child = mutate(child, at, range(first, first + len(at)))
+            first += len(at)
             if child not in getters:
                 getters[child] = itemgetter(*child)
             made.append(getters[child])
@@ -557,7 +525,7 @@ def run(
 
     The returned front is front 0 of every genome the run evaluated, sorted
     by (f1, f2, genome) for reproducible output; the module's
-    ``_update_archive`` takes it once from the run's evaluation lists,
+    ``_update_archive`` takes it once from the run's evaluation map,
     after the last generation.
 
     A run is a pure function of its setting, ``(params, L, min_green_s,
@@ -578,13 +546,12 @@ def run(
     P = params.population_size
 
     # The population is a table of slots: genome, packed point, rank and
-    # crowding distance, one list each. ``evaluated`` and ``scores`` hold
-    # every genome the run scores and its point, in evaluation order: the
-    # initial P, then each generation's P offspring.
+    # crowding distance, one list each. ``evaluated`` maps every genome the
+    # run scores to its point, in first-evaluation order.
     shift, packed = evaluate.shift, evaluate.packed
     genomes = list(script.initial)
     points = list(map(packed, genomes))
-    evaluated, scores = genomes[:], points[:]
+    evaluated = dict(zip(genomes, points))
     fronts, ranks = fast_non_dominated_sort(points, shift, P)
     crowding = crowding_distance(points, shift, fronts.stairs)
 
@@ -621,10 +588,9 @@ def run(
         offspring = genomes[P:]
         scored = list(map(packed, offspring))
         points += scored
-        evaluated += offspring
-        scores += scored
+        evaluated.update(zip(offspring, scored))
 
-    front = _update_archive(dict(zip(evaluated, scores)), shift)
+    front = _update_archive(evaluated, shift)
     if memo is not None and key not in memo:
         if len(memo) >= FRONT_MEMO_SIZE:
             del memo[next(iter(memo))]

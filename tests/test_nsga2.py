@@ -275,7 +275,7 @@ def plain(entry):
 def unfold(children, L):
     """A pair's draws read back from its folded ``children`` by applying
     its getters to the index tuple of ``p1 + p2 + consts``: per gene, 1 if
-    the crossing exchanged it, 0 if not, None where both children redraw
+    the crossover exchanged it, 0 if not, None where both children redraw
     it (and so hide it); then each child's (position, green) redraws."""
     if children is None:
         return [0] * L, [], []
@@ -416,32 +416,6 @@ class TestFastNonDominatedSort:
         assert got_ranks == ranks
 
 
-def listing_crowding_distance(points, shift=None):
-    """``nsga2.crowding_distance`` verbatim as it was when it took one
-    listing per call and sorted every member by f2 (``_pack`` renamed to
-    this module's ``packed``): the contract of the one-listing call."""
-    if shift is None:
-        points, shift = packed(points)
-    n = len(points)
-    if n <= 2:
-        return [INF] * n
-    f1s = [p >> shift for p in points]
-    span = f1s[-1] - f1s[0]
-    dists = [INF, *([(after - before) / span
-                     for before, after in zip(f1s, f1s[2:])]
-                    if span else [0.0] * (n - 2)), INF]
-    mask = (1 << shift) - 1
-    f2s = [p & mask for p in points]
-    order = sorted(range(n), key=f2s.__getitem__)
-    dists[order[0]] = dists[order[-1]] = INF
-    vals = list(map(f2s.__getitem__, order))
-    span = vals[-1] - vals[0]
-    if span:
-        for i, before, after in zip(order[1:-1], vals, vals[2:]):
-            dists[i] += (after - before) / span
-    return dists
-
-
 def bits(dists):
     """Distances as their exact bits: -0.0 differs from 0.0."""
     return [d.hex() for d in dists]
@@ -461,9 +435,11 @@ listings = (
 
 
 class TestCrowdingDistance:
-    # The examples hold n = 0-3, twins at a listing's ends, lone members
-    # between runs, constant axes, and an f1 that falls along the listing
-    # with constant f2, whose inner twins read -0.0.
+    # One listing is crowded in stair order: the textbook distance over the
+    # points in packed order, twins by index, scattered back by index. The
+    # examples hold n = 0-3, twins at a listing's ends, lone members between
+    # runs, constant axes, and listings whose f1 falls, which crowding once
+    # read as f1 order and so gave negative distances.
     @settings(max_examples=600, deadline=None)
     @given(listings)
     @example([])
@@ -471,23 +447,28 @@ class TestCrowdingDistance:
     @example([(2, 1), (1, 2)])
     @example([(3, 3), (3, 3), (3, 3)])
     @example([(1, 3), (1, 3), (2, 2), (3, 1), (3, 1)])
+    @example([(1, 3), (1, 3), (1, 3), (2, 2), (3, 1), (3, 1)])
     @example([(0, 4), (0, 4), (0, 4), (2, 2), (4, 0), (4, 0), (4, 0)])
     @example([(5, 1), (3, 1), (3, 1), (3, 1), (0, 1)])
     @example([(5, 1), (3, 2), (3, 2), (3, 2), (0, 1)])
     @example([(2, 5), (2, 1), (2, 1), (2, 3), (2, 5)])
     @example([(4, 0), (1, 0), (1, 0), (6, 0), (6, 0)])
-    def test_one_listing_as_the_per_listing_version(self, points):
-        want = bits(listing_crowding_distance(points))
-        assert bits(crowding_distance(points)) == want
-        assert bits(crowding_distance(*packed(points))) == want
-
-    @settings(max_examples=300, deadline=None)
-    @given(listings)
-    @example([(1, 3), (1, 3), (1, 3), (2, 2), (3, 1), (3, 1)])
-    def test_sorted_listing_as_the_textbook_distance(self, points):
-        points = sorted(points)
-        want = reference_crowding_distance([ind(*p) for p in points])
+    def test_one_listing_as_the_textbook_distance_in_stair_order(self,
+                                                                 points):
+        order = sorted(range(len(points)), key=points.__getitem__)
+        want = [0.0] * len(points)
+        dists = reference_crowding_distance([ind(*points[i]) for i in order])
+        for i, d in zip(order, dists):
+            want[i] = d
+        got = crowding_distance(points)
+        assert bits(got) == bits(want)
         assert bits(crowding_distance(*packed(points))) == bits(want)
+        # No distance is negative, -0.0 included.
+        assert all(math.copysign(1.0, d) == 1.0 for d in got)
+
+    def test_unsorted_listing(self):
+        assert crowding_distance([(0, 0), (9, 1), (1, 2), (5, 3)]) == [
+            INF, INF, 1.2222222222222223, INF]
 
     @settings(max_examples=400, deadline=None)
     @given(listings, st.integers(1, 61))
@@ -567,8 +548,8 @@ class TestTournamentSelect:
 
 def redrawn_script(params, L, lo, hi):
     """The initial genomes, then per offspring pair the two candidate
-    tuples, the raw ``Crossing`` and each child's ``Mutation``, redrawn
-    from ``random.Random(rng_seed)`` in the order ``_draw_script``
+    tuples, the swap mask and each child's (positions, greens) redraws,
+    redrawn from ``random.Random(rng_seed)`` in the order ``_draw_script``
     documents."""
     rng = random.Random(params.rng_seed)
     P = params.population_size
@@ -590,12 +571,9 @@ def redrawn_script(params, L, lo, hi):
         for _ in range(2):
             drawn = [(i, rng.randint(lo, hi)) for i in range(L)
                      if rng.random() < mutation_prob]
-            if drawn:
-                at, consts = zip(*drawn)
-                redraws.append((nsga2.redraw_getter(at, L), consts))
-            else:
-                redraws.append(None)
-        pairs.append((candidates, nsga2.crossing(swap, L), redraws))
+            redraws.append((tuple(i for i, _ in drawn),
+                            tuple(green for _, green in drawn)))
+        pairs.append((candidates, swap, redraws))
     return initial, pairs
 
 
@@ -625,7 +603,7 @@ class TestDrawScript:
                 # Parents off the green range, so every gene is traceable.
                 a, b = (tuple(rng.randint(-99, 999) for _ in range(L))
                         for _ in range(2))
-                want = tuple(mutate(child, r) for child, r in zip(
+                want = tuple(mutate(child, *r) for child, r in zip(
                     crossover(a, b, swap), redraws))
                 if children is None:
                     got = a, b
@@ -634,13 +612,13 @@ class TestDrawScript:
                     got = g1(a + b + consts), g2(a + b + consts)
                 assert got == want, trial
                 assert (children is None) == (
-                    swap is None and redraws == [None, None]), trial
+                    not swap and redraws == [((), ())] * 2), trial
 
 
 class TestCrossover:
     def test_positionwise_exchange(self):
         for swap in range(4):
-            c1, c2 = crossover((10, 20), (30, 40), nsga2.crossing(swap, 2))
+            c1, c2 = crossover((10, 20), (30, 40), swap)
             for i, (a, b) in enumerate(((10, 30), (20, 40))):
                 assert (c1[i], c2[i]) == ((b, a) if swap >> i & 1 else (a, b))
 
@@ -651,7 +629,7 @@ class TestCrossover:
         swaps = {bit for s in script_steps(script_of(params, cfg))
                  for bit in unfold(s[2], 4)[0]}
         assert swaps <= {0, None} and 0 in swaps
-        assert crossover((10, 20), (30, 40), None) == ((10, 20), (30, 40))
+        assert crossover((10, 20), (30, 40), 0) == ((10, 20), (30, 40))
 
     def test_probability_one_swaps_about_half_the_genes(self):
         cfg = IntersectionConfig(num_links=4, min_green_s=10, max_green_s=30)
@@ -666,11 +644,11 @@ class TestCrossover:
         assert 0.45 < share < 0.55
 
     def test_identical_parents(self):
-        assert crossover((5, 5), (5, 5), nsga2.crossing(3, 2)) == ((5, 5), (5, 5))
+        assert crossover((5, 5), (5, 5), 3) == ((5, 5), (5, 5))
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
-            crossover((1, 2), (1, 2, 3), nsga2.crossing(1, 2))
+            crossover((1, 2), (1, 2, 3), 1)
 
 
 class TestMutate:
@@ -681,11 +659,10 @@ class TestMutate:
         steps = list(script_steps(script_of(params, cfg)))
         assert all(unfold(s[2], 2)[1:] == ([], []) for s in steps)
         assert all(s[2] is None or s[2][2] == () for s in steps)
-        assert mutate((12, 25), None) == (12, 25)
+        assert mutate((12, 25), (), ()) == (12, 25)
 
     def test_redraws_set_positions(self):
-        redraws = (nsga2.redraw_getter((0, 2), 3), (7, 9))
-        assert mutate((1, 2, 3), redraws) == (7, 2, 9)
+        assert mutate((1, 2, 3), (0, 2), (7, 9)) == (7, 2, 9)
 
     def test_full_mutation_uniform(self):
         # chi-square goodness of fit over 10k single-gene redraws
