@@ -24,12 +24,10 @@ from .core import (
     ConfigError,
     IntersectionConfig,
     QueueState,
-    Section,
     canonical_json,
     dump_json,
     is_number,
     read_json,
-    setting,
 )
 from .pipeline import AllCamerasStale, PipelineConfig, run_pipeline
 
@@ -61,17 +59,11 @@ def _write_manifest(
     dump_json(manifest, out / "manifest.json")
 
 
-@dataclasses.dataclass(frozen=True)
-class OptimizeConfig(Section):
-    """An ``optimize`` config that wraps the intersection with optimizer
-    settings and a selection policy."""
+class OptimizeConfig(nsga2.Planner):
+    """An ``optimize`` config: the intersection with the planner's
+    settings."""
 
     NAME = "optimize config"
-
-    intersection: IntersectionConfig = setting(IntersectionConfig)
-    optimizer: nsga2.OptimizerParams = setting(
-        nsga2.OptimizerParams, factory=nsga2.OptimizerParams)
-    policy: str = setting(nsga2.POLICIES, "knee")
 
 
 def _parse_weights(s: str) -> tuple[float, float]:
@@ -97,18 +89,21 @@ def _seed_flag(args: argparse.Namespace) -> Optional[int]:
 def cmd_optimize(args: argparse.Namespace) -> int:
     started = _utcnow()
     seed = _seed_flag(args)
-    weights = (_parse_weights(args.weights) if args.weights is not None
-               else (0.5, 0.5))
+    weights = None if args.weights is None else _parse_weights(args.weights)
     raw = read_json(args.config)
     if isinstance(raw, dict) and "intersection" in raw:
-        conf = OptimizeConfig.from_dict(raw)
+        planner = OptimizeConfig.from_dict(raw)
     else:
-        conf = OptimizeConfig(IntersectionConfig.from_dict(raw))
-    cfg, params = conf.intersection, conf.optimizer
+        planner = OptimizeConfig(IntersectionConfig.from_dict(raw))
+    # The flags given win over the config file.
+    flags = {"policy": args.policy, "weights": weights,
+             "guidance_pad_s": args.pad}
     if seed is not None:
-        params = dataclasses.replace(params, rng_seed=seed)
-    planner = nsga2.Planner(cfg, params, args.policy or conf.policy, args.pad,
-                            weights)
+        flags["optimizer"] = dataclasses.replace(planner.optimizer,
+                                                 rng_seed=seed)
+    planner = dataclasses.replace(
+        planner, **{k: v for k, v in flags.items() if v is not None})
+    cfg = planner.intersection
     queue = QueueState.from_dict(read_json(args.queue))
     if queue.num_links != cfg.num_links:
         raise ConfigError(
@@ -120,18 +115,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dump_json([ind.to_dict() for ind in front], out / "pareto_front.json")
     dump_json(plan.to_dict(), out / "selected_plan.json")
-    config = {
-        "intersection": cfg.to_dict(),
-        "optimizer": params.to_dict(),
-        "policy": planner.policy,
-        "guidance_pad_s": planner.guidance_pad_s,
-        "queue": queue.to_dict(),
-    }
-    if planner.policy == "weighted":  # the one policy that reads them
-        config["weights"] = list(planner.weights)
+    config = {**planner.to_dict(), "queue": queue.to_dict()}
+    if planner.policy != "weighted":  # the one policy that reads them
+        del config["weights"]
     _write_manifest(
         out, "optimize", config,
-        [params.rng_seed],
+        [planner.optimizer.rng_seed],
         ["pareto_front.json", "selected_plan.json"],
         started,
     )
@@ -173,7 +162,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for spec in scenario.controllers:
         rest = {k: v for k, v in spec.items() if k not in ("type", "name")}
         controllers[spec["name"]] = simulator.CONTROLLERS[spec["type"]](
-            cfg=cfg, guidance_pad_s=options.guidance_pad_s, **rest)
+            intersection=cfg, guidance_pad_s=options.guidance_pad_s, **rest)
 
     # The output directory is made only once the run has succeeded, so a
     # scenario that fails validation leaves nothing behind.
@@ -272,8 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="optimize one queue snapshot")
     p_opt.add_argument("--config", required=True,
-                       help="intersection config JSON (optionally with "
-                            "'optimizer' and 'policy' sections)")
+                       help="intersection config JSON, or an object with "
+                            "'intersection' and any of 'optimizer', "
+                            "'policy', 'weights' and 'guidance_pad_s'; "
+                            "flags given win")
     p_opt.add_argument("--queue", required=True, help="QueueState JSON")
     p_opt.add_argument("--seed", type=int, default=None)
     p_opt.add_argument("--out", default="out_optimize")
@@ -281,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=nsga2.POLICIES)
     p_opt.add_argument("--weights", default=None,
                        help="w1,w2 for the weighted policy")
-    p_opt.add_argument("--pad", type=int, default=0,
-                       help="guidance padding seconds around each green")
+    p_opt.add_argument("--pad", type=int, default=None,
+                       help="guidance padding seconds around each green "
+                            "(default: the config's guidance_pad_s, or 0)")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_sim = sub.add_parser("simulate", help="run a simulation scenario")

@@ -71,11 +71,11 @@ Survival reads only the fronts that fill the next population, so the
 generation loop's sort orders no front past them, and the last generation's
 offspring get no survival step, since the front is taken from every genome
 evaluated.
-A ``Planner`` built with
-``reuse_fronts`` owns a ``FrontMemo`` that it passes to every ``run``: light
-queues that clear at min green give many cycles one objective map, and a
-run on a setting and map the memo holds returns the stored front instead of
-evolving it again. There is no module-level front cache.
+A ``Planner`` whose ``memo`` is a ``FrontMemo`` passes it to every ``run``:
+light queues that clear at min green give many cycles one objective map,
+and a run on a setting and map the memo holds returns the stored front
+instead of evolving it again. The adaptive controller always sets one, the
+pipeline in ``sim`` timing. There is no module-level front cache.
 """
 
 from __future__ import annotations
@@ -650,42 +650,48 @@ def select_operating_point(
     return plan_from_genome(best.genome, cfg, guidance_pad_s)
 
 
-@dataclass
+@dataclass(eq=False)  # a planner may hold a memo: it is compared by identity
 class Planner(Section):
     """Turns a queue snapshot into (Pareto front, plan, chosen individual).
 
-    ``run`` and ``select_operating_point`` are looked up on this module at
-    each call, so a wrapper installed on the module sees every plan made.
-    The pad and weights are checked when the planner is built: each weight
-    is >= 0, and not both are 0. With ``reuse_fronts`` the planner owns a
-    ``FrontMemo``, so a snapshot whose objective map it has optimized
-    before gets that front back without a new evolution.
+    Its fields are the planner's settings, declared here once: the
+    ``optimize`` config, the adaptive controller and the pipeline config
+    are each a ``Planner``. ``run`` and ``select_operating_point`` are
+    looked up on this module at each call, so a wrapper installed on the
+    module sees every plan made. Each weight is >= 0, and not both are 0.
+    ``memo``, when set to a ``FrontMemo``, is passed to every ``run``, so
+    a snapshot whose objective map the planner has optimized before gets
+    that front back without a new evolution; it is not a setting.
     """
 
     NAME = "planner"
 
-    cfg: IntersectionConfig = setting(IntersectionConfig)
-    params: OptimizerParams = setting(
+    intersection: IntersectionConfig = setting(IntersectionConfig)
+    optimizer: OptimizerParams = setting(
         OptimizerParams, factory=OptimizerParams)
     policy: str = setting(POLICIES, "knee")
     guidance_pad_s: int = setting(int, 0, low=0)
     weights: tuple[float, float] = setting(
-        ListOf(REAL, size=2), (0.5, 0.5), low=0)
-    reuse_fronts: bool = False
+        ListOf(REAL, size=2), (0.5, 0.5), error="weights must be two numbers")
+
+    # Unannotated, so not a field: ``to_dict`` and the manifests leave it out.
+    memo = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        for w in self.weights:
+            if w < 0:
+                raise ConfigError(f"weights must be >= 0, got {w!r}")
         if not any(self.weights):
             raise ConfigError(
                 f"weights must not both be 0, got {list(self.weights)}")
-        self._memo: Optional[FrontMemo] = {} if self.reuse_fronts else None
 
     def __call__(
         self, queue: QueueState
     ) -> tuple[list[Individual], SignalPlan, Individual]:
-        front = run(queue, self.cfg, self.params, self.guidance_pad_s,
-                    memo=self._memo)
-        plan = select_operating_point(front, self.policy, self.cfg,
+        front = run(queue, self.intersection, self.optimizer,
+                    self.guidance_pad_s, memo=self.memo)
+        plan = select_operating_point(front, self.policy, self.intersection,
                                       self.guidance_pad_s, self.weights)
         chosen = next(ind for ind in front if ind.genome == plan.greens)
         return front, plan, chosen

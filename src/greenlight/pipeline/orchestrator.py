@@ -27,6 +27,7 @@ clock in ``sim``, so every output (including the ledger) is deterministic.
 
 from __future__ import annotations
 
+import copy
 import logging
 import threading
 from dataclasses import dataclass, field
@@ -240,8 +241,11 @@ CAMERA = OneOf("type", {"synthetic": table(SyntheticCamera),
                         "replay": table(ReplaySource)}, default="synthetic")
 
 
-@dataclass
-class PipelineConfig(Section):
+@dataclass(kw_only=True)
+class PipelineConfig(nsga2.Planner):
+    """A ``pipeline`` config: the planner's settings, its intersection
+    inline or a file path, with the cameras, detector and run settings."""
+
     NAME = "pipeline"
 
     intersection: IntersectionConfig = setting(IntersectionConfig, path=True)
@@ -254,10 +258,6 @@ class PipelineConfig(Section):
     # whose cameras all fall silent exits 2 after this many + 2 windows, each
     # logged: 10**9 logged skipped cycles without end.
     max_stale_windows: int = setting(int, 2, low=0, high=100)
-    optimizer: nsga2.OptimizerParams = setting(
-        nsga2.OptimizerParams, factory=nsga2.OptimizerParams)
-    policy: str = setting(nsga2.POLICIES, "knee")
-    guidance_pad_s: int = setting(int, 0, low=0)
     timing: str = setting(("real", "sim"), "real")
     # A pacing sleep stays one the platform takes: at most 100 s of frame
     # period plus two hours of extraction delay and jitter, times 100.
@@ -368,22 +368,23 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
     release, while the optimizer runs. A camera still detecting serves the
     release once it is done.
 
-    Every cycle's plan comes from one ``nsga2.Planner`` built for the run.
-    In ``sim`` timing the virtual clock advances by each cycle's ledger
-    latency, and the ledger charges the optimizer its nominal time, so
-    ledgers are reproducible byte for byte. Since that charge does not
-    depend on the optimizer's work, the planner reuses fronts: a cycle
-    whose objective map an earlier cycle optimized gets that cycle's front.
-    In ``real`` timing it evolves a front every cycle: the ledger charges
-    the measured planner time, which a stored front would cut to ~1 ms, so
-    T_latency would no longer hold a per-cycle optimization.
+    Every cycle's plan comes from a copy of ``cfg``, which is a
+    ``nsga2.Planner``, made for the run. In ``sim`` timing the virtual
+    clock advances by each cycle's ledger latency, and the ledger charges
+    the optimizer its nominal time, so ledgers are reproducible byte for
+    byte. Since that charge does not depend on the optimizer's work, the
+    copy holds a front memo: a cycle whose objective map an earlier cycle
+    optimized gets that cycle's front. In ``real`` timing it evolves a
+    front every cycle: the ledger charges the measured planner time, which
+    a stored front would cut to ~1 ms, so T_latency would no longer hold a
+    per-cycle optimization.
     """
     if cycles < 1:
         raise ConfigError("cycles must be >= 1")
     sim = cfg.timing == "sim"
     clock = VirtualClock() if sim else Clock(cfg.time_scale)
-    planner = nsga2.Planner(cfg.intersection, cfg.optimizer, cfg.policy,
-                            cfg.guidance_pad_s, reuse_fronts=sim)
+    planner = copy.copy(cfg)
+    planner.memo = {} if sim else None
     n = len(cfg.cameras)
     statuses = [CameraStatus() for _ in range(n)]
     slots = [FrameSlot() for _ in range(n)]

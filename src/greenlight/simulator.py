@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Optional
 from . import nsga2, objectives
 from .core import (
     MAX_COUNT,
-    REAL,
     ConfigError,
     IntersectionConfig,
     ListOf,
@@ -86,47 +85,42 @@ class FixedTimeController(Section):
     Its ``setting`` fields are a fixed entry's keys."""
 
     greens: tuple[int, ...] = setting(ListOf(int))
-    cfg: IntersectionConfig
+    intersection: IntersectionConfig
     guidance_pad_s: int = 0
     order: Optional[tuple[int, ...]] = setting(ListOf(int), None)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        links = list(range(self.cfg.num_links))
+        links = list(range(self.intersection.num_links))
         order = links if self.order is None else self.order
         if len(self.greens) != len(links):
             raise ConfigError("fixed controller needs one green per link")
         if sorted(order) != links:
             raise ConfigError("fixed controller order must list every link once")
         self._plan = SignalPlan(tuple((l, self.greens[l]) for l in order),
-                                self.cfg.inter_green_s, self.guidance_pad_s)
+                                self.intersection.inter_green_s,
+                                self.guidance_pad_s)
 
     def next_plan(self, observed: QueueState) -> SignalPlan:
         return self._plan
 
 
 @dataclass(eq=False)
-class AdaptiveController(Section):
+class AdaptiveController(nsga2.Planner):
     """Re-optimizes the cycle from the observed queue before each cycle.
-    Its ``setting`` fields are an adaptive entry's keys."""
+    Its ``setting`` fields are an adaptive entry's keys; the intersection
+    and the pad come from the scenario, so they are plain fields here."""
 
-    cfg: IntersectionConfig
-    optimizer: nsga2.OptimizerParams = setting(
-        nsga2.OptimizerParams, factory=nsga2.OptimizerParams)
-    policy: str = setting(nsga2.POLICIES, "knee")
+    intersection: IntersectionConfig
     guidance_pad_s: int = 0
-    weights: tuple[float, float] = setting(
-        ListOf(REAL, size=2), (0.5, 0.5), error="weights must be two numbers")
 
     def __post_init__(self) -> None:
         super().__post_init__()
         # Light queues that clear at min green repeat one objective map.
-        self._planner = nsga2.Planner(self.cfg, self.optimizer, self.policy,
-                                      self.guidance_pad_s, self.weights,
-                                      reuse_fronts=True)
+        self.memo = {}
 
     def next_plan(self, observed: QueueState) -> SignalPlan:
-        return self._planner(observed)[1]
+        return self(observed)[1]
 
 
 # The one map of controller types. A scenario's controller entries stay

@@ -137,6 +137,38 @@ class TestOptimizeCommand:
         del configs[0]["weights"], configs[1]["weights"]
         assert configs[0] == configs[1]
 
+    def test_config_file_planner_settings_equal_the_flags(self, assets_dir,
+                                                          tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "intersection": read_json(assets_dir / "palashi5.json"),
+            "policy": "weighted", "weights": [0.9, 0.1], "guidance_pad_s": 2}))
+        runs = {
+            "file": ["--config", str(config)],
+            "flags": ["--config", str(assets_dir / "palashi5.json"),
+                      "--policy", "weighted", "--weights", "0.9,0.1",
+                      "--pad", "2"],
+            # Flags given win over the file, a zero pad included.
+            "file, overridden": ["--config", str(config),
+                                 "--weights", "0.1,0.9", "--pad", "0"],
+            "flags, overriding": ["--config", str(assets_dir / "palashi5.json"),
+                                  "--policy", "weighted", "--weights", "0.1,0.9"],
+        }
+        outputs = {}
+        for name, argv in runs.items():
+            out = tmp_path / name
+            assert main(["optimize", *argv,
+                         "--queue", str(assets_dir / "queue_sample.json"),
+                         "--seed", "7", "--out", str(out)]) == 0
+            outputs[name] = [read_json(out / "manifest.json")["config"]] + [
+                (out / artifact).read_bytes()
+                for artifact in ("pareto_front.json", "selected_plan.json")]
+        assert outputs["file"] == outputs["flags"]
+        assert outputs["file"][0]["weights"] == [0.9, 0.1]
+        assert outputs["file"][0]["guidance_pad_s"] == 2
+        assert outputs["file, overridden"] == outputs["flags, overriding"]
+        assert outputs["file, overridden"][2] != outputs["file"][2]
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -309,6 +341,17 @@ class TestSimulateCommand:
 
         assert self.simulate_with(quick_scenario, tmp_path, edit, compare) == 1
         assert "unknown optimizer key 'populaton_size'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("guidance_pad_s", 2), ("intersection", {"num_links": 5})])
+    def test_adaptive_entry_takes_no_scenario_key(self, quick_scenario, tmp_path,
+                                                  capsys, key, value):
+        # The pad and the intersection come from the scenario.
+        def edit(raw):
+            raw["controllers"][1][key] = value
+
+        assert self.simulate_with(quick_scenario, tmp_path, edit) == 1
+        assert f"unknown controller 1 key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw["demand"].pop("motorized_rates"),
@@ -523,6 +566,44 @@ class TestPipelineCommand:
                      "--out", str(again)]) == 0
         for name in ("plans.ndjson", "latency_ledger.ndjson"):
             assert (again / name).read_bytes() == (out / name).read_bytes()
+
+    def test_weights_steer_a_weighted_pipeline(self, pipeline_cfg_path,
+                                               tmp_path):
+        raw = read_json(pipeline_cfg_path)
+        plans = []
+        for i, weights in enumerate([[0.9, 0.1], [0.1, 0.9]]):
+            pipeline_cfg_path.write_text(json.dumps(
+                dict(raw, policy="weighted", weights=weights)))
+            out = tmp_path / f"w{i}"
+            assert main(["pipeline", "--config", str(pipeline_cfg_path),
+                         "--cycles", "2", "--timing", "sim",
+                         "--out", str(out)]) == 0
+            recorded = read_json(out / "manifest.json")["config"]["pipeline"]
+            assert recorded["weights"] == weights
+            plans.append([json.loads(line)["plan"] for line in
+                          (out / "plans.ndjson").read_text().splitlines()])
+        assert len(plans[0]) == 2 and plans[0][0] != plans[1][0]
+
+    @pytest.mark.parametrize("weights, message", [
+        ([0, 0], "weights must not both be 0, got [0, 0]"),
+        ([-1, 1], "weights must be >= 0, got -1"),
+        ([1], "weights must be two numbers"),
+    ])
+    def test_bad_weights_start_nothing(self, pipeline_cfg_path, tmp_path,
+                                       capsys, monkeypatch, weights, message):
+        import greenlight.cli
+        started = []
+        monkeypatch.setattr(greenlight.cli, "run_pipeline",
+                            lambda *a, **k: started.append(a))
+        raw = read_json(pipeline_cfg_path)
+        pipeline_cfg_path.write_text(json.dumps(
+            dict(raw, policy="weighted", weights=weights)))
+        assert main(["pipeline", "--config", str(pipeline_cfg_path),
+                     "--timing", "sim", "--out", str(tmp_path / "p")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert started == []
+        assert not (tmp_path / "p").exists()
 
     def test_plans_pass_validation(self, pipeline_cfg_path, tmp_path, assets_dir):
         out = tmp_path / "p2"

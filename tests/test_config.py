@@ -49,6 +49,7 @@ def pipeline_base():
     raw["cameras"][4] = {"type": "replay", "path": "detections_sample.ndjson",
                          "fps": 20}
     raw["detector"]["miss_rate"] = 0.1
+    raw.update(weights=[0.7, 0.3], guidance_pad_s=2)
     return raw
 
 
@@ -64,7 +65,8 @@ BASES = {
     "optimize": ({"intersection": asset("palashi5.json"),
                   "optimizer": {"population_size": 40, "generations": 40,
                                 "crossover_prob": 0.9, "mutation_prob": None},
-                  "policy": "knee"}, OptimizeConfig.from_dict),
+                  "policy": "knee", "weights": [0.7, 0.3],
+                  "guidance_pad_s": 2}, OptimizeConfig.from_dict),
     "detection record": (
         json.loads((ASSETS / "detections_sample.ndjson").read_text().splitlines()[0]),
         DetectionRecord.from_dict),

@@ -338,11 +338,43 @@ class TestControllerSettings:
          "greens must be a number, got True"),
         (lambda cfg: simulator.AdaptiveController(cfg, weights=("a", 1)),
          "weights must be two numbers"),
-    ], ids=["fractional green", "bool green", "string weight"])
+        (lambda cfg: simulator.AdaptiveController(cfg, weights=(-1, 1)),
+         "weights must be >= 0, got -1"),
+        (lambda cfg: simulator.AdaptiveController(cfg, weights=(0, 0)),
+         "weights must not both be 0, got [0, 0]"),
+    ], ids=["fractional green", "bool green", "string weight",
+            "negative weight", "zero weights"])
     def test_bad_setting_refused(self, build, message):
         with pytest.raises(ConfigError) as exc:
             build(cfg_of())
         assert str(exc.value) == message
+
+
+class TestPlannerSettings:
+    """Every surface that plans is a ``nsga2.Planner``: its planner settings
+    are the fields ``Planner`` declares, not copies of them."""
+
+    def test_declared_once(self):
+        from greenlight.cli import OptimizeConfig
+        from greenlight.pipeline import PipelineConfig
+        declared = nsga2.Planner.__dataclass_fields__
+        keys = ["optimizer", "policy", "weights", "guidance_pad_s"]
+        for surface, own in [(OptimizeConfig, keys + ["intersection"]),
+                             (PipelineConfig, keys),
+                             (simulator.AdaptiveController, keys[:3])]:
+            assert issubclass(surface, nsga2.Planner)
+            for k in own:
+                assert surface.__dataclass_fields__[k] is declared[k], (surface, k)
+
+    def test_adaptive_entry_keys(self):
+        # The intersection and the pad come from the scenario.
+        assert list(simulator.CONTROLLER.variants["adaptive"]) == [
+            "name", "optimizer", "policy", "weights"]
+
+    def test_memo_is_not_a_setting(self, palashi_cfg):
+        ctrl = simulator.AdaptiveController(palashi_cfg)
+        assert ctrl.memo == {} and nsga2.Planner(palashi_cfg).memo is None
+        assert "memo" not in ctrl.to_dict()
 
 
 class TestAdaptiveController:
@@ -394,8 +426,7 @@ class TestAdaptiveController:
             counts.update(plans=0, evolved=0)
             ctrl = simulator.AdaptiveController(palashi_cfg, params)
             if not memo:
-                ctrl._planner = dataclasses.replace(ctrl._planner,
-                                                    reuse_fronts=False)
+                ctrl.memo = None
             metrics, trace = simulate(palashi_cfg, demand, ctrl, 1200)
             runs.append((metrics, trace.queues.tolist()))
             if memo:
