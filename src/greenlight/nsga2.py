@@ -31,24 +31,29 @@ al. 2002), so fronts and artifacts are byte-identical to that version. That
 sort emits a member of front k+1 after the last front-k member dominating
 it; those dominators form one slice of front k in (f1, f2) order, and the
 slice only moves right along front k+1, so one two-pointer walk per front
-places every member. The sweep also leaves each front in (f1, f2) order,
-which is the f1 order crowding reads, so ``run`` crowds each sorted
-population in one call over those stairs; crowding one listing sorts it
-into that order first. Crowding works per run of equal points: a run's
-inner twins keep 0.0, its first and last members take one-sided gaps and a
-lone member two-sided ones, and f2 is sorted once per front over its run
-values, which fall along a stair, so the sort only reverses them.
+places every member. The walk is skipped where its answer is known, which
+keeps the emitted order: when front k or front k+1 is one point (twins
+aside), every member has the same last dominator, so front k+1 is listed
+by index; when front k is listed in stair order, a member's last dominator
+is the end of its slice, so only that end is walked. The sweep also leaves
+each front in (f1, f2) order, which is the f1 order crowding reads, so
+``run`` crowds each sorted population in one call over those stairs;
+crowding one listing sorts it into that order first. Crowding works per run
+of equal points: a run's inner twins keep 0.0, its first and last members
+take one-sided gaps and a lone member two-sided ones, and f2 is sorted once
+per front over its run values, which fall along a stair, so the sort only
+reverses them.
 
 A run's front is front 0 of every point it evaluated. Each evaluated genome
 sits in the initial or a combined population, so that set is exactly what a
 non-dominated archive updated from each generation's front 0 would end
-with. The run scores every child with the evaluator's ``packed``, with no
-per-genome lookup, and keeps one map from each genome it evaluated to its
-point, in first-evaluation order, so the front after generation g is front
-0 of the map's first n_g entries, n_g being its size after g. After the
-last generation it takes that front once, from the map, in one staircase
-pass: in packed order a point is in front 0 iff its f2 is below every f2
-before it.
+with. The run scores each generation's children with the evaluator's
+``packed_all``, one C-level pass with no per-genome lookup, and keeps one
+map from each genome it evaluated to its point, in first-evaluation order,
+so the front after generation g is front 0 of the map's first n_g entries,
+n_g being its size after g. After the last generation it takes that front
+once, from the map, in one staircase pass: in packed order a point is in
+front 0 iff its f2 is below every f2 before it.
 
 A run's setting is one value, ``(params, num_links, min_green_s,
 max_green_s)``, and no random draw depends on the queue: ``_draw_script``
@@ -171,6 +176,11 @@ def fast_non_dominated_sort(
     the last front-k member dominating it, then by index: the order in which
     the O(n^2) count-and-release sort of Deb et al. (2002) emits it, on
     which crowding ties, survivor truncation and tournament indices depend.
+    A walk along front k finds those positions. It is skipped when front k
+    or front k+1 is one point, twins aside, since every member then has the
+    same last dominator and index order is the emitted order; and when
+    front k is listed in stair order, its positions are its stair indices,
+    so a member's last dominator is the end of its dominating slice.
 
     With ``survivors``, the list stops at the first front that brings the
     members listed to at least that many, since survival reads no further;
@@ -213,29 +223,45 @@ def fast_non_dominated_sort(
             break
         above, members = stairs[k - 1], stairs[k]
         listed += len(members)
-        for j, i in enumerate(fronts[k - 1]):
-            position[i] = j
+        if (points[above[0]] == points[above[-1]]
+                or points[members[0]] == points[members[-1]]):
+            # One point above dominates every member, or one point below
+            # has one dominating slice: every member has the same last
+            # dominator, so the order is by index.
+            fronts.append(sorted(members))
+            continue
         # Along both stairs f1 rises and f2 falls (twins aside). The members
         # of ``above`` dominating (a, b) are the slice from the first with
         # f2 <= b to the last with f1 <= a (packed, at most a | mask), so
         # both ends only move right in one walk; a twin takes the slice of
         # the member before it.
-        at = [position[i] for i in above]
         end = len(above)
         lo = hi = 0
         placed = []
-        prev = None
-        for i in members:
-            p = points[i]
-            if p != prev:
-                prev = p
-                a, b = p | mask, p & mask
+        if fronts[k - 1] == above:
+            # Front k-1 is listed in stair order, so a member's last
+            # dominator is its slice's end, hi - 1, and lo is not needed.
+            for i in members:
+                a = points[i] | mask
                 while hi < end and points[above[hi]] <= a:
                     hi += 1
-                while points[above[lo]] & mask > b:
-                    lo += 1
-                last = max(at[lo:hi])
-            placed.append((last, i))
+                placed.append((hi - 1, i))
+        else:
+            for j, i in enumerate(fronts[k - 1]):
+                position[i] = j
+            at = [position[i] for i in above]
+            prev = None
+            for i in members:
+                p = points[i]
+                if p != prev:
+                    prev = p
+                    a, b = p | mask, p & mask
+                    while hi < end and points[above[hi]] <= a:
+                        hi += 1
+                    while points[above[lo]] & mask > b:
+                        lo += 1
+                    last = max(at[lo:hi])
+                placed.append((last, i))
         placed.sort()
         fronts.append([i for _, i in placed])
     fronts.stairs = stairs[:len(fronts)]
@@ -546,11 +572,11 @@ def run(
     P = params.population_size
 
     # The population is a table of slots: genome, packed point, rank and
-    # crowding distance, one list each. ``evaluated`` maps every genome the
-    # run scores to its point, in first-evaluation order.
-    shift, packed = evaluate.shift, evaluate.packed
+    # crowding distance, one sequence each. ``evaluated`` maps every genome
+    # the run scores to its point, in first-evaluation order.
+    shift, packed_all = evaluate.shift, evaluate.packed_all
     genomes = list(script.initial)
-    points = list(map(packed, genomes))
+    points = packed_all(genomes)
     evaluated = dict(zip(genomes, points))
     fronts, ranks = fast_non_dominated_sort(points, shift, P)
     crowding = crowding_distance(points, shift, fronts.stairs)
@@ -569,10 +595,9 @@ def run(
                     # The most crowded first, ties in front order.
                     f = sorted(f, key=dist.__getitem__, reverse=True)[:room]
                 chosen += f
-            genomes = [genomes[i] for i in chosen]
-            points = [points[i] for i in chosen]
-            ranks = [all_ranks[i] for i in chosen]
-            crowding = [dist[i] for i in chosen]
+            pick = itemgetter(*chosen)
+            genomes, points = list(pick(genomes)), list(pick(points))
+            ranks, crowding = pick(all_ranks), pick(dist)
 
         # Offspring take slots P..2P-1 after their parents.
         draws = iter(steps)
@@ -586,7 +611,7 @@ def run(
                 ab = p1 + p2 + consts
                 genomes += g1(ab), g2(ab)
         offspring = genomes[P:]
-        scored = list(map(packed, offspring))
+        scored = packed_all(offspring)
         points += scored
         evaluated.update(zip(offspring, scored))
 

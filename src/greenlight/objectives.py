@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Sequence
 
 from .core import IntersectionConfig, ObjectiveVector, QueueState, SignalPlan
 
@@ -80,8 +81,11 @@ def genome_evaluator(
     affine in the greens: every link is red through the other links' greens
     and pads and through all L clearances, so f2 = (L - 1) * sum(g) +
     L * (L * inter_green + 2 * pad * (L - 1)). Each packed cell holds a
-    link's residual shifted up plus its (L - 1) * g share of f2, so a packed
-    point is the sum of one cell per link and the constant.
+    link's residual shifted up plus its (L - 1) * g share of f2, and link 0's
+    cells also hold the constant, so a packed point is the plain sum of one
+    cell per link. The ``cells`` attribute holds those rows, and
+    ``packed_all`` scores a sequence of genomes, as a list, in one C-level
+    pass over them.
 
     The function's ``key`` attribute is the map it computes on genomes
     within [cfg.min_green_s, cfg.max_green_s] for its L: the residual rows
@@ -105,9 +109,14 @@ def genome_evaluator(
     mask = (1 << shift) - 1
     cells = [[(r << shift) + (L - 1) * g for g, r in enumerate(row)]
              for row in residual]
+    cells[0] = [c + const for c in cells[0]]
 
     def packed(genome: Sequence[int]) -> int:
-        return sum(map(list.__getitem__, cells, genome)) + const
+        return sum(map(list.__getitem__, cells, genome))
+
+    def packed_all(genomes: Iterable[Sequence[int]]) -> list[int]:
+        return list(map(sum, map(map, repeat(list.__getitem__),
+                                 repeat(cells), genomes)))
 
     def evaluate_genome(genome: Sequence[int]) -> tuple:
         p = packed(genome)
@@ -115,6 +124,8 @@ def genome_evaluator(
 
     lo, hi = cfg.min_green_s, cfg.max_green_s
     evaluate_genome.packed = packed
+    evaluate_genome.packed_all = packed_all
+    evaluate_genome.cells = cells
     evaluate_genome.shift = shift
     evaluate_genome.key = (
         tuple(tuple(row[lo:hi + 1]) for row in residual), const)

@@ -415,6 +415,62 @@ class TestFastNonDominatedSort:
         assert sum(map(len, got[:-1])) < cut
         assert got_ranks == ranks
 
+    # One constructed case per way a front is placed under the front above
+    # it: (points, the front k placed, the route taken).
+    @pytest.mark.parametrize("points, k, route", [
+        # Front 0 is one point, twice; front 1 is three points whose stair
+        # order [3, 2, 0] is not their index order.
+        ([(5, 2), (1, 1), (3, 3), (2, 5), (1, 1), (6, 6)], 1, "one above"),
+        # Front 0 is three points; front 1 is one point, twice.
+        ([(5, 0), (6, 6), (2, 2), (0, 5), (6, 6)], 1, "one below"),
+        # Front 0 is listed in stair order; front 1's emission order
+        # [5, 6, 4] is its stair order, so front 2, [8, 7], is placed the
+        # same way.
+        ([(0, 9), (2, 6), (4, 3), (6, 0), (7, 2), (1, 10), (5, 5), (8, 6),
+          (2, 12)], 2, "stair above"),
+        # Front 0's index order [0, 1, 2] is not its stair order [1, 2, 0],
+        # so front 1 is walked: [3, 5, 4, 6], where the slice ends would
+        # give [5, 4, 6, 3].
+        ([(6, 0), (0, 9), (4, 3), (7, 2), (5, 5), (1, 10), (5, 5)], 1,
+         "walk"),
+    ])
+    def test_each_placement_route_in_pairwise_emission_order(self, points,
+                                                             k, route):
+        ref = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
+        full = reference_sort(ref)
+        ranks = [p.rank for p in ref]
+        fronts, got_ranks = fast_non_dominated_sort(*packed(points))
+        assert (fronts, got_ranks) == (full, ranks)
+
+        # The case takes the route it is named for.
+        def distinct(front):
+            return len({points[i] for i in front})
+        above, members = fronts.stairs[k - 1], fronts.stairs[k]
+        taken = ("one above" if distinct(above) == 1
+                 else "one below" if distinct(members) == 1
+                 else "stair above" if fronts[k - 1] == above else "walk")
+        assert taken == route
+        # A case is listed in an order that a wrong route would miss: not
+        # stair order under one point, not index order elsewhere, and under
+        # a front out of stair order, not by its dominating slices' ends.
+        if route == "one above":
+            assert fronts[k] != members
+        if route in ("stair above", "walk"):
+            assert fronts[k] != sorted(members)
+        if route == "walk":
+            def end(i):
+                return max(j for j, a in enumerate(above)
+                           if dominates(ObjectiveVector(*points[a]),
+                                        ObjectiveVector(*points[i])))
+            assert fronts[k] != sorted(members, key=lambda i: (end(i), i))
+
+        for cut in range(1, len(points) + 2):
+            got, got_ranks = fast_non_dominated_sort(*packed(points), cut)
+            assert got == full[:len(got)], cut
+            assert sum(map(len, got)) >= min(cut, len(points)), cut
+            assert sum(map(len, got[:-1])) < cut, cut
+            assert got_ranks == ranks, cut
+
 
 def bits(dists):
     """Distances as their exact bits: -0.0 differs from 0.0."""

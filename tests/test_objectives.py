@@ -221,7 +221,7 @@ def genome_evaluator_cases():
 def test_genome_evaluator_matches_evaluate():
     for trial, (cfg, q, pad, genomes) in enumerate(genome_evaluator_cases()):
         evaluate = objectives.genome_evaluator(q, cfg, pad)
-        shift = evaluate.shift
+        shift, cells = evaluate.shift, evaluate.cells
         for genome in genomes:
             want = objectives.evaluate(plan_from_genome(genome, cfg, pad), q, cfg)
             got = ObjectiveVector(*evaluate(genome))
@@ -231,6 +231,26 @@ def test_genome_evaluator_matches_evaluate():
             p = evaluate.packed(genome)
             assert (p >> shift, p & (1 << shift) - 1) == (want.f1, want.f2), (
                 trial, genome)
+            # The f2 constant sits in link 0's cells: one cell per link sums
+            # to the packed point.
+            assert sum(row[g] for row, g in zip(cells, genome)) == p, (
+                trial, genome)
+        # The batched form ``nsga2.run`` scores a generation with.
+        assert evaluate.packed_all(genomes) == list(
+            map(evaluate.packed, genomes)), trial
+        assert evaluate.packed_all(iter(genomes)) == list(
+            map(evaluate.packed, genomes)), trial
+
+        # The front memo's key is the residual rows over the in-bounds
+        # greens and the f2 constant, as before the constant was folded.
+        L, lo, hi = cfg.num_links, cfg.min_green_s, cfg.max_green_s
+        rows = tuple(
+            tuple(max(0, m - math.floor(cfg.sat_flow_motorized * g))
+                  + max(0, n - math.floor(cfg.sat_flow_non_motorized * g))
+                  for g in range(lo, hi + 1))
+            for m, n in zip(q.motorized, q.non_motorized))
+        const = L * (L * cfg.inter_green_s + 2 * pad * (L - 1))
+        assert evaluate.key == (rows, const), trial
 
 
 def test_genome_evaluator_rejects_dimension_mismatch():

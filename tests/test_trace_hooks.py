@@ -96,8 +96,8 @@ def test_run_takes_its_front_once_through_the_module(monkeypatch,
 
     def scoring(*args):
         evaluate = evaluator(*args)
-        packed = evaluate.packed
-        evaluate.packed = lambda g: scored.append(g) or packed(g)
+        packed_all = evaluate.packed_all
+        evaluate.packed_all = lambda gs: scored.extend(gs) or packed_all(gs)
         return evaluate
 
     monkeypatch.setattr(nsga2, "_update_archive", recording)
