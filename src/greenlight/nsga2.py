@@ -12,15 +12,15 @@ returns (front, plan, chosen ``Individual``).
 A run keeps its population as flat per-slot lists (genomes, packed points,
 ranks, crowding distances); an ``Individual`` with an ``ObjectiveVector`` is
 built only for what leaves ``run``: the returned front and the memo entries.
-A packed point is one non-negative int, ``f1 << shift | f2``, from
+A packed point is one non-negative int, ``f1 << shift | f2``, scored by
 ``objectives.genome_evaluator``, whose ``shift`` is the bit length of the
 largest f2 the config admits; ints order as (f1, f2) tuples do, so the
 run's population table, sort and archive compare, sort and dedupe them
-whole. f1 is read back as ``p >> shift`` and f2 as
-``p & (1 << shift) - 1`` only where the sweep, the two-pointer walk, the
-staircase and crowding need one objective, and for the returned front.
-``fast_non_dominated_sort``, ``crowding_distance`` and ``_update_archive``
-also take (f1, f2) pairs, which they pack first.
+whole. ``fast_non_dominated_sort``, ``crowding_distance`` and
+``_update_archive`` take packed points and their ``shift``. f1 is read
+back as ``p >> shift`` and f2 as ``p & (1 << shift) - 1`` only where the
+sweep, the two-pointer walk, the staircase and crowding need one
+objective, and for the returned front.
 
 Fronts come from a sort-and-sweep over (f1, f2) (Jensen 2003, IEEE TEC
 7(5)) that ranks by bisection in O(n log n), not from pairwise comparison,
@@ -47,8 +47,8 @@ reverses them.
 A run's front is front 0 of every point it evaluated. Each evaluated genome
 sits in the initial or a combined population, so that set is exactly what a
 non-dominated archive updated from each generation's front 0 would end
-with. The run scores each generation's children with the evaluator's
-``packed_all``, one C-level pass with no per-genome lookup, and keeps one
+with. The run scores each generation's children in one call to the
+evaluator, one C-level pass with no per-genome lookup, and keeps one
 map from each genome it evaluated to its point, in first-evaluation order,
 so the front after generation g is front 0 of the map's first n_g entries,
 n_g being its size after g. After the last generation it takes that front
@@ -91,7 +91,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Collection, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import objectives
 from .core import (
@@ -149,13 +149,6 @@ class OptimizerParams(Section):
                 f"population_size must be even, got {self.population_size}")
 
 
-def _pack(pairs: Collection[tuple]) -> tuple[list[int], int]:
-    """(f1, f2) pairs of non-negative ints as packed points, with their
-    shift: the bit length of the largest f2."""
-    shift = max((f2 for _, f2 in pairs), default=0).bit_length()
-    return [f1 << shift | f2 for f1, f2 in pairs], shift
-
-
 class Fronts(list):
     """Pareto fronts as index lists, each in the order the O(n^2) sort of
     Deb et al. (2002) emits its members. ``stairs`` holds the same fronts,
@@ -165,17 +158,16 @@ class Fronts(list):
 
 
 def fast_non_dominated_sort(
-    points: Sequence, shift: Optional[int] = None,
-    survivors: Optional[int] = None,
+    points: Sequence[int], shift: int, survivors: Optional[int] = None,
 ) -> tuple[Fronts, list[int]]:
     """Pareto fronts of packed points, as index lists, and each point's rank.
 
-    ``points`` are packed with ``shift`` (see ``objectives``), or are
-    (f1, f2) pairs when ``shift`` is None. Front 0 lists its members in
-    index order. A member of front k+1 is placed by the front-k position of
-    the last front-k member dominating it, then by index: the order in which
-    the O(n^2) count-and-release sort of Deb et al. (2002) emits it, on
-    which crowding ties, survivor truncation and tournament indices depend.
+    ``points`` are packed with ``shift`` (see ``objectives``). Front 0
+    lists its members in index order. A member of front k+1 is placed by
+    the front-k position of the last front-k member dominating it, then by
+    index: the order in which the O(n^2) count-and-release sort of Deb et
+    al. (2002) emits it, on which crowding ties, survivor truncation and
+    tournament indices depend.
     A walk along front k finds those positions. It is skipped when front k
     or front k+1 is one point, twins aside, since every member then has the
     same last dominator and index order is the emitted order; and when
@@ -186,8 +178,6 @@ def fast_non_dominated_sort(
     members listed to at least that many, since survival reads no further;
     the rank of every point is still given.
     """
-    if shift is None:
-        points, shift = _pack(points)
     mask = (1 << shift) - 1
     n = len(points)
     ranks = [0] * n
@@ -269,18 +259,17 @@ def fast_non_dominated_sort(
 
 
 def crowding_distance(
-    points: Sequence, shift: Optional[int] = None,
+    points: Sequence[int], shift: int,
     fronts: Optional[Sequence[Sequence[int]]] = None,
 ) -> list[float]:
     """Each point's crowding distance within its listing (Deb et al. 2002).
 
-    ``points`` are packed with ``shift``, or are (f1, f2) pairs when
-    ``shift`` is None. ``fronts`` lists each front's point indices, each
-    in f1 order, and the points in no listed front get 0.0. ``run``
-    passes ``fronts.stairs``, every front of a sorted population in
-    (f1, f2) order, so it crowds a population in one call. Without
-    ``fronts``, all the points are one listing in stair order: (f1, f2)
-    order, twins by index.
+    ``points`` are packed with ``shift``. ``fronts`` lists each front's
+    point indices, each in f1 order, and the points in no listed front get
+    0.0. ``run`` passes ``fronts.stairs``, every front of a sorted
+    population in (f1, f2) order, so it crowds a population in one call.
+    Without ``fronts``, all the points are one listing in stair order:
+    (f1, f2) order, twins by index.
 
     A listing's first and last members get +inf, and every other member's
     f1 term is the f1 gap between its listed neighbours over the f1 range
@@ -290,8 +279,6 @@ def crowding_distance(
     0. A listing of at most two members is all +inf. No distance is
     negative.
     """
-    if shift is None:
-        points, shift = _pack(points)
     n = len(points)
     mask = (1 << shift) - 1
     dist = [0.0] * n
@@ -504,20 +491,14 @@ def plan_from_genome(
     )
 
 
-def _update_archive(
-    points: dict[Genome, int], shift: Optional[int] = None
-) -> list[Individual]:
-    """Front 0 of a run's points by genome, as Individuals sorted by
-    (f1, f2, genome).
+def _update_archive(points: dict[Genome, int], shift: int) -> list[Individual]:
+    """Front 0 of a run's points by genome, packed with ``shift``, as
+    Individuals sorted by (f1, f2, genome).
 
-    The points are packed with ``shift``, or are (f1, f2) pairs when
-    ``shift`` is None. ``run`` calls it once, on every genome it evaluated,
-    after the last generation. The benchmark (``perfbench/run.py``)
-    installs its ``nsga2.archive`` span on this name, so the name stays.
+    ``run`` calls it once, on every genome it evaluated, after the last
+    generation. The benchmark (``perfbench/run.py``) installs its
+    ``nsga2.archive`` span on this name, so the name stays.
     """
-    if shift is None:
-        packed, shift = _pack(points.values())
-        points = dict(zip(points, packed))
     mask = (1 << shift) - 1
     # In packed order, which is (f1, f2) order, a point is in front 0 iff
     # its f2 is below every f2 before it: one staircase pass. Many genomes
@@ -561,10 +542,10 @@ def run(
     any other run stores its front there, evicting the oldest entry once
     the memo holds ``FRONT_MEMO_SIZE``.
     """
-    evaluate = objectives.genome_evaluator(queue, cfg, guidance_pad_s)
+    score = objectives.genome_evaluator(queue, cfg, guidance_pad_s)
     setting = (params, cfg.num_links, cfg.min_green_s, cfg.max_green_s)
     if memo is not None:
-        key = (*setting, evaluate.key)
+        key = (*setting, score.key)
         stored = memo.get(key)
         if stored is not None:
             return [Individual(g, obj) for g, obj in stored]
@@ -574,9 +555,9 @@ def run(
     # The population is a table of slots: genome, packed point, rank and
     # crowding distance, one sequence each. ``evaluated`` maps every genome
     # the run scores to its point, in first-evaluation order.
-    shift, packed_all = evaluate.shift, evaluate.packed_all
+    shift = score.shift
     genomes = list(script.initial)
-    points = packed_all(genomes)
+    points = score(genomes)
     evaluated = dict(zip(genomes, points))
     fronts, ranks = fast_non_dominated_sort(points, shift, P)
     crowding = crowding_distance(points, shift, fronts.stairs)
@@ -611,7 +592,7 @@ def run(
                 ab = p1 + p2 + consts
                 genomes += g1(ab), g2(ab)
         offspring = genomes[P:]
-        scored = packed_all(offspring)
+        scored = score(offspring)
         points += scored
         evaluated.update(zip(offspring, scored))
 

@@ -65,14 +65,14 @@ def discharge_table(
 
 def genome_evaluator(
     queue: QueueState, cfg: IntersectionConfig, guidance_pad_s: int = 0
-) -> Callable[[Sequence[int]], tuple]:
-    """Return a function of a genome (one green per link, in link order).
+) -> Callable[[Iterable[Sequence[int]]], list[int]]:
+    """Return a scorer of genomes (one green per link, in link order).
 
-    It gives, as a plain (f1, f2) tuple, the ``ObjectiveVector`` that
-    ``evaluate`` gives on the plan that serves the links in order with those
-    greens, ``guidance_pad_s`` and the config's inter-green, for any greens
-    in [0, cfg.max_green_s]. Its ``packed`` attribute gives the same point as
-    one int, ``f1 << shift | f2``, with the function's ``shift`` attribute.
+    The scorer maps a sequence of genomes to the list of their packed
+    points, ``f1 << shift | f2`` with its ``shift`` attribute, for any
+    greens in [0, cfg.max_green_s]: (f1, f2) is the ``ObjectiveVector``
+    that ``evaluate`` gives on the plan that serves the links in order with
+    those greens, ``guidance_pad_s`` and the config's inter-green.
 
     f1 is read from a table of per-link residuals, max(0, m - a) +
     max(0, n - b) per green, where (a, b) is what the green discharges; that
@@ -83,13 +83,12 @@ def genome_evaluator(
     L * (L * inter_green + 2 * pad * (L - 1)). Each packed cell holds a
     link's residual shifted up plus its (L - 1) * g share of f2, and link 0's
     cells also hold the constant, so a packed point is the plain sum of one
-    cell per link. The ``cells`` attribute holds those rows, and
-    ``packed_all`` scores a sequence of genomes, as a list, in one C-level
-    pass over them.
+    cell per link, and the scorer sums them in one C-level pass over the
+    genomes.
 
-    The function's ``key`` attribute is the map it computes on genomes
+    The scorer's ``key`` attribute is the map it computes on genomes
     within [cfg.min_green_s, cfg.max_green_s] for its L: the residual rows
-    over those greens and the f2 constant. Two evaluators with equal keys
+    over those greens and the f2 constant. Two scorers with equal keys
     and L score every such genome alike, so ``nsga2.run`` keys its front
     memo on it.
     """
@@ -106,27 +105,15 @@ def genome_evaluator(
     ]
     const = L * (L * cfg.inter_green_s + 2 * guidance_pad_s * (L - 1))
     shift = ((L - 1) * L * cfg.max_green_s + const).bit_length()
-    mask = (1 << shift) - 1
     cells = [[(r << shift) + (L - 1) * g for g, r in enumerate(row)]
              for row in residual]
     cells[0] = [c + const for c in cells[0]]
 
-    def packed(genome: Sequence[int]) -> int:
-        return sum(map(list.__getitem__, cells, genome))
-
-    def packed_all(genomes: Iterable[Sequence[int]]) -> list[int]:
+    def score(genomes: Iterable[Sequence[int]]) -> list[int]:
         return list(map(sum, map(map, repeat(list.__getitem__),
                                  repeat(cells), genomes)))
 
-    def evaluate_genome(genome: Sequence[int]) -> tuple:
-        p = packed(genome)
-        return p >> shift, p & mask
-
     lo, hi = cfg.min_green_s, cfg.max_green_s
-    evaluate_genome.packed = packed
-    evaluate_genome.packed_all = packed_all
-    evaluate_genome.cells = cells
-    evaluate_genome.shift = shift
-    evaluate_genome.key = (
-        tuple(tuple(row[lo:hi + 1]) for row in residual), const)
-    return evaluate_genome
+    score.shift = shift
+    score.key = (tuple(tuple(row[lo:hi + 1]) for row in residual), const)
+    return score

@@ -231,14 +231,14 @@ class SimTrace:
 
 
 def apply_emergency_reorder(
-    plan: SignalPlan, event: EmergencyEvent, active_index: int = 0
+    plan: SignalPlan, link: int, active_index: int = 0
 ) -> SignalPlan:
     """Move the emergency link's phase to right after the active phase.
 
     Durations are untouched and every link is still served exactly once.
     """
     phases = list(plan.phases)
-    pos = next((k for k, (l, _) in enumerate(phases) if l == event.link), None)
+    pos = next((k for k, (l, _) in enumerate(phases) if l == link), None)
     if pos is None or pos <= active_index:
         return plan
     target = active_index + 1
@@ -316,7 +316,7 @@ class _Cycle:
             return
         at = max(active_idx + 1, self.urgent_end)
         self.urgent_end = at + 1
-        new_plan = apply_emergency_reorder(self.plan, event, at - 1)
+        new_plan = apply_emergency_reorder(self.plan, event.link, at - 1)
         if new_plan is not self.plan:
             self._lay_out(new_plan)
 
@@ -414,9 +414,7 @@ def simulate(
                 "controller produced an invalid plan: " + "; ".join(violations)
             )
         for k, link in enumerate(leads):
-            plan = apply_emergency_reorder(
-                plan, EmergencyEvent(time_s=t, link=link), active_index=k - 1
-            )
+            plan = apply_emergency_reorder(plan, link, active_index=k - 1)
         return _Cycle(plan, len(leads))
 
     events = sorted(options.emergency_events, key=lambda e: e.time_s)

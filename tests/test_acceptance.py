@@ -139,6 +139,13 @@ class TestCriterion2OptimizerOracle:
 # --------------------------------------------------------------------------
 
 
+def pack(points):
+    """(f1, f2) points as the packed ints and shift the optimizer sorts and
+    crowds: f1 << shift | f2, shift being the bit length of the largest f2."""
+    shift = max(f2 for _, f2 in points).bit_length()
+    return [f1 << shift | f2 for f1, f2 in points], shift
+
+
 def oracle_fronts(points):
     """Peel Pareto fronts by repeated pairwise domination scans."""
     remaining = set(range(len(points)))
@@ -171,7 +178,7 @@ class TestCriterion3SortAndCrowding:
             points = [
                 (rng.randint(0, 30), rng.randint(0, 30)) for _ in range(n)
             ]
-            fronts, ranks = nsga2.fast_non_dominated_sort(points)
+            fronts, ranks = nsga2.fast_non_dominated_sort(*pack(points))
             got = [set(f) for f in fronts]
             want = oracle_fronts(points)
             assert got == want, f"trial {trial}"
@@ -184,7 +191,7 @@ class TestCriterion3SortAndCrowding:
         rng = random.Random(5)
         points = sorted({(rng.randint(0, 50), rng.randint(0, 50))
                          for _ in range(12)})
-        dists = nsga2.crowding_distance(points)
+        dists = nsga2.crowding_distance(*pack(points))
         by_f1 = sorted(range(len(points)), key=lambda i: points[i][0])
         by_f2 = sorted(range(len(points)), key=lambda i: points[i][1])
         for idx in (by_f1[0], by_f1[-1], by_f2[0], by_f2[-1]):
@@ -192,7 +199,8 @@ class TestCriterion3SortAndCrowding:
 
     def test_three_point_example(self):
         front = [(0, 100), (10, 50), (40, 40)]
-        assert nsga2.crowding_distance(front) == [math.inf, 2.0, math.inf]
+        assert nsga2.crowding_distance(*pack(front)) == [
+            math.inf, 2.0, math.inf]
         announce(3, "crowding extremes infinite; 3-point front = [inf, 2.0, inf]")
 
 

@@ -123,9 +123,9 @@ def reference_better(pop, i, j):
 # The variation operators, crowding distance and generation loop verbatim
 # as they were when every run drew from its own rng, before the draw script
 # (the loop's module calls renamed to these copies: the O(n^2) sort, the
-# archive and crowded comparison above, and the evaluator's tuple wrapped as
-# the ObjectiveVector it was). Their fronts are the contract the replay must
-# keep.
+# archive and crowded comparison above, and ``objectives.evaluate`` on each
+# genome's plan, the reference the table scorer is checked against). Their
+# fronts are the contract the replay must keep.
 
 
 def reference_crowding_distance(front):
@@ -181,7 +181,6 @@ def reference_mutate(g, rng, cfg, mutation_prob):
 
 
 def reference_run(queue, cfg, params, guidance_pad_s=0):
-    evaluate = objectives.genome_evaluator(queue, cfg, guidance_pad_s)
     rng = random.Random(params.rng_seed)
     L = cfg.num_links
     mut_prob = params.mutation_prob if params.mutation_prob is not None else 1.0 / L
@@ -192,7 +191,8 @@ def reference_run(queue, cfg, params, guidance_pad_s=0):
     def eval_genome(g):
         obj = cache.get(g)
         if obj is None:
-            obj = cache[g] = ObjectiveVector(*evaluate(g))
+            obj = cache[g] = objectives.evaluate(
+                plan_from_genome(g, cfg, guidance_pad_s), queue, cfg)
         return Individual(genome=g, objectives=obj)
 
     pop = [
@@ -294,9 +294,10 @@ def unfold(children, L):
 
 
 def packed(points):
-    """(f1, f2) cases as the packed points and shift that ``nsga2.run``
-    gives the sort and crowding: f1 << shift | f2, the shift being the bit
-    length of the largest f2."""
+    """(f1, f2) cases as packed points and their shift, packed as
+    ``nsga2.run`` packs what it sorts and crowds: f1 << shift | f2. The
+    shift here is the bit length of the largest f2 given, the least that
+    keeps f2 out of f1."""
     shift = max((f2 for _, f2 in points), default=0).bit_length()
     return [f1 << shift | f2 for f1, f2 in points], shift
 
@@ -516,14 +517,14 @@ class TestCrowdingDistance:
         dists = reference_crowding_distance([ind(*points[i]) for i in order])
         for i, d in zip(order, dists):
             want[i] = d
-        got = crowding_distance(points)
+        got = crowding_distance(*packed(points))
         assert bits(got) == bits(want)
-        assert bits(crowding_distance(*packed(points))) == bits(want)
         # No distance is negative, -0.0 included.
         assert all(math.copysign(1.0, d) == 1.0 for d in got)
 
     def test_unsorted_listing(self):
-        assert crowding_distance([(0, 0), (9, 1), (1, 2), (5, 3)]) == [
+        points = [(0, 0), (9, 1), (1, 2), (5, 3)]
+        assert crowding_distance(*packed(points)) == [
             INF, INF, 1.2222222222222223, INF]
 
     @settings(max_examples=400, deadline=None)
@@ -809,7 +810,8 @@ class TestArchive:
     @example({(0,): (1, 4), (1,): (1, 4), (2,): (0, 6), (3,): (3, 1)})
     @example({(0,): (1, 4), (1,): (1, 3), (2,): (2, 3), (3,): (0, 3)})
     def test_front_0_of_the_points(self, points):
-        front = nsga2._update_archive(points)
+        cells, shift = packed(list(points.values()))
+        front = nsga2._update_archive(dict(zip(points, cells)), shift)
         assert [((i.objectives.f1, i.objectives.f2), i.genome)
                 for i in front] == pairwise_front(points)
 
@@ -820,14 +822,11 @@ class TestArchive:
             points = random_points(rng, rng.randint(1, 128))
             fronts, _ = fast_non_dominated_sort(*packed(points))
             want = sorted((points[i], (i,)) for i in fronts[0])
-            by_genome = {(i,): p for i, p in enumerate(points)}
-            as_pairs = nsga2._update_archive(by_genome)
             cells, shift = packed(points)
-            as_packed = nsga2._update_archive(
+            front = nsga2._update_archive(
                 {(i,): p for i, p in enumerate(cells)}, shift)
-            for front in (as_pairs, as_packed):
-                assert [((i.objectives.f1, i.objectives.f2), i.genome)
-                        for i in front] == want, trial
+            assert [((i.objectives.f1, i.objectives.f2), i.genome)
+                    for i in front] == want, trial
 
 
 class TestRun:
@@ -916,7 +915,7 @@ class TestRun:
         # the sorts where that order is not the sweep's (f1, f2) order.
         sort, reordered = nsga2.fast_non_dominated_sort, [0]
 
-        def counted(points, shift=None, survivors=None):
+        def counted(points, shift, survivors=None):
             fronts, ranks = sort(points, shift, survivors)
             for above, front in zip(fronts, fronts[1:]):
                 if len(above) == 1 and sorted(

@@ -220,26 +220,19 @@ def genome_evaluator_cases():
 
 def test_genome_evaluator_matches_evaluate():
     for trial, (cfg, q, pad, genomes) in enumerate(genome_evaluator_cases()):
-        evaluate = objectives.genome_evaluator(q, cfg, pad)
-        shift, cells = evaluate.shift, evaluate.cells
-        for genome in genomes:
+        score = objectives.genome_evaluator(q, cfg, pad)
+        shift = score.shift
+        points = score(genomes)
+        for genome, p in zip(genomes, points):
             want = objectives.evaluate(plan_from_genome(genome, cfg, pad), q, cfg)
-            got = ObjectiveVector(*evaluate(genome))
+            got = ObjectiveVector(p >> shift, p & (1 << shift) - 1)
             assert got == want, (trial, genome)
             assert type(got.f1) is type(want.f1), trial
             assert type(got.f2) is type(want.f2), trial
-            p = evaluate.packed(genome)
-            assert (p >> shift, p & (1 << shift) - 1) == (want.f1, want.f2), (
-                trial, genome)
-            # The f2 constant sits in link 0's cells: one cell per link sums
-            # to the packed point.
-            assert sum(row[g] for row, g in zip(cells, genome)) == p, (
-                trial, genome)
-        # The batched form ``nsga2.run`` scores a generation with.
-        assert evaluate.packed_all(genomes) == list(
-            map(evaluate.packed, genomes)), trial
-        assert evaluate.packed_all(iter(genomes)) == list(
-            map(evaluate.packed, genomes)), trial
+        # A batch scores each genome as it would alone, from a list or an
+        # iterator.
+        assert points == [score([g])[0] for g in genomes], trial
+        assert score(iter(genomes)) == points, trial
 
         # The front memo's key is the residual rows over the in-bounds
         # greens and the f2 constant, as before the constant was folded.
@@ -250,7 +243,7 @@ def test_genome_evaluator_matches_evaluate():
                   for g in range(lo, hi + 1))
             for m, n in zip(q.motorized, q.non_motorized))
         const = L * (L * cfg.inter_green_s + 2 * pad * (L - 1))
-        assert evaluate.key == (rows, const), trial
+        assert score.key == (rows, const), trial
 
 
 def test_genome_evaluator_rejects_dimension_mismatch():

@@ -38,24 +38,21 @@ class TestApplyEmergencyReorder:
                           inter_green_s=3)
 
     def test_moves_link_after_active(self):
-        out = apply_emergency_reorder(self.plan5(), EmergencyEvent(0, link=3),
-                                      active_index=0)
+        out = apply_emergency_reorder(self.plan5(), 3, active_index=0)
         assert [l for l, _ in out.phases] == [0, 3, 1, 2, 4]
         assert sorted(out.greens) == sorted(self.plan5().greens)
 
     def test_already_next_unchanged(self):
         plan = self.plan5()
-        assert apply_emergency_reorder(plan, EmergencyEvent(0, link=1),
-                                       active_index=0) is plan
+        assert apply_emergency_reorder(plan, 1, active_index=0) is plan
 
     def test_single_link_unchanged(self):
         plan = SignalPlan(phases=((0, 20),), inter_green_s=0)
-        assert apply_emergency_reorder(plan, EmergencyEvent(0, link=0)) is plan
+        assert apply_emergency_reorder(plan, 0) is plan
 
     def test_durations_preserved(self):
         plan = self.plan5()
-        out = apply_emergency_reorder(plan, EmergencyEvent(0, link=4),
-                                      active_index=1)
+        out = apply_emergency_reorder(plan, 4, active_index=1)
         assert dict(out.phases) == dict(plan.phases)
         assert [l for l, _ in out.phases] == [0, 1, 4, 2, 3]
 

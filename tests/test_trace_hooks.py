@@ -90,15 +90,19 @@ def test_run_takes_its_front_once_through_the_module(monkeypatch,
     caches, update = [], nsga2._update_archive
     scored, evaluator = [], objectives.genome_evaluator
 
-    def recording(points, shift=None):
+    def recording(points, shift):
         caches.append(points)
         return update(points, shift)
 
     def scoring(*args):
-        evaluate = evaluator(*args)
-        packed_all = evaluate.packed_all
-        evaluate.packed_all = lambda gs: scored.extend(gs) or packed_all(gs)
-        return evaluate
+        score = evaluator(*args)
+
+        def recorded(genomes):
+            scored.extend(genomes)
+            return score(genomes)
+
+        recorded.shift, recorded.key = score.shift, score.key
+        return recorded
 
     monkeypatch.setattr(nsga2, "_update_archive", recording)
     monkeypatch.setattr(objectives, "genome_evaluator", scoring)
