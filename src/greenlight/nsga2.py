@@ -76,11 +76,11 @@ Survival reads only the fronts that fill the next population, so the
 generation loop's sort orders no front past them, and the last generation's
 offspring get no survival step, since the front is taken from every genome
 evaluated.
-A ``Planner`` whose ``memo`` is a ``FrontMemo`` passes it to every ``run``:
-light queues that clear at min green give many cycles one objective map,
-and a run on a setting and map the memo holds returns the stored front
-instead of evolving it again. The adaptive controller always sets one, the
-pipeline in ``sim`` timing. There is no module-level front cache.
+Every ``Planner`` holds a ``FrontMemo`` and passes it to every ``run``:
+light queues that clear at min green, and a pipeline whose counts do not
+change, give many snapshots one objective map, and a run on a setting and
+map the memo holds returns the stored front instead of evolving it again.
+There is no module-level front cache.
 """
 
 from __future__ import annotations
@@ -656,7 +656,7 @@ def select_operating_point(
     return plan_from_genome(best.genome, cfg, guidance_pad_s)
 
 
-@dataclass(eq=False)  # a planner may hold a memo: it is compared by identity
+@dataclass(eq=False)  # a planner holds a memo: it is compared by identity
 class Planner(Section):
     """Turns a queue snapshot into (Pareto front, plan, chosen individual).
 
@@ -665,8 +665,8 @@ class Planner(Section):
     are each a ``Planner``. ``run`` and ``select_operating_point`` are
     looked up on this module at each call, so a wrapper installed on the
     module sees every plan made. Each weight is >= 0, and not both are 0.
-    ``memo``, when set to a ``FrontMemo``, is passed to every ``run``, so
-    a snapshot whose objective map the planner has optimized before gets
+    ``memo``, the planner's own ``FrontMemo``, is passed to every ``run``,
+    so a snapshot whose objective map the planner has optimized before gets
     that front back without a new evolution; it is not a setting.
     """
 
@@ -680,11 +680,10 @@ class Planner(Section):
     weights: tuple[float, float] = setting(
         ListOf(REAL, size=2), (0.5, 0.5), error="weights must be two numbers")
 
-    # Unannotated, so not a field: ``to_dict`` and the manifests leave it out.
-    memo = None
-
     def __post_init__(self) -> None:
         super().__post_init__()
+        # Not a field: ``to_dict`` and the manifests leave it out.
+        self.memo: FrontMemo = {}
         for w in self.weights:
             if w < 0:
                 raise ConfigError(f"weights must be >= 0, got {w!r}")

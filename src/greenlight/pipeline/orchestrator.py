@@ -27,7 +27,6 @@ clock in ``sim``, so every output (including the ledger) is deterministic.
 
 from __future__ import annotations
 
-import copy
 import logging
 import threading
 from dataclasses import dataclass, field
@@ -368,23 +367,18 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
     release, while the optimizer runs. A camera still detecting serves the
     release once it is done.
 
-    Every cycle's plan comes from a copy of ``cfg``, which is a
-    ``nsga2.Planner``, made for the run. In ``sim`` timing the virtual
-    clock advances by each cycle's ledger latency, and the ledger charges
-    the optimizer its nominal time, so ledgers are reproducible byte for
-    byte. Since that charge does not depend on the optimizer's work, the
-    copy holds a front memo: a cycle whose objective map an earlier cycle
-    optimized gets that cycle's front. In ``real`` timing it evolves a
-    front every cycle: the ledger charges the measured planner time, which
-    a stored front would cut to ~1 ms, so T_latency would no longer hold a
-    per-cycle optimization.
+    Every cycle's plan comes from ``cfg``, which is a ``nsga2.Planner``:
+    a cycle whose objective map the planner optimized before gets that
+    front back from its memo, in either timing. In ``sim`` timing the
+    virtual clock advances by each cycle's ledger latency, and the ledger
+    charges the optimizer its nominal time, so ledgers are reproducible
+    byte for byte. In ``real`` timing the ledger charges the measured
+    planner time, which on a repeated map is a memo lookup.
     """
     if cycles < 1:
         raise ConfigError("cycles must be >= 1")
     sim = cfg.timing == "sim"
     clock = VirtualClock() if sim else Clock(cfg.time_scale)
-    planner = copy.copy(cfg)
-    planner.memo = {} if sim else None
     n = len(cfg.cameras)
     statuses = [CameraStatus() for _ in range(n)]
     slots = [FrameSlot() for _ in range(n)]
@@ -424,7 +418,7 @@ def run_pipeline(cfg: PipelineConfig, cycles: int) -> PipelineResult:
             misses = 0
             queue, stale_links, ext, inf = collected
             t0 = clock.now_ms()
-            _, plan, chosen = planner(queue)
+            _, plan, chosen = cfg(queue)
             entry = CycleLatency(
                 cycle_id=len(results),
                 extraction_samples_ms=ext,

@@ -114,11 +114,6 @@ class AdaptiveController(nsga2.Planner):
     intersection: IntersectionConfig
     guidance_pad_s: int = 0
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        # Light queues that clear at min green repeat one objective map.
-        self.memo = {}
-
     def next_plan(self, observed: QueueState) -> SignalPlan:
         return self(observed)[1]
 

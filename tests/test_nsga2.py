@@ -988,20 +988,6 @@ class TestRun:
             nsga2.run(queue, two_link_cfg, OptimizerParams())
 
 
-@pytest.fixture
-def evolutions(monkeypatch):
-    """Count the runs that evolve a front: each replays a draw script."""
-    count = [0]
-    original = nsga2._draw_script
-
-    def counted(*args):
-        count[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(nsga2, "_draw_script", counted)
-    return count
-
-
 def front_of(queue, cfg, params, pad=0, memo=None):
     return nsga2.run(queue, cfg, params, guidance_pad_s=pad, memo=memo)
 

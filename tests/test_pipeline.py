@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from greenlight import nsga2
+from greenlight import nsga2, objectives
 from greenlight.cli import main
 from greenlight.core import ConfigError, DetectionRecord, QueueState, SignalPlan
 from greenlight.pipeline import (
@@ -509,25 +509,42 @@ class TestRunPipeline:
         for c in result.cycles:
             assert c.latency.inference_samples_ms, c.cycle_id
 
-    def test_only_sim_timing_reuses_fronts(self, monkeypatch):
-        # Constant camera counts give every cycle one objective map. Real
-        # timing charges the measured optimizer time, so it must evolve a
-        # front every cycle; sim timing charges a nominal time and may not.
-        draw_script, evolved = nsga2._draw_script, []
-
-        def evolving(*args):
-            evolved.append(None)
-            return draw_script(*args)
-
-        monkeypatch.setattr(nsga2, "_draw_script", evolving)
+    def test_both_timings_reuse_fronts(self, evolutions):
+        # Constant camera counts give every cycle one objective map, so
+        # either timing evolves one front and reuses it from the memo.
         runs = {}
         for timing in ("real", "sim"):
-            evolved.clear()
+            evolutions[0] = 0
             result = run_pipeline(pipeline_config(timing=timing), 4)
             assert len({c.queue.motorized for c in result.cycles}) == 1
-            runs[timing] = (len(result.cycles), len(evolved))
-        assert runs["real"] == (4, 4)
-        assert runs["sim"] == (4, 1)
+            runs[timing] = (len(result.cycles), evolutions[0])
+        assert runs == {"real": (4, 1), "sim": (4, 1)}
+
+    def test_varying_counts_evolve_each_new_map_once(self, evolutions):
+        # Missed detections vary small counts, so some cycles repeat an
+        # objective map and some do not: a real-timing run evolves one
+        # front per distinct map, and every plan is the one a memo-less
+        # run and selection give on its cycle's queue.
+        cameras = [{"fps": 50, "motorized_in": m, "non_motorized_in": n,
+                    "extract_delay_ms": 2} for m, n in ((4, 2), (2, 1))]
+        cfg = pipeline_config(cameras=cameras,
+                              detector={"delay_ms": 30, "miss_rate": 0.3},
+                              policy="weighted", weights=[0.9, 0.1],
+                              guidance_pad_s=1)
+        result = run_pipeline(cfg, 10)
+        evolved = evolutions[0]
+        queues = [c.queue for c in result.cycles]
+        keys = {objectives.genome_evaluator(
+            q, cfg.intersection, cfg.guidance_pad_s).key for q in queues}
+        assert len(result.cycles) == 10
+        assert 1 < len(keys) < len(result.cycles)
+        assert evolved == len(keys)
+        for c in result.cycles:
+            front = nsga2.run(c.queue, cfg.intersection, cfg.optimizer,
+                              cfg.guidance_pad_s, memo=None)
+            assert c.plan == nsga2.select_operating_point(
+                front, cfg.policy, cfg.intersection, cfg.guidance_pad_s,
+                cfg.weights), c.cycle_id
 
     def test_sim_mode_deterministic(self):
         cfg1 = pipeline_config(timing="sim")

@@ -369,9 +369,19 @@ class TestPlannerSettings:
             "name", "optimizer", "policy", "weights"]
 
     def test_memo_is_not_a_setting(self, palashi_cfg):
-        ctrl = simulator.AdaptiveController(palashi_cfg)
-        assert ctrl.memo == {} and nsga2.Planner(palashi_cfg).memo is None
-        assert "memo" not in ctrl.to_dict()
+        # Every planning surface starts with its own empty memo, and no
+        # config or manifest names it.
+        from greenlight.cli import OptimizeConfig
+        from greenlight.pipeline import PipelineConfig
+        surfaces = [
+            OptimizeConfig(palashi_cfg),
+            simulator.AdaptiveController(palashi_cfg),
+            PipelineConfig(intersection=palashi_cfg, cameras=[{}] * 5),
+        ]
+        for planner in surfaces:
+            assert planner.memo == {}, type(planner)
+            assert "memo" not in planner.to_dict(), type(planner)
+        assert len({id(planner.memo) for planner in surfaces}) == 3
 
 
 class TestAdaptiveController:
