@@ -19,30 +19,23 @@ run's population table, sort and archive compare, sort and dedupe them
 whole. ``fast_non_dominated_sort``, ``crowding_distance`` and
 ``_update_archive`` take packed points and their ``shift``. f1 is read
 back as ``p >> shift`` and f2 as ``p & (1 << shift) - 1`` only where the
-sweep, the two-pointer walk, the staircase and crowding need one
-objective, and for the returned front.
+sweep, the staircase and crowding need one objective, and for the
+returned front.
 
 Fronts come from a sort-and-sweep over (f1, f2) (Jensen 2003, IEEE TEC
 7(5)) that ranks by bisection in O(n log n), not from pairwise comparison,
 and genomes are scored from a per-link residual table
-(``objectives.genome_evaluator``). Ranks, the order of members within each
-front, and every random draw are those of the textbook O(n^2) sort (Deb et
-al. 2002), so fronts and artifacts are byte-identical to that version. That
-sort emits a member of front k+1 after the last front-k member dominating
-it; those dominators form one slice of front k in (f1, f2) order, and the
-slice only moves right along front k+1, so one two-pointer walk per front
-places every member. The walk is skipped where its answer is known, which
-keeps the emitted order: when front k or front k+1 is one point (twins
-aside), every member has the same last dominator, so front k+1 is listed
-by index; when front k is listed in stair order, a member's last dominator
-is the end of its slice, so only that end is walked. The sweep also leaves
-each front in (f1, f2) order, which is the f1 order crowding reads, so
-``run`` crowds each sorted population in one call over those stairs;
-crowding one listing sorts it into that order first. Crowding works per run
-of equal points: a run's inner twins keep 0.0, its first and last members
-take one-sided gaps and a lone member two-sided ones, and f2 is sorted once
-per front over its run values, which fall along a stair, so the sort only
-reverses them.
+(``objectives.genome_evaluator``). Ranks and front membership are those of
+the O(n^2) sort of Deb et al. (2002), which fixes no order within a front.
+Here each front is listed in stair order, (f1, f2) order with twins by
+index, as the sweep builds it; that order breaks crowding ties when
+survival truncates a front and orders the survivors' slots. It is also the
+f1 order crowding reads, so ``run`` crowds each sorted population in one
+call over its fronts; crowding one listing sorts it into that order first.
+Crowding works per run of equal points: a run's inner twins keep 0.0, its
+first and last members take one-sided gaps and a lone member two-sided
+ones, and f2 is sorted once per front over its run values, which fall
+along a stair, so the sort only reverses them.
 
 A run's front is front 0 of every point it evaluated. Each evaluated genome
 sits in the initial or a combined population, so that set is exactly what a
@@ -149,30 +142,14 @@ class OptimizerParams(Section):
                 f"population_size must be even, got {self.population_size}")
 
 
-class Fronts(list):
-    """Pareto fronts as index lists, each in the order the O(n^2) sort of
-    Deb et al. (2002) emits its members. ``stairs`` holds the same fronts,
-    each in (f1, f2) order, twins by index, as the sweep found them."""
-
-    stairs: list[list[int]]
-
-
 def fast_non_dominated_sort(
     points: Sequence[int], shift: int, survivors: Optional[int] = None,
-) -> tuple[Fronts, list[int]]:
+) -> tuple[list[list[int]], list[int]]:
     """Pareto fronts of packed points, as index lists, and each point's rank.
 
-    ``points`` are packed with ``shift`` (see ``objectives``). Front 0
-    lists its members in index order. A member of front k+1 is placed by
-    the front-k position of the last front-k member dominating it, then by
-    index: the order in which the O(n^2) count-and-release sort of Deb et
-    al. (2002) emits it, on which crowding ties, survivor truncation and
-    tournament indices depend.
-    A walk along front k finds those positions. It is skipped when front k
-    or front k+1 is one point, twins aside, since every member then has the
-    same last dominator and index order is the emitted order; and when
-    front k is listed in stair order, its positions are its stair indices,
-    so a member's last dominator is the end of its dominating slice.
+    ``points`` are packed with ``shift`` (see ``objectives``). Each front
+    lists its members in stair order: (f1, f2) order, twins by index, the
+    order crowding reads. Deb et al. (2002) fix no order within a front.
 
     With ``survivors``, the list stops at the first front that brings the
     members listed to at least that many, since survival reads no further;
@@ -186,7 +163,7 @@ def fast_non_dominated_sort(
     # lowest f2 is <= its f2; those lowest f2 never fall with k, so the rank
     # is a bisection. A repeated point is not dominated by its twin and
     # takes the twin's rank.
-    stairs: list[list[int]] = []  # each front's members in (f1, f2) order
+    fronts: list[list[int]] = []
     lowest_f2: list[int] = []
     prev = None
     rank = -1
@@ -198,63 +175,18 @@ def fast_non_dominated_sort(
             rank = bisect_right(lowest_f2, f2)
             if rank == len(lowest_f2):
                 lowest_f2.append(f2)
-                stairs.append([])
+                fronts.append([])
             else:
                 lowest_f2[rank] = f2
-            stair = stairs[rank]
-        stair.append(i)
+            front = fronts[rank]
+        front.append(i)
         ranks[i] = rank
-
-    fronts = Fronts(map(sorted, stairs[:1]))
-    listed = sum(map(len, fronts))
-    position = [0] * n
-    for k in range(1, len(stairs)):
-        if survivors is not None and listed >= survivors:
-            break
-        above, members = stairs[k - 1], stairs[k]
-        listed += len(members)
-        if (points[above[0]] == points[above[-1]]
-                or points[members[0]] == points[members[-1]]):
-            # One point above dominates every member, or one point below
-            # has one dominating slice: every member has the same last
-            # dominator, so the order is by index.
-            fronts.append(sorted(members))
-            continue
-        # Along both stairs f1 rises and f2 falls (twins aside). The members
-        # of ``above`` dominating (a, b) are the slice from the first with
-        # f2 <= b to the last with f1 <= a (packed, at most a | mask), so
-        # both ends only move right in one walk; a twin takes the slice of
-        # the member before it.
-        end = len(above)
-        lo = hi = 0
-        placed = []
-        if fronts[k - 1] == above:
-            # Front k-1 is listed in stair order, so a member's last
-            # dominator is its slice's end, hi - 1, and lo is not needed.
-            for i in members:
-                a = points[i] | mask
-                while hi < end and points[above[hi]] <= a:
-                    hi += 1
-                placed.append((hi - 1, i))
-        else:
-            for j, i in enumerate(fronts[k - 1]):
-                position[i] = j
-            at = [position[i] for i in above]
-            prev = None
-            for i in members:
-                p = points[i]
-                if p != prev:
-                    prev = p
-                    a, b = p | mask, p & mask
-                    while hi < end and points[above[hi]] <= a:
-                        hi += 1
-                    while points[above[lo]] & mask > b:
-                        lo += 1
-                    last = max(at[lo:hi])
-                placed.append((last, i))
-        placed.sort()
-        fronts.append([i for _, i in placed])
-    fronts.stairs = stairs[:len(fronts)]
+    if survivors is not None:
+        listed = 0
+        for k, front in enumerate(fronts):
+            listed += len(front)
+            if listed >= survivors:
+                return fronts[:k + 1], ranks
     return fronts, ranks
 
 
@@ -266,8 +198,8 @@ def crowding_distance(
 
     ``points`` are packed with ``shift``. ``fronts`` lists each front's
     point indices, each in f1 order, and the points in no listed front get
-    0.0. ``run`` passes ``fronts.stairs``, every front of a sorted
-    population in (f1, f2) order, so it crowds a population in one call.
+    0.0. ``run`` passes the fronts of a sorted population, each in stair
+    order, so it crowds a population in one call.
     Without ``fronts``, all the points are one listing in stair order:
     (f1, f2) order, twins by index.
 
@@ -560,7 +492,7 @@ def run(
     points = score(genomes)
     evaluated = dict(zip(genomes, points))
     fronts, ranks = fast_non_dominated_sort(points, shift, P)
-    crowding = crowding_distance(points, shift, fronts.stairs)
+    crowding = crowding_distance(points, shift, fronts)
 
     for gen, steps in enumerate(script.generations):
         if gen:
@@ -568,12 +500,12 @@ def run(
             # generation's offspring need none: the front is taken from
             # every genome evaluated.
             fronts, all_ranks = fast_non_dominated_sort(points, shift, P)
-            dist = crowding_distance(points, shift, fronts.stairs)
+            dist = crowding_distance(points, shift, fronts)
             chosen: list[int] = []
             for f in fronts:
                 room = P - len(chosen)
                 if len(f) > room:
-                    # The most crowded first, ties in front order.
+                    # The most crowded first, ties in stair order.
                     f = sorted(f, key=dist.__getitem__, reverse=True)[:room]
                 chosen += f
             pick = itemgetter(*chosen)

@@ -175,21 +175,24 @@ def sha256(data: bytes) -> str:
 
 
 class TestGoldenArtifacts:
-    """Artifact digests recorded with the O(n^2) sort, per-plan evaluation
-    and per-generation archive rescan that the sweep sort, residual table
-    and one front taken from the point cache replaced; the optimizer must
-    reproduce them byte for byte."""
+    """Artifact digests of runs that list each front in stair order,
+    (f1, f2) order with twins by index. The optimizer digests were first
+    recorded with the O(n^2) sort's emission order, per-plan evaluation and
+    per-generation archive rescan, and kept through the sweep sort, residual
+    table and one front taken from the point cache; stair order changed the
+    survivors, so the digests of runs that optimize were recorded again.
+    Every command must reproduce them byte for byte."""
 
     @pytest.mark.parametrize("extra, front, plan", [
         (["--seed", "0"],
-         "1cf7009ff20737b222de4b7615ce50ceaa8fde2b6bd549011c3b0b109865b449",
-         "540b8af725e2a14f9f56f0c9ae7ffa85d72e9c96aa2621019c80214b87923bd7"),
+         "ceaf57d9445d70d54c0cc68b0e7a6badf6089423322733dc272bd4208453aa17",
+         "15056d40d98845777b6145d2c5d687affbf9fcf5db58fad75f7386bea221e5f6"),
         (["--seed", "7"],
-         "ad8e6b04426ee8ab6a079785a1aff67b9b5bf70dffb445af5dfda9bdb36498c6",
-         "3b05112345b4ec535493d53aac24ba7b2773e7ad33a46d498883c25df64d5ae4"),
+         "af2920b93ddd5bd99a932ae2559092f5ca881187e957ae61f6718cc7ec5393d5",
+         "702ed40c648e6e85bfee3eba870a7033f413af2686456e0959a6f27ef6df80b9"),
         (["--seed", "0", "--pad", "2"],
-         "35424e2ee6fbb86e818ad77a3a1087cf8a14318d7dce0b72b6b93fea28847411",
-         "6e9f18baee703edec20d397db669f3cf1913b6e67fc476bb44900c6a36da3cb2"),
+         "6cff675b7342502cea31e628a8135e022cb55fd196631554ac1e6f360981085d",
+         "0025bea0082d8df7c6bf84470524ac64691eae6edddd64ca466e78d77ebf14c2"),
     ])
     def test_optimize(self, assets_dir, tmp_path, extra, front, plan):
         out = tmp_path / "o"
@@ -206,15 +209,15 @@ class TestGoldenArtifacts:
                      "--scenario", str(assets_dir / "scenario_asymmetric.json"),
                      "--compare", "--seed", "1", "--out", str(out)]) == 0
         assert sha256((out / "comparison.json").read_bytes()) == (
-            "c923f064da5c4580504bc9224f35baf2279268c00129052e9c6ab0a8343f21d5")
+            "9565d0488c7649aae9c74dd1279e60a4b20deca6d54d0bce8f18c1cd59b96734")
 
     @pytest.mark.parametrize("first, metrics, timeseries", [
         ("fixed_equal",
          "011baa2f680f07fe32244d5a3d33d48f6b1a499d286977257172df662cac6f20",
          "fb89348045c13f39cbb04c41121c054e1180383ef5e58fbebdeaa2f4e713cd15"),
         ("adaptive",
-         "a8c7d515bfdc9b487cf0a57f9c785b388b5390e14983078d692e9e927e18d89f",
-         "5147bacd4dca585483c1f08f1c97be1911b4a7690ec3322e0000d451840d7de9"),
+         "036dc140d433621f88e024c0f8d3686b15f5f9d96bb5a510b59f8ab87a0df5ad",
+         "00b8e620c8ee8c687d7da6a2239310b01edea96c54939d0b2caf371e33b18ea9"),
     ])
     def test_simulate_single(self, assets_dir, tmp_path, first, metrics,
                              timeseries):
@@ -249,7 +252,7 @@ class TestGoldenArtifacts:
 
     @pytest.mark.parametrize("seed, plans, ledger, report", [
         ("0",
-         "4f6250b7aa65d403fd60d62a597b29fee0c64f4366cb24e96f10d05b733b4843",
+         "01b682c7e6affee641487925ca680f05855db973290c98512856f8e1ebc8b394",
          "f8327471db24d15fc0a7baa5564bc5a1fceb88e52645353c25b47bc053e277d3",
          "42a6e9d45b16de9cecb529f9d8d9bcc0d32f60ca61e64e7d7124ed77fc8da81e"),
         ("5",
@@ -284,7 +287,7 @@ class TestGoldenArtifacts:
         assert main(["pipeline", "--config", str(config), "--timing", "sim",
                      "--cycles", "8", "--seed", "3", "--out", str(out)]) == 0
         assert sha256((out / "plans.ndjson").read_bytes()) == (
-            "70237875194ed30fa9f8e0f519e954a3b8a2df17fb6cd7292f73cca4de485cf3")
+            "fb19016be97b1488cb429f42acb24ac8af9e390b1d4954eb9a1d03cccac11e2e")
         assert sha256((out / "latency_ledger.ndjson").read_bytes()) == (
             "1f28d1cc00d5f3cb1d6e01a8a4b747cefb946d19d089b027af503cc3d83dd077")
 
