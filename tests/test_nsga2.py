@@ -417,6 +417,52 @@ class TestFastNonDominatedSort:
         assert sum(map(len, got[:-1])) < cut
         assert got_ranks == ranks
 
+    # One constructed case per shape of front k and the front above it:
+    # (points, k, shape). Each lists some front out of index order.
+    @pytest.mark.parametrize("points, k, shape", [
+        # Front 0 is one point, twice; front 1's stair order is [3, 2, 0].
+        ([(5, 2), (1, 1), (3, 3), (2, 5), (1, 1), (6, 6)], 1, "one above"),
+        # Front 0's stair order is [3, 2, 0]; front 1 is one point, twice.
+        ([(5, 0), (6, 6), (2, 2), (0, 5), (6, 6)], 1, "one below"),
+        # Front 1, in index order [0, 1, 2, 3], is over front 2, [5, 6, 4],
+        # which is over front 3, [8, 7].
+        ([(0, 9), (2, 6), (4, 3), (6, 0), (7, 2), (1, 10), (5, 5), (8, 6),
+          (2, 12)], 2, "stair above"),
+        # Front 0, [1, 2, 0], is over front 1, [5, 4, 6, 3], whose twins
+        # 4 and 6 sit between other points.
+        ([(6, 0), (0, 9), (4, 3), (7, 2), (5, 5), (1, 10), (5, 5)], 1,
+         "twins within"),
+    ])
+    def test_each_placement_shape_in_stair_order(self, points, k, shape):
+        ref = [ind(*p, genome=(i,)) for i, p in enumerate(points)]
+        full = reference_sort(ref)
+        ranks = [p.rank for p in ref]
+        fronts, got_ranks = fast_non_dominated_sort(*packed(points))
+        assert (fronts, got_ranks) == (full, ranks)
+
+        # The case has the shape it is named for.
+        def distinct(front):
+            return len({points[i] for i in front})
+        above, members = fronts[k - 1], fronts[k]
+        got_shape = ("one above" if distinct(above) == 1
+                     else "one below" if distinct(members) == 1
+                     else "twins within"
+                     if distinct(members) < len(members)
+                     else "stair above")
+        assert got_shape == shape
+        # Every front is in (f1, f2) order, twins by index, and an
+        # index-ordered listing would miss at least one of them.
+        for front in fronts:
+            assert front == sorted(front, key=lambda i: (points[i], i))
+        assert any(front != sorted(front) for front in fronts)
+
+        for cut in range(1, len(points) + 2):
+            got, got_ranks = fast_non_dominated_sort(*packed(points), cut)
+            assert got == full[:len(got)], cut
+            assert sum(map(len, got)) >= min(cut, len(points)), cut
+            assert sum(map(len, got[:-1])) < cut, cut
+            assert got_ranks == ranks, cut
+
 
 def bits(dists):
     """Distances as their exact bits: -0.0 differs from 0.0."""
