@@ -630,5 +630,6 @@ class Planner(Section):
                     self.guidance_pad_s, memo=self.memo)
         plan = select_operating_point(front, self.policy, self.intersection,
                                       self.guidance_pad_s, self.weights)
-        chosen = next(ind for ind in front if ind.genome == plan.greens)
+        greens = plan.greens  # a property that builds a tuple per read
+        chosen = next(ind for ind in front if ind.genome == greens)
         return front, plan, chosen

@@ -225,95 +225,55 @@ class SimTrace:
     phase: np.ndarray
 
 
-def apply_emergency_reorder(
-    plan: SignalPlan, link: int, active_index: int = 0
-) -> SignalPlan:
-    """Move the emergency link's phase to right after the active phase.
-
-    Durations are untouched and every link is still served exactly once.
-    """
-    phases = list(plan.phases)
-    pos = next((k for k, (l, _) in enumerate(phases) if l == link), None)
-    if pos is None or pos <= active_index:
-        return plan
-    target = active_index + 1
-    if pos == target:
-        return plan
-    phase = phases.pop(pos)
-    phases.insert(target, phase)
-    return SignalPlan(
-        phases=tuple(phases),
-        inter_green_s=plan.inter_green_s,
-        guidance_pad_s=plan.guidance_pad_s,
-    )
-
-
 class _Cycle:
-    """A plan's cycle as segments of constant state.
+    """The links a plan's cycle still serves, in serving order.
 
-    Each segment is (end second, phase index, state code, link), ends
-    counted from the cycle start; ``pos`` is the seconds already run and
-    ``length`` the second the cycle ends. Emergencies are served after the
-    active phase in arrival order: a reorder moves a not-yet-served phase
-    up, behind the phases earlier emergencies moved up, or cuts the cycle
-    behind them and makes the link lead the next cycle, after the leads
-    named before it.
+    ``order`` lists the leads carried over from the last cycle, then the
+    plan's other links in plan order; ``order[active]`` is being served.
+    Emergencies are served after the active link in arrival order (see
+    ``serve``); durations come from the plan and never change.
     """
 
-    def __init__(self, plan: SignalPlan, urgent_end: int = 0):
-        self.pos = 0
-        self.leads: list[int] = []  # links to lead the next cycle, in order
-        # Phases from the active one up to (not including) this index were
-        # moved up by emergencies, or lead the cycle.
-        self.urgent_end = urgent_end
-        self._lay_out(plan)
-
-    def _lay_out(self, plan: SignalPlan) -> None:
+    def __init__(self, plan: SignalPlan, leads: Sequence[int]):
         self.plan = plan
-        pad, clearance = plan.guidance_pad_s, plan.inter_green_s
-        segments = []
-        end = 0
-        for idx, (link, g) in enumerate(plan.phases):
-            for n, state, shown in ((pad, PAD, link), (g, GREEN, link),
-                                    (pad, PAD, link), (clearance, INTER_GREEN, -1)):
-                if n > 0:
-                    end += n
-                    segments.append((end, idx, state, shown))
-        self.segments = segments
-        self.ends = [seg[0] for seg in segments]
-        self.length = end
+        self.order = [*leads, *(l for l, _ in plan.phases if l not in leads)]
+        self.active = 0
+        # order[active + 1:urgent_end] were moved up by emergencies, or
+        # lead the cycle.
+        self.urgent_end = len(leads)
+        self.leads: list[int] = []  # links to lead the next cycle, in order
+        self.greens = dict(plan.phases)
 
-    @property
-    def done(self) -> bool:
-        return self.pos >= self.length
+    def serve(self, link: int) -> None:
+        """Serve an emergency on ``link`` after the links already due.
 
-    def current(self) -> int:
-        """Index of the segment that holds second ``pos``."""
-        return bisect.bisect_right(self.ends, self.pos)
-
-    def reorder(self, event: EmergencyEvent) -> None:
-        active_idx = self.segments[self.current()][1]
-        pos = next(
-            (k for k, (l, _) in enumerate(self.plan.phases) if l == event.link), None
-        )
-        if (pos is None or pos == active_idx or active_idx < pos < self.urgent_end
-                or event.link in self.leads):
+        A link still to come moves up behind the links earlier emergencies
+        moved up. A link already served cuts the cycle behind those links
+        and leads the next cycle, after the leads named before it.
+        """
+        at = max(self.active + 1, self.urgent_end)
+        if link in self.order[self.active:at] or link in self.leads:
             return  # the active link, or one already due after it
-        if self.leads or pos < active_idx:
-            if not self.leads:
-                # Already served this cycle: finish the phases up to the
-                # last one moved up, then start a fresh cycle led by the
-                # emergency link.
-                last = max(active_idx, self.urgent_end - 1)
-                self.length = max(end for end, idx, _, _ in self.segments
-                                  if idx == last)
-            self.leads.append(event.link)
-            return
-        at = max(active_idx + 1, self.urgent_end)
-        self.urgent_end = at + 1
-        new_plan = apply_emergency_reorder(self.plan, event.link, at - 1)
-        if new_plan is not self.plan:
-            self._lay_out(new_plan)
+        if link not in self.order[at:]:  # served already, or behind a cut
+            del self.order[at:]
+            self.leads.append(link)
+        else:
+            self.order.remove(link)
+            self.order.insert(at, link)
+            self.urgent_end = at + 1
+
+    def phase(self, t: int) -> list[tuple[int, int, int]]:
+        """The active link's segments of constant state from second ``t``,
+        last first: (end second, state code, shown link)."""
+        link = self.order[self.active]
+        pad, clearance = self.plan.guidance_pad_s, self.plan.inter_green_s
+        segments = []
+        for n, state, shown in ((pad, PAD, link), (self.greens[link], GREEN, link),
+                                (pad, PAD, link), (clearance, INTER_GREEN, -1)):
+            if n > 0:
+                t += n
+                segments.append((t, state, shown))
+        return segments[::-1]
 
 
 def simulate(
@@ -331,8 +291,10 @@ def simulate(
     ``sensing_latency_s`` earlier.
 
     The run advances one stretch of constant signal state at a time. A
-    stretch ends at a segment boundary, a blackout edge during a green, an
-    emergency event or the horizon. Inside a stretch every link but the
+    phase is laid out as segments when it starts (pad, green, pad and
+    clearance, each at least a second long), and a stretch ends where its
+    segment ends, at a blackout edge during a green, at an emergency event
+    or at the horizon. Inside a stretch every link but the
     served one adds up its arrivals; the served link of a lit green follows
     Lindley's recursion q_t = max(0, q_{t-1} + a_t - c_t).
     """
@@ -408,25 +370,27 @@ def simulate(
             raise ConfigError(
                 "controller produced an invalid plan: " + "; ".join(violations)
             )
-        for k, link in enumerate(leads):
-            plan = apply_emergency_reorder(plan, link, active_index=k - 1)
-        return _Cycle(plan, len(leads))
+        return _Cycle(plan, leads)
 
     events = sorted(options.emergency_events, key=lambda e: e.time_s)
     next_event = 0
     cycle = new_cycle(0)
-    green_elapsed = 0  # lit green seconds of the current phase so far
+    segments = cycle.phase(0)
+    green_elapsed = 0  # lit green seconds of the active phase so far
     t = 0
     while t < horizon_s:
-        if cycle.done:
-            cycle = new_cycle(t, cycle.leads)
+        if not segments:  # the active phase is over: start the next one
+            cycle.active += 1
+            if cycle.active == len(cycle.order):
+                cycle = new_cycle(t, cycle.leads)
+            segments = cycle.phase(t)
+            green_elapsed = 0
         while next_event < len(events) and events[next_event].time_s <= t:
-            cycle.reorder(events[next_event])
+            cycle.serve(events[next_event].link)
             next_event += 1
 
-        k = cycle.current()
-        end, idx, state, link = cycle.segments[k]
-        stop = min(t + end - cycle.pos, horizon_s)
+        end, state, link = segments[-1]
+        stop = min(end, horizon_s)
         if next_event < len(events):
             stop = min(stop, events[next_event].time_s)
         lit = False
@@ -455,10 +419,9 @@ def simulate(
             served[link] += out.sum(axis=0)
             green_elapsed += n
 
-        cycle.pos += n
         t = stop
-        if cycle.done or (cycle.pos == end and cycle.segments[k + 1][1] != idx):
-            green_elapsed = 0
+        if t == end:
+            segments.pop()
 
     queues = (reached[1:] - np.cumsum(discharged, axis=0)).sum(axis=2)
     metrics = SimMetrics(

@@ -16,7 +16,7 @@ from greenlight.simulator import (
     EmergencyEvent,
     FixedTimeController,
     SimOptions,
-    apply_emergency_reorder,
+    _Cycle,
     compare_controllers,
     simulate,
 )
@@ -32,29 +32,66 @@ def zero_demand(L, seed=0):
     return ArrivalModel((0.0,) * L, (0.0,) * L, rng_seed=seed)
 
 
-class TestApplyEmergencyReorder:
+class TestCycleServe:
     def plan5(self):
         return SignalPlan(phases=tuple((i, 10 + i) for i in range(5)),
                           inter_green_s=3)
 
     def test_moves_link_after_active(self):
-        out = apply_emergency_reorder(self.plan5(), 3, active_index=0)
-        assert [l for l, _ in out.phases] == [0, 3, 1, 2, 4]
-        assert sorted(out.greens) == sorted(self.plan5().greens)
+        cycle = _Cycle(self.plan5(), ())
+        cycle.serve(3)
+        assert cycle.order == [0, 3, 1, 2, 4]
+        assert cycle.leads == []
 
     def test_already_next_unchanged(self):
-        plan = self.plan5()
-        assert apply_emergency_reorder(plan, 1, active_index=0) is plan
+        cycle = _Cycle(self.plan5(), ())
+        cycle.serve(1)
+        assert cycle.order == [0, 1, 2, 3, 4]
+        assert cycle.leads == []
 
     def test_single_link_unchanged(self):
-        plan = SignalPlan(phases=((0, 20),), inter_green_s=0)
-        assert apply_emergency_reorder(plan, 0) is plan
+        cycle = _Cycle(SignalPlan(phases=((0, 20),), inter_green_s=0), ())
+        cycle.serve(0)
+        assert cycle.order == [0]
+        assert cycle.leads == []
 
-    def test_durations_preserved(self):
+    def test_greens_untouched(self):
         plan = self.plan5()
-        out = apply_emergency_reorder(plan, 4, active_index=1)
-        assert dict(out.phases) == dict(plan.phases)
-        assert [l for l, _ in out.phases] == [0, 1, 4, 2, 3]
+        cycle = _Cycle(plan, ())
+        cycle.active = 1
+        cycle.serve(4)
+        assert cycle.order == [0, 1, 4, 2, 3]
+        assert cycle.greens == dict(plan.phases)
+
+    def test_served_link_cuts_behind_moved_up_links_and_leads(self):
+        cycle = _Cycle(self.plan5(), ())
+        cycle.active = 1
+        cycle.serve(3)
+        cycle.serve(4)
+        assert cycle.order == [0, 1, 3, 4, 2]
+        cycle.serve(0)  # served already: finish 3 and 4, then lead
+        assert cycle.order == [0, 1, 3, 4]
+        assert cycle.leads == [0]
+
+    def test_later_emergencies_append_to_leads_in_arrival_order(self):
+        cycle = _Cycle(self.plan5(), ())
+        cycle.active = 2
+        cycle.serve(1)
+        assert cycle.order == [0, 1, 2]
+        for link in (4, 0, 4, 2, 1):  # repeats and the active link add nothing
+            cycle.serve(link)
+        assert cycle.order == [0, 1, 2]
+        assert cycle.leads == [1, 4, 0]
+
+    def test_leads_come_first(self):
+        plan = self.plan5()
+        cycle = _Cycle(plan, [3, 1])
+        assert cycle.order == [3, 1, 0, 2, 4]
+        assert cycle.leads == []
+        assert cycle.greens == dict(plan.phases)
+        cycle.serve(4)  # moves up behind the leads
+        cycle.serve(1)  # already due after the active lead
+        assert cycle.order == [3, 1, 4, 0, 2]
 
 
 class TestSimulate:
